@@ -22,27 +22,24 @@ runaway growth into an explicit error instead of a hang.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from functools import reduce
+from typing import Callable, NamedTuple, Optional
 
-from .stepfn import RationalLike, StepFunction, as_time, chi, window_inf, window_sup
+from .stepfn import RationalLike, StepFunction, as_time, chi, format_time
 from .conditions import (
     CheckReport,
     DelayModel,
     Dbridc,
     Fixed,
-    SdbridcPrime,
     Violation,
-    WindowAnd,
-    WindowOr,
     BdcParams,
     check_membership,
     format_model,
-    model_is_deterministic,
     parse_model,
 )
-from .solvers import solve_dbridc, solve_sdbridc
 
 
 class ValidationError(ValueError):
@@ -59,43 +56,40 @@ class EventBudgetError(RuntimeError):
         self.time = time
 
 
-GATE_ARITY = {"NOT": 1, "AND": None, "OR": None, "NAND": None, "NOR": None, "XOR": None}
+class GateKind(NamedTuple):
+    op: Callable      # folds the inputs, bits and signals alike
+    control: Optional[int]  # an input at this value decides the output
+    invert: bool
+    unary: bool = False
 
 
-def _gate_fn(kind: str, values: list[int]) -> int:
-    if kind == "NOT":
-        return 1 - values[0]
-    if kind == "AND":
-        return int(all(values))
-    if kind == "OR":
-        return int(any(values))
-    if kind == "NAND":
-        return 1 - int(all(values))
-    if kind == "NOR":
-        return 1 - int(any(values))
-    if kind == "XOR":
-        acc = 0
-        for v in values:
-            acc ^= v
-        return acc
-    raise ValueError(f"unknown gate kind {kind!r}")
+GATES = {
+    "NOT": GateKind(operator.and_, None, True, unary=True),
+    "AND": GateKind(operator.and_, 0, False),
+    "NAND": GateKind(operator.and_, 0, True),
+    "OR": GateKind(operator.or_, 1, False),
+    "NOR": GateKind(operator.or_, 1, True),
+    "XOR": GateKind(operator.xor, None, False),
+}
+
+
+def _gate_value(kind: str, values: list[Optional[int]]) -> Optional[int]:
+    """The gate's output bit; None (unknown) inputs are read three-valued,
+    so the result is None unless the known inputs decide it."""
+    g = GATES[kind]
+    if g.control is not None and g.control in values:
+        out = g.control
+    elif None in values:
+        return None
+    else:
+        out = reduce(g.op, values)
+    return out ^ g.invert
 
 
 def _gate_signal(kind: str, inputs: list[StepFunction]) -> StepFunction:
-    if kind == "NOT":
-        return ~inputs[0]
-    acc = inputs[0]
-    if kind in ("AND", "NAND"):
-        for s in inputs[1:]:
-            acc = acc & s
-        return ~acc if kind == "NAND" else acc
-    if kind in ("OR", "NOR"):
-        for s in inputs[1:]:
-            acc = acc | s
-        return ~acc if kind == "NOR" else acc
-    for s in inputs[1:]:
-        acc = acc ^ s
-    return acc
+    g = GATES[kind]
+    out = reduce(g.op, inputs)
+    return ~out if g.invert else out
 
 
 @dataclass(frozen=True)
@@ -145,19 +139,6 @@ class WaveformSet:
 # Causality classification
 # ---------------------------------------------------------------------------
 
-def _zero_lookback(model: DelayModel) -> bool:
-    """Does the element's output at t depend on its input at t itself?"""
-    if isinstance(model, Fixed):
-        return model.d == 0
-    if isinstance(model, (WindowAnd, WindowOr)):
-        return model.d == model.m
-    if isinstance(model, Dbridc):
-        return model.p.d_r == model.p.m_r or model.p.d_f == model.p.m_f
-    if isinstance(model, SdbridcPrime):
-        return False  # open lookback window: strictly-left dependence
-    return False
-
-
 def validate(n: Netlist, inputs: Optional[dict[str, StepFunction]] = None
              ) -> list[str]:
     """All structural diagnostics; an empty list means the netlist is sound.
@@ -168,17 +149,18 @@ def validate(n: Netlist, inputs: Optional[dict[str, StepFunction]] = None
     diags: list[str] = []
     drivers: dict[str, str] = {}
     for g in n.gates:
-        if g.kind not in GATE_ARITY:
+        kind = GATES.get(g.kind)
+        if kind is None:
             diags.append(f"unknown gate kind {g.kind!r} driving {g.out!r}")
-        elif g.kind == "NOT" and len(g.ins) != 1:
-            diags.append(f"NOT gate {g.out!r} takes exactly one input")
-        elif g.kind != "NOT" and len(g.ins) < 2:
+        elif kind.unary and len(g.ins) != 1:
+            diags.append(f"{g.kind} gate {g.out!r} takes exactly one input")
+        elif not kind.unary and len(g.ins) < 2:
             diags.append(f"gate {g.out!r} ({g.kind}) needs at least two inputs")
         if g.out in drivers:
             diags.append(f"net {g.out!r} driven more than once")
         drivers[g.out] = "gate"
     for d in n.delays:
-        if not model_is_deterministic(d.model):
+        if d.model.solve is None:
             diags.append(f"delay {d.out!r} uses non-simulatable model "
                          f"{format_model(d.model)!r}")
         if d.out in drivers:
@@ -206,7 +188,7 @@ def validate(n: Netlist, inputs: Optional[dict[str, StepFunction]] = None
         for src in g.ins:
             edges.setdefault(src, []).append(g.out)
     for d in n.delays:
-        if _zero_lookback(d.model):
+        if d.model.zero_lookback():
             edges.setdefault(d.src, []).append(d.out)
     state: dict[str, int] = {}
     stack: list[str] = []
@@ -266,27 +248,6 @@ def _resolve_initials(n: Netlist, inputs: Optional[dict[str, StepFunction]]
                 known[name] = inputs[name].leading
     overridden = set(n.inits)
 
-    def kleene(kind: str, vals: list[Optional[int]]) -> Optional[int]:
-        if kind in ("AND", "NAND"):
-            if any(v == 0 for v in vals):
-                out = 0
-            elif all(v == 1 for v in vals):
-                out = 1
-            else:
-                return None
-            return 1 - out if kind == "NAND" else out
-        if kind in ("OR", "NOR"):
-            if any(v == 1 for v in vals):
-                out = 1
-            elif all(v == 0 for v in vals):
-                out = 0
-            else:
-                return None
-            return 1 - out if kind == "NOR" else out
-        if any(v is None for v in vals):
-            return None
-        return _gate_fn(kind, vals)  # NOT, XOR
-
     changed = True
     while changed:
         changed = False
@@ -305,7 +266,7 @@ def _resolve_initials(n: Netlist, inputs: Optional[dict[str, StepFunction]]
         for g in n.gates:
             if g.out in overridden:
                 continue
-            val = kleene(g.kind, [known.get(i) for i in g.ins])
+            val = _gate_value(g.kind, [known.get(i) for i in g.ins])
             if val is not None:
                 if g.out in known:
                     if known[g.out] != val:
@@ -331,7 +292,7 @@ def _resolve_initials(n: Netlist, inputs: Optional[dict[str, StepFunction]]
         ok = all(trial[d.src] == trial[d.out] for d in n.delays)
         ok = ok and all(
             g.out in overridden
-            or trial[g.out] == _gate_fn(g.kind, [trial[i] for i in g.ins])
+            or trial[g.out] == _gate_value(g.kind, [trial[i] for i in g.ins])
             for g in n.gates)
         if ok:
             consistent.append(trial)
@@ -354,17 +315,8 @@ def _resolve_initials(n: Netlist, inputs: Optional[dict[str, StepFunction]]
 # ---------------------------------------------------------------------------
 
 def _solve_delay(model: DelayModel, u: StepFunction) -> StepFunction:
-    if isinstance(model, Fixed):
-        return u.shift(model.d)
-    if isinstance(model, WindowAnd):
-        return window_inf(u, model.d, model.m)
-    if isinstance(model, WindowOr):
-        return window_sup(u, model.d, model.m)
-    if isinstance(model, Dbridc):
-        return solve_dbridc(u, model.p)
-    if isinstance(model, SdbridcPrime):
-        return solve_sdbridc(u, model.d)
-    raise ValueError(f"model {format_model(model)!r} is not simulatable")
+    """One delay evaluation; simulate evaluates delays only through here."""
+    return model.solve(u)
 
 
 def _clamped_gate(kind: str, ins: list[StepFunction], y0: int) -> StepFunction:
@@ -385,7 +337,7 @@ def _eval_order(n: Netlist) -> list[str]:
             preds[g.out].add(src)
             succs[src].append(g.out)
     for d in n.delays:
-        if _zero_lookback(d.model):
+        if d.model.zero_lookback():
             preds[d.out].add(d.src)
             succs[d.src].append(d.out)
     order: list[str] = []
@@ -409,6 +361,10 @@ def simulate(n: Netlist, inputs: dict[str, StepFunction],
     net accumulates more switches than the configured budget.
     """
     h = as_time(horizon)
+    if h < 0:
+        raise ValueError(f"horizon must be >= 0, got {format_time(h)}")
+    if n.event_budget < 0:
+        raise ValueError(f"event budget must be >= 0, got {n.event_budget}")
     for name in n.inputs:
         if name not in inputs:
             raise ValidationError([f"no waveform for primary input {name!r}"])

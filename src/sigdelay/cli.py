@@ -26,36 +26,18 @@ from .stepfn import (
     format_time,
     parse_signal_file,
     parse_signal_literal,
-    window_inf,
-    window_sup,
 )
 from .conditions import (
-    Baidc,
     Bdc,
     Bridc,
     CheckReport,
-    Dbridc,
-    Fixed,
     InconsistentModelError,
-    SdbridcPrime,
-    WindowAnd,
-    WindowOr,
-    cc_baidc,
-    cc_bdc,
-    cc_bridc,
     check_membership,
     format_model,
     compose_bdc,
     parse_model,
 )
-from .solvers import (
-    SampleRetryError,
-    sample_bdc,
-    sample_bridc,
-    solve_dbridc,
-    solve_fixed,
-    solve_sdbridc,
-)
+from .solvers import SampleRetryError, sample_bdc, sample_bridc
 from .circuit import (
     EventBudgetError,
     ValidationError,
@@ -210,22 +192,14 @@ def cmd_check(args) -> int:
 
 
 def cmd_consistent(args) -> int:
-    model = parse_model(args.model)
-    if isinstance(model, (Bdc, Dbridc)):
-        ok = cc_bdc(model.p)
-        print("CC_BDC holds" if ok else "CC_BDC fails")
-        return EXIT_OK if ok else EXIT_PARAMETER
-    if isinstance(model, Baidc):
-        ok = cc_baidc(model.p, model.a)
-        print("CC_BAIDC holds" if ok else "CC_BAIDC fails")
-        return EXIT_OK if ok else EXIT_PARAMETER
-    if isinstance(model, Bridc):
-        ok, clause = cc_bridc(model.p, model.r)
-        print(f"CC_BRIDC holds (clause {clause})" if ok else "CC_BRIDC fails")
-        return EXIT_OK if ok else EXIT_PARAMETER
-    # the remaining models validate at parse time
-    print("consistent by construction")
-    return EXIT_OK
+    cc = parse_model(args.model).consistency()
+    if cc is None:  # the model validated its parameters when parsed
+        print("consistent by construction")
+        return EXIT_OK
+    name, ok, clause = cc
+    print(f"{name} {'holds' if ok else 'fails'}"
+          + (f" (clause {clause})" if clause else ""))
+    return EXIT_OK if ok else EXIT_PARAMETER
 
 
 def cmd_compose(args) -> int:
@@ -249,16 +223,8 @@ def cmd_sample(args) -> int:
     elif isinstance(model, Bridc):
         x = sample_bridc(u, model.p, model.r, _random_free(rng, span),
                          retries=args.retries)
-    elif isinstance(model, Dbridc):
-        x = solve_dbridc(u, model.p)
-    elif isinstance(model, Fixed):
-        x = solve_fixed(u, model.d)
-    elif isinstance(model, SdbridcPrime):
-        x = solve_sdbridc(u, model.d)
-    elif isinstance(model, WindowAnd):
-        x = window_inf(u, model.d, model.m)
-    elif isinstance(model, WindowOr):
-        x = window_sup(u, model.d, model.m)
+    elif model.solve is not None:
+        x = model.solve(u)
     else:
         raise ValueError(f"sampling is not supported for {format_model(model)!r}")
     report = check_membership(u, x, model)

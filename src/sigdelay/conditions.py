@@ -17,16 +17,21 @@ callers can tell a malformed model from a bad trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from itertools import islice
+from operator import attrgetter
+from typing import Callable, ClassVar, Optional, Union, get_args
 
 from .stepfn import (
+    Interval,
     IntervalSet,
     RationalLike,
     StepFunction,
     as_signal,
     as_time,
+    chi,
+    format_time,
     window,
     window_inf,
     window_inf_halfopen,
@@ -95,35 +100,140 @@ class RicParams:
 
 
 # ---------------------------------------------------------------------------
-# Delay models (tagged union)
+# Delay models: each class is the model's one registry entry
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Sc:
-    pass
+class _Model:
+    """What a delay model defines.
+
+    ``keyword`` and ``keys`` give its spec text ``keyword key=value ...``,
+    one key per number of the dataclass fields in order, parameter tuples
+    flattened.  ``solve`` maps an input to the unique output and is None
+    for a model that does not determine its output.
+    """
+
+    keyword: ClassVar[str]
+    keys: ClassVar[tuple[str, ...]] = ()
+    needs_input: ClassVar[bool] = True
+    solve: ClassVar[Optional[Callable[[StepFunction], StepFunction]]] = None
+    _groups: ClassVar[tuple] = ()   # per field: (parameter class or None, key count)
+    _getters: ClassVar[tuple] = ()  # per key: its value's attribute getter
+
+    def consistency(self) -> Optional[tuple[str, bool, Optional[str]]]:
+        """(predicate name, result, satisfied clause), or None when the
+        parameters are consistent by construction."""
+        return None
+
+    def sandwich(self, u: StepFunction) -> Optional[tuple[StepFunction, StepFunction]]:
+        """Bounds lower <= x <= upper that every member x obeys."""
+        return None
+
+    def permits(self, u: StepFunction) -> Optional[tuple[StepFunction, StepFunction]]:
+        """Where a member may rise and where it may fall."""
+        return None
+
+    def clauses(self, u: Optional[StepFunction], x: StepFunction
+                ) -> list[tuple[IntervalSet, str]]:
+        """Violation set and name of every clause of the defining system,
+        whether or not the parameters are consistent."""
+        out = []
+        bounds = self.sandwich(u)
+        if bounds is not None:
+            out += [_le(bounds[0], x, "lower-bound"), _le(x, bounds[1], "upper-bound")]
+        permits = self.permits(u)
+        if permits is not None:
+            out += [_le(x.rises(), permits[0], "rise-permit"),
+                    _le(x.falls(), permits[1], "fall-permit")]
+        return out
+
+    def check(self, u: Optional[StepFunction], x: StepFunction,
+              horizon: Optional[Fraction]) -> CheckReport:
+        return _report(self.clauses(u, x), horizon)
+
+    def zero_lookback(self) -> bool:
+        """Does the output at t depend on the input at t itself?"""
+        return False
+
+
+class _Formula(_Model):
+    """A deterministic model given by its closed form x = solve(u)."""
+
+    clause: ClassVar[str]
+
+    def sandwich(self, u):
+        x = self.solve(u)
+        return x, x
+
+    def clauses(self, u, x):
+        return [_eq(x, self.solve(u), self.clause)]
 
 
 @dataclass(frozen=True)
-class Fixed:
+class Sc(_Model):
+    """Stability: if the input settles, the output settles to the same value.
+
+    Representable signals always settle, so this compares final values;
+    the violation starts where both have settled.
+    """
+
+    keyword = "sc"
+
+    def clauses(self, u, x):
+        if u.limit_at_infinity() == x.limit_at_infinity():
+            return [(IntervalSet(), "final-value")]
+        settle = max([Fraction(0), *u.bps, *x.bps])
+        return [(IntervalSet([Interval(settle, True, None, False)]), "final-value")]
+
+    def check(self, u, x, horizon):
+        return _report(self.clauses(u, x))  # a condition at +oo: no horizon cuts it
+
+
+@dataclass(frozen=True)
+class Fixed(_Formula):
+    """The pure delay x(t) = u(t-d)."""
+
     d: Fraction
+    keyword = "fixed"
+    keys = ("d",)
+    clause = "fixed"
 
     def __post_init__(self):
         object.__setattr__(self, "d", as_time(self.d))
         if self.d < 0:
             raise ValueError("fixed delay needs d >= 0")
 
+    def solve(self, u):
+        return u.shift(self.d)
+
+    def zero_lookback(self):
+        return self.d == 0
+
+
+class _Bounded(_Model):
+    """The bounded delay's sandwich between the windows of its parameters ``p``."""
+
+    def consistency(self):
+        return "CC_BDC", cc_bdc(self.p), None
+
+    def sandwich(self, u):
+        return bdc_lower(u, self.p), bdc_upper(u, self.p)
+
 
 @dataclass(frozen=True)
-class Bdc:
+class Bdc(_Bounded):
     p: BdcParams
+    keyword = "bdc"
+    keys = ("mr", "dr", "mf", "df")
 
 
 @dataclass(frozen=True)
-class BdcPrime:
+class BdcPrime(_Model):
     """Upper bounded, lower unbounded delays: windows [t-d, t)."""
 
     d_r: Fraction
     d_f: Fraction
+    keyword = "bdcprime"
+    keys = ("dr", "df")
 
     def __post_init__(self):
         object.__setattr__(self, "d_r", as_time(self.d_r))
@@ -131,95 +241,212 @@ class BdcPrime:
         if self.d_r <= 0 or self.d_f <= 0:
             raise ValueError("BDC' needs d_r > 0 and d_f > 0")
 
+    def sandwich(self, u):
+        return window_inf_halfopen(u, self.d_r), window_sup_halfopen(u, self.d_f)
+
+
+class _Window(_Formula):
+    """The window delays: u over [t-d, t-d+m], 0 <= m <= d."""
+
+    def __post_init__(self):
+        object.__setattr__(self, "m", as_time(self.m))
+        object.__setattr__(self, "d", as_time(self.d))
+        if not 0 <= self.m <= self.d:
+            raise ValueError("window delay needs 0 <= m <= d")
+
+    def zero_lookback(self):
+        return self.d == self.m
+
 
 @dataclass(frozen=True)
-class WindowAnd:
+class WindowAnd(_Window):
     """Deterministic delay x(t) = inf of u over [t-d, t-d+m]."""
 
     m: Fraction
     d: Fraction
+    keyword = "wand"
+    keys = ("m", "d")
+    clause = "window-and"
 
-    def __post_init__(self):
-        object.__setattr__(self, "m", as_time(self.m))
-        object.__setattr__(self, "d", as_time(self.d))
-        if not 0 <= self.m <= self.d:
-            raise ValueError("window delay needs 0 <= m <= d")
+    def solve(self, u):
+        return window_inf(u, self.d, self.m)
 
 
 @dataclass(frozen=True)
-class WindowOr:
+class WindowOr(_Window):
     """Deterministic delay x(t) = sup of u over [t-d, t-d+m]."""
 
     m: Fraction
     d: Fraction
+    keyword = "wor"
+    keys = ("m", "d")
+    clause = "window-or"
 
-    def __post_init__(self):
-        object.__setattr__(self, "m", as_time(self.m))
-        object.__setattr__(self, "d", as_time(self.d))
-        if not 0 <= self.m <= self.d:
-            raise ValueError("window delay needs 0 <= m <= d")
+    def solve(self, u):
+        return window_sup(u, self.d, self.m)
 
 
 @dataclass(frozen=True)
-class Aic:
+class Aic(_Model):
+    """Absolute inertia: after a switch the output holds for the
+    closed windows [t, t+delta]."""
+
     a: AicParams
+    keyword = "aic"
+    keys = ("dr", "df")
+    needs_input = False
+
+    def clauses(self, u, x):
+        return _hold_clauses(x, self.a, include_end=True)
 
 
 @dataclass(frozen=True)
-class AicPrime:
+class AicPrime(_Model):
     """Half-open hold windows [t, t+delta): hold >= delta instead of > delta."""
 
     a: AicParams
+    keyword = "aicprime"
+    keys = ("dr", "df")
+    needs_input = False
+
+    def clauses(self, u, x):
+        return _hold_clauses(x, self.a, include_end=False)
 
 
 @dataclass(frozen=True)
-class Ric:
+class Ric(_Model):
     r: RicParams
+    keyword = "ric"
+    keys = ("mur", "deltar", "muf", "deltaf")
+
+    def permits(self, u):
+        return ric_rise_permit(u, self.r), ric_fall_permit(u, self.r)
 
 
 @dataclass(frozen=True)
-class RicPrime:
+class RicPrime(_Model):
     """Lookback windows [t-delta, t); delta = 0 is the trivial condition."""
 
     r: RicParams
+    keyword = "ricprime"
+    keys = ("mur", "deltar", "muf", "deltaf")
+
+    def permits(self, u):
+        return (window(u, "inf", -self.r.delta_r, 0, include_end=False),
+                window(~u, "inf", -self.r.delta_f, 0, include_end=False))
 
 
 @dataclass(frozen=True)
-class Baidc:
+class Baidc(_Bounded):
     p: BdcParams
     a: AicParams
+    keyword = "baidc"
+    keys = ("mr", "dr", "mf", "df", "deltar", "deltaf")
+
+    def consistency(self):
+        return "CC_BAIDC", cc_baidc(self.p, self.a), None
+
+    def clauses(self, u, x):
+        return super().clauses(u, x) + _hold_clauses(x, self.a, include_end=True)
 
 
 @dataclass(frozen=True)
-class Bridc:
+class Bridc(_Bounded):
     p: BdcParams
     r: RicParams
+    keyword = "bridc"
+    keys = ("mr", "dr", "mf", "df", "mur", "deltar", "muf", "deltaf")
+
+    def consistency(self):
+        return ("CC_BRIDC", *cc_bridc(self.p, self.r))
+
+    def permits(self, u):
+        return ric_rise_permit(u, self.r), ric_fall_permit(u, self.r)
 
 
 @dataclass(frozen=True)
-class Dbridc:
+class Dbridc(_Bounded):
     """Deterministic: the bound and inertia windows share parameters."""
 
     p: BdcParams
+    keyword = "dbridc"
+    keys = ("mr", "dr", "mf", "df")
+
+    def permits(self, u):
+        return bdc_lower(u, self.p), window_inf(~u, self.p.d_f, self.p.m_f)
+
+    def clauses(self, u, x):
+        # equality form: a switch happens exactly when the shared window demands
+        a, b0 = self.permits(u)
+        xl = x.left_limit()
+        return [_eq(~xl & x, ~xl & a, "rise-equality"),
+                _eq(xl & ~x, xl & b0, "fall-equality")]
+
+    def solve(self, u):
+        from . import solvers  # solvers imports this module
+        return solvers.solve_dbridc(u, self.p)
+
+    def zero_lookback(self):
+        return self.p.d_r == self.p.m_r or self.p.d_f == self.p.m_f
 
 
 @dataclass(frozen=True)
-class SdbridcPrime:
+class SdbridcPrime(_Model):
     """Symmetric deterministic variant written as a single left-derivative
     equation with an open lookback window free of input switches."""
 
     d: Fraction
+    keyword = "sdbridc"
+    keys = ("d",)
 
     def __post_init__(self):
         object.__setattr__(self, "d", as_time(self.d))
         if self.d <= 0:
             raise ValueError("SDBRIDC' needs d > 0")
 
+    def sandwich(self, u):
+        before = chi(None, 0)  # before time 0 the output equals the input
+        return u & before, u | ~before
+
+    def clauses(self, u, x):
+        quiet = ~window(u.derivative(), "sup", -self.d, 0,
+                        include_start=False, include_end=False)
+        rhs = (x.left_limit() ^ u.left_limit()) & quiet
+        return [_eq(x.derivative(), rhs, "derivative-equation")]
+
+    def solve(self, u):
+        from . import solvers  # solvers imports this module
+        return solvers.solve_sdbridc(u, self.d)
+
 
 DelayModel = Union[Sc, Fixed, Bdc, BdcPrime, WindowAnd, WindowOr, Aic, AicPrime,
                    Ric, RicPrime, Baidc, Bridc, Dbridc, SdbridcPrime]
 
-DETERMINISTIC_MODELS = (Fixed, WindowAnd, WindowOr, Dbridc, SdbridcPrime)
+MODELS: dict[str, type] = {}  # spec keyword -> model class
+
+
+def _register(cls) -> None:
+    """Map the spec keys onto the fields once, so that parsing and
+    formatting inspect nothing per call."""
+    groups, paths = [], []
+    for f in fields(cls):
+        params = globals().get(f.type)  # annotations are strings in this module
+        if is_dataclass(params):
+            sub = [g.name for g in fields(params)]
+            groups.append((params, len(sub)))
+            paths += [f"{f.name}.{s}" for s in sub]
+        else:
+            groups.append((None, 1))
+            paths.append(f.name)
+    if len(paths) != len(cls.keys) or cls.keyword in MODELS:
+        raise TypeError(f"{cls.__name__}: keys do not match fields, or keyword taken")
+    cls._groups = tuple(groups)
+    cls._getters = tuple(attrgetter(p) for p in paths)
+    MODELS[cls.keyword] = cls
+
+
+for _cls in get_args(DelayModel):
+    _register(_cls)
 
 
 # ---------------------------------------------------------------------------
@@ -359,16 +586,9 @@ def convert_minmax(d_r_min: RationalLike, d_r_max: RationalLike,
 # ---------------------------------------------------------------------------
 
 def check_sc(u: StepFunction, x: StepFunction) -> CheckReport:
-    """Stability: if the input settles, the output settles to the same value.
-
-    Representable signals always settle, so this reduces to comparing
-    final values; the reported time is where both have settled.
-    """
+    """Stability: if the input settles, the output settles to the same value."""
     as_signal(u), as_signal(x)
-    if u.limit_at_infinity() == x.limit_at_infinity():
-        return CheckReport(True)
-    settle = max([Fraction(0), *u.bps, *x.bps])
-    return CheckReport(False, Violation(settle, True, "final-value"))
+    return Sc().check(u, x, None)
 
 
 def transmission_delay(u: StepFunction, x: StepFunction
@@ -429,53 +649,11 @@ def ric_fall_permit(u: StepFunction, r: RicParams) -> StepFunction:
     return window_inf(~u, r.delta_f, r.mu_f)
 
 
-def _fixed_clauses(u, x, model: Fixed):
-    return [_eq(x, u.shift(model.d), "fixed")]
-
-
-def _bdc_clauses(u, x, p: BdcParams):
-    return [_le(bdc_lower(u, p), x, "lower-bound"),
-            _le(x, bdc_upper(u, p), "upper-bound")]
-
-
-def _bdcprime_clauses(u, x, model: BdcPrime):
-    return [_le(window_inf_halfopen(u, model.d_r), x, "lower-bound"),
-            _le(x, window_sup_halfopen(u, model.d_f), "upper-bound")]
-
-
-def _aic_clauses(x, a: AicParams):
-    hold1 = window(x, "inf", 0, a.delta_r)
-    hold0 = window(~x, "inf", 0, a.delta_f)
+def _hold_clauses(x: StepFunction, a: AicParams, include_end: bool):
+    hold1 = window(x, "inf", 0, a.delta_r, include_end=include_end)
+    hold0 = window(~x, "inf", 0, a.delta_f, include_end=include_end)
     return [_le(x.rises(), hold1, "rise-hold"),
             _le(x.falls(), hold0, "fall-hold")]
-
-
-def _aicprime_clauses(x, a: AicParams):
-    hold1 = window(x, "inf", 0, a.delta_r, include_end=False)
-    hold0 = window(~x, "inf", 0, a.delta_f, include_end=False)
-    return [_le(x.rises(), hold1, "rise-hold"),
-            _le(x.falls(), hold0, "fall-hold")]
-
-
-def _ric_clauses(u, x, r: RicParams):
-    return [_le(x.rises(), ric_rise_permit(u, r), "rise-permit"),
-            _le(x.falls(), ric_fall_permit(u, r), "fall-permit")]
-
-
-def _ricprime_clauses(u, x, r: RicParams):
-    rise = window(u, "inf", -r.delta_r, 0, include_end=False)
-    fall = window(~u, "inf", -r.delta_f, 0, include_end=False)
-    return [_le(x.rises(), rise, "rise-permit"),
-            _le(x.falls(), fall, "fall-permit")]
-
-
-def _dbridc_clauses(u, x, p: BdcParams):
-    # equality form: a switch happens exactly when the shared window demands
-    a = bdc_lower(u, p)
-    b0 = window_inf(~u, p.d_f, p.m_f)
-    xl = x.left_limit()
-    return [_eq(~xl & x, ~xl & a, "rise-equality"),
-            _eq(xl & ~x, xl & b0, "fall-equality")]
 
 
 def dbridc_form_report(u: StepFunction, x: StepFunction, p: BdcParams,
@@ -503,7 +681,7 @@ def dbridc_form_report(u: StepFunction, x: StepFunction, p: BdcParams,
             _le(xl & ~x, b0, "fall-permit"),
         ])
     if form == "b":
-        return _report(_dbridc_clauses(u, x, p))
+        return _report(Dbridc(p).clauses(u, x))
     if form == "e":
         return _report([_eq(x, a | (xl & upper), "recursion")])
     if form == "f":
@@ -514,13 +692,6 @@ def dbridc_form_report(u: StepFunction, x: StepFunction, p: BdcParams,
                | (~xl & ~x & ~a) | (xl & x & ~b0))
         return _report([_eq(big, StepFunction.const(1), "tautology")])
     raise ValueError(f"unknown form {form!r}; expected one of a, b, e, f, g")
-
-
-def _sdbridcprime_clauses(u, x, model: SdbridcPrime):
-    quiet = ~window(u.derivative(), "sup", -model.d, 0,
-                    include_start=False, include_end=False)
-    rhs = (x.left_limit() ^ u.left_limit()) & quiet
-    return [_eq(x.derivative(), rhs, "derivative-equation")]
 
 
 def check_membership(u: Optional[StepFunction], x: StepFunction,
@@ -534,74 +705,19 @@ def check_membership(u: Optional[StepFunction], x: StepFunction,
     """
     h = None if horizon is None else as_time(horizon)
     as_signal(x)
-    if isinstance(model, (Aic, AicPrime)):
-        clauses = _aic_clauses(x, model.a) if isinstance(model, Aic) \
-            else _aicprime_clauses(x, model.a)
-        return _report(clauses, h)
-    if u is None:
-        raise ValueError(f"model {model} needs an input signal")
-    as_signal(u)
-    if isinstance(model, Sc):
-        return check_sc(u, x)
-    if isinstance(model, Fixed):
-        return _report(_fixed_clauses(u, x, model), h)
-    if isinstance(model, WindowAnd):
-        return _report([_eq(x, window_inf(u, model.d, model.m), "window-and")], h)
-    if isinstance(model, WindowOr):
-        return _report([_eq(x, window_sup(u, model.d, model.m), "window-or")], h)
-    if isinstance(model, Bdc):
-        if not cc_bdc(model.p):
-            raise InconsistentModelError(f"CC_BDC fails for {model.p}")
-        return _report(_bdc_clauses(u, x, model.p), h)
-    if isinstance(model, BdcPrime):
-        return _report(_bdcprime_clauses(u, x, model), h)
-    if isinstance(model, Ric):
-        return _report(_ric_clauses(u, x, model.r), h)
-    if isinstance(model, RicPrime):
-        return _report(_ricprime_clauses(u, x, model.r), h)
-    if isinstance(model, Baidc):
-        if not cc_baidc(model.p, model.a):
-            raise InconsistentModelError(f"CC_BAIDC fails for {model.p}, {model.a}")
-        return _report(_bdc_clauses(u, x, model.p) + _aic_clauses(x, model.a), h)
-    if isinstance(model, Bridc):
-        ok, _ = cc_bridc(model.p, model.r)
-        if not ok:
-            raise InconsistentModelError(f"CC_BRIDC fails for {model.p}, {model.r}")
-        return _report(_bdc_clauses(u, x, model.p) + _ric_clauses(u, x, model.r), h)
-    if isinstance(model, Dbridc):
-        if not cc_bdc(model.p):
-            raise InconsistentModelError(f"CC_BDC fails for {model.p}")
-        return _report(_dbridc_clauses(u, x, model.p), h)
-    if isinstance(model, SdbridcPrime):
-        return _report(_sdbridcprime_clauses(u, x, model), h)
-    raise TypeError(f"unknown delay model {model!r}")
-
-
-def model_is_deterministic(model: DelayModel) -> bool:
-    return isinstance(model, DETERMINISTIC_MODELS)
+    if model.needs_input:
+        if u is None:
+            raise ValueError(f"model {format_model(model)!r} needs an input signal")
+        as_signal(u)
+    cc = model.consistency()
+    if cc is not None and not cc[1]:
+        raise InconsistentModelError(f"{cc[0]} fails for {format_model(model)!r}")
+    return model.check(u, x, h)
 
 
 # ---------------------------------------------------------------------------
 # Model parameter text syntax (shared with the CLI)
 # ---------------------------------------------------------------------------
-
-_MODEL_KEYS = {
-    "sc": (),
-    "fixed": ("d",),
-    "bdc": ("mr", "dr", "mf", "df"),
-    "bdcprime": ("dr", "df"),
-    "wand": ("m", "d"),
-    "wor": ("m", "d"),
-    "aic": ("dr", "df"),
-    "aicprime": ("dr", "df"),
-    "ric": ("mur", "deltar", "muf", "deltaf"),
-    "ricprime": ("mur", "deltar", "muf", "deltaf"),
-    "baidc": ("mr", "dr", "mf", "df", "deltar", "deltaf"),
-    "bridc": ("mr", "dr", "mf", "df", "mur", "deltar", "muf", "deltaf"),
-    "dbridc": ("mr", "dr", "mf", "df"),
-    "sdbridc": ("d",),
-}
-
 
 def parse_model(text: str) -> DelayModel:
     """Parse a model spec like 'bdc mr=1 dr=2 mf=1 df=2'.
@@ -612,16 +728,17 @@ def parse_model(text: str) -> DelayModel:
     if not tokens:
         raise ValueError("empty model spec")
     kind = tokens[0].lower()
-    if kind not in _MODEL_KEYS:
+    cls = MODELS.get(kind)
+    if cls is None:
         raise ValueError(f"unknown model kind {tokens[0]!r}; "
-                         f"expected one of {', '.join(sorted(_MODEL_KEYS))}")
+                         f"expected one of {', '.join(sorted(MODELS))}")
     vals: dict[str, Fraction] = {}
     for tok in tokens[1:]:
         if "=" not in tok:
             raise ValueError(f"expected key=value, got {tok!r}")
         key, _, num = tok.partition("=")
         key = key.lower()
-        if key not in _MODEL_KEYS[kind]:
+        if key not in cls.keys:
             raise ValueError(f"model {kind!r} does not take parameter {key!r}")
         if key in vals:
             raise ValueError(f"duplicate parameter {key!r}")
@@ -629,87 +746,17 @@ def parse_model(text: str) -> DelayModel:
             vals[key] = Fraction(num)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad number {num!r} for {key!r}: {exc}") from exc
-    missing = [k for k in _MODEL_KEYS[kind] if k not in vals]
+    missing = [k for k in cls.keys if k not in vals]
     if missing:
         raise ValueError(f"model {kind!r} is missing {', '.join(missing)}")
+    nums = iter([vals[k] for k in cls.keys])
     try:
-        if kind == "sc":
-            return Sc()
-        if kind == "fixed":
-            return Fixed(vals["d"])
-        if kind == "bdc":
-            return Bdc(BdcParams(vals["mr"], vals["dr"], vals["mf"], vals["df"]))
-        if kind == "bdcprime":
-            return BdcPrime(vals["dr"], vals["df"])
-        if kind == "wand":
-            return WindowAnd(vals["m"], vals["d"])
-        if kind == "wor":
-            return WindowOr(vals["m"], vals["d"])
-        if kind == "aic":
-            return Aic(AicParams(vals["dr"], vals["df"]))
-        if kind == "aicprime":
-            return AicPrime(AicParams(vals["dr"], vals["df"]))
-        if kind == "ric":
-            return Ric(RicParams(vals["mur"], vals["deltar"], vals["muf"], vals["deltaf"]))
-        if kind == "ricprime":
-            return RicPrime(RicParams(vals["mur"], vals["deltar"], vals["muf"], vals["deltaf"]))
-        if kind == "baidc":
-            return Baidc(BdcParams(vals["mr"], vals["dr"], vals["mf"], vals["df"]),
-                         AicParams(vals["deltar"], vals["deltaf"]))
-        if kind == "bridc":
-            return Bridc(BdcParams(vals["mr"], vals["dr"], vals["mf"], vals["df"]),
-                         RicParams(vals["mur"], vals["deltar"], vals["muf"], vals["deltaf"]))
-        if kind == "dbridc":
-            return Dbridc(BdcParams(vals["mr"], vals["dr"], vals["mf"], vals["df"]))
-        if kind == "sdbridc":
-            return SdbridcPrime(vals["d"])
+        return cls(*[next(nums) if group is None else group(*islice(nums, n))
+                     for group, n in cls._groups])
     except ValueError as exc:
         raise ValueError(f"invalid parameters for {kind!r}: {exc}") from exc
-    raise AssertionError("unreachable")
-
-
-def _fmt(t: Fraction) -> str:
-    return str(t.numerator) if t.denominator == 1 else f"{t.numerator}/{t.denominator}"
 
 
 def format_model(model: DelayModel) -> str:
-    if isinstance(model, Sc):
-        return "sc"
-    if isinstance(model, Fixed):
-        return f"fixed d={_fmt(model.d)}"
-    if isinstance(model, Bdc):
-        p = model.p
-        return f"bdc mr={_fmt(p.m_r)} dr={_fmt(p.d_r)} mf={_fmt(p.m_f)} df={_fmt(p.d_f)}"
-    if isinstance(model, BdcPrime):
-        return f"bdcprime dr={_fmt(model.d_r)} df={_fmt(model.d_f)}"
-    if isinstance(model, WindowAnd):
-        return f"wand m={_fmt(model.m)} d={_fmt(model.d)}"
-    if isinstance(model, WindowOr):
-        return f"wor m={_fmt(model.m)} d={_fmt(model.d)}"
-    if isinstance(model, Aic):
-        return f"aic dr={_fmt(model.a.delta_r)} df={_fmt(model.a.delta_f)}"
-    if isinstance(model, AicPrime):
-        return f"aicprime dr={_fmt(model.a.delta_r)} df={_fmt(model.a.delta_f)}"
-    if isinstance(model, Ric):
-        r = model.r
-        return (f"ric mur={_fmt(r.mu_r)} deltar={_fmt(r.delta_r)} "
-                f"muf={_fmt(r.mu_f)} deltaf={_fmt(r.delta_f)}")
-    if isinstance(model, RicPrime):
-        r = model.r
-        return (f"ricprime mur={_fmt(r.mu_r)} deltar={_fmt(r.delta_r)} "
-                f"muf={_fmt(r.mu_f)} deltaf={_fmt(r.delta_f)}")
-    if isinstance(model, Baidc):
-        p, a = model.p, model.a
-        return (f"baidc mr={_fmt(p.m_r)} dr={_fmt(p.d_r)} mf={_fmt(p.m_f)} "
-                f"df={_fmt(p.d_f)} deltar={_fmt(a.delta_r)} deltaf={_fmt(a.delta_f)}")
-    if isinstance(model, Bridc):
-        p, r = model.p, model.r
-        return (f"bridc mr={_fmt(p.m_r)} dr={_fmt(p.d_r)} mf={_fmt(p.m_f)} "
-                f"df={_fmt(p.d_f)} mur={_fmt(r.mu_r)} deltar={_fmt(r.delta_r)} "
-                f"muf={_fmt(r.mu_f)} deltaf={_fmt(r.delta_f)}")
-    if isinstance(model, Dbridc):
-        p = model.p
-        return f"dbridc mr={_fmt(p.m_r)} dr={_fmt(p.d_r)} mf={_fmt(p.m_f)} df={_fmt(p.d_f)}"
-    if isinstance(model, SdbridcPrime):
-        return f"sdbridc d={_fmt(model.d)}"
-    raise TypeError(f"unknown delay model {model!r}")
+    return " ".join([model.keyword, *(f"{key}={format_time(get(model))}"
+                                      for key, get in zip(model.keys, model._getters))])

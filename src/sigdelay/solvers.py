@@ -29,31 +29,22 @@ from .stepfn import (
     as_time,
     window,
     window_inf,
-    window_sup,
-    window_inf_halfopen,
-    window_sup_halfopen,
 )
 from .conditions import (
     Baidc,
     Bdc,
     BdcParams,
-    BdcPrime,
     Bridc,
-    Dbridc,
     DelayModel,
-    Fixed,
     InconsistentModelError,
-    Ric,
     RicParams,
     Sc,
-    SdbridcPrime,
-    WindowAnd,
-    WindowOr,
     bdc_lower,
     bdc_upper,
     cc_bdc,
     cc_bridc,
     check_membership,
+    format_model,
     ric_fall_permit,
     ric_rise_permit,
 )
@@ -139,7 +130,8 @@ def solve_sdbridc(u: StepFunction, d: RationalLike) -> StepFunction:
             toggles.append(t)
         # a pending difference across a whole quiet interval would mean
         # dense switching; the sweep always clears it at the left end
-        assert not ((v ^ u.right_value(t)) and quiet.right_value(t))
+        if (v ^ u.right_value(t)) and quiet.right_value(t):
+            raise RuntimeError(f"solve_sdbridc left a pending switch after t={t}")
     return StepFunction.from_toggles(u.leading, toggles)
 
 
@@ -210,24 +202,6 @@ def _earliest_in(sets: IntervalSet, bound: Fraction, bound_strict: bool
     return None
 
 
-def _verify_sandwich_with_inertia(u: StepFunction, x: StepFunction,
-                                  model: DelayModel) -> bool:
-    """Clause-level membership without the consistency gate, so that
-    solvability of a single input can be judged even for parameter sets
-    whose consistency condition fails."""
-    p = model.p
-    lower, upper = bdc_lower(u, p), bdc_upper(u, p)
-    ok = (lower <= x) and (x <= upper)
-    if isinstance(model, Baidc):
-        a = model.a
-        ok = ok and x.rises() <= window(x, "inf", 0, a.delta_r)
-        ok = ok and x.falls() <= window(~x, "inf", 0, a.delta_f)
-    if isinstance(model, Bridc):
-        ok = ok and x.rises() <= ric_rise_permit(u, model.r)
-        ok = ok and x.falls() <= ric_fall_permit(u, model.r)
-    return ok
-
-
 def alternating_witness(u: StepFunction, model: DelayModel
                         ) -> Optional[StepFunction]:
     """Decide solvability for an alternating-region input by exact forward
@@ -254,12 +228,16 @@ def alternating_witness(u: StepFunction, model: DelayModel
         permits = {"rise": ric_rise_permit(u, model.r).support(),
                    "fall": ric_fall_permit(u, model.r).support()}
     else:
-        raise TypeError(f"alternating_witness does not handle {model!r}")
+        raise TypeError(f"alternating_witness does not handle {format_model(model)!r}")
+
+    def member(x: StepFunction) -> bool:
+        # clause by clause without the consistency gate: this judges one input
+        return not any(vset for vset, _ in model.clauses(u, x))
 
     windows = forced_switch_windows(u, p)
     if not windows:
         x = StepFunction.const(u.leading)
-        return x if _verify_sandwich_with_inertia(u, x, model) else None
+        return x if member(x) else None
 
     def propagate(realize_margin: Optional[Fraction]) -> Optional[list[Fraction]]:
         """Infima chain; with a margin, also pick concrete times."""
@@ -300,7 +278,7 @@ def alternating_witness(u: StepFunction, model: DelayModel
         if times is None:
             continue
         x = StepFunction.from_toggles(u.leading, times)
-        if _verify_sandwich_with_inertia(u, x, model):
+        if member(x):
             return x
     return None
 
@@ -345,7 +323,7 @@ def sample_bridc(u: StepFunction, p: BdcParams, r: RicParams,
         if x is not None:
             return x
     raise SampleRetryError(
-        f"no verified member found in {tried} attempts for {model}")
+        f"no verified member found in {tried} attempts for {format_model(model)!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -409,39 +387,19 @@ def _forced_cells(points: Sequence[Fraction],
 
 def _oracle_constraints(u: Optional[StepFunction], model: DelayModel,
                         points: Sequence[Fraction]):
-    """(x0_forced, cells, rise_permit, fall_permit); cells None = infeasible."""
-    lower = upper = None
-    rise = fall = None
+    """(x0_forced, cells, rise_permit, fall_permit); cells None = infeasible.
+
+    Only necessary conditions of membership prune: the model's sandwich
+    and switch permits.  They never come from solve_dbridc or
+    solve_sdbridc, so grid uniqueness checks stay independent of them.
+    """
+    lower, upper = model.sandwich(u) or (None, None)
+    rise, fall = model.permits(u) or (None, None)
     x0: Optional[int] = None
-    if isinstance(model, Fixed):
-        lower = upper = u.shift(model.d)
-    elif isinstance(model, WindowAnd):
-        lower = upper = window_inf(u, model.d, model.m)
-    elif isinstance(model, WindowOr):
-        lower = upper = window_sup(u, model.d, model.m)
-    elif isinstance(model, (Bdc, Baidc, Bridc, Dbridc)):
-        p = model.p
-        lower, upper = bdc_lower(u, p), bdc_upper(u, p)
-        if isinstance(model, Dbridc):
-            rise = lower
-            fall = window_inf(~u, p.d_f, p.m_f)
-        if isinstance(model, Bridc):
-            rise = ric_rise_permit(u, model.r)
-            fall = ric_fall_permit(u, model.r)
-    elif isinstance(model, BdcPrime):
-        lower = window_inf_halfopen(u, model.d_r)
-        upper = window_sup_halfopen(u, model.d_f)
-    elif isinstance(model, Ric):
-        rise = ric_rise_permit(u, model.r)
-        fall = ric_fall_permit(u, model.r)
-    elif isinstance(model, SdbridcPrime):
-        x0 = u.leading
     if lower is not None:
-        lo0 = lower.leading
-        up0 = upper.leading
-        if lo0 == 1:
+        if lower.leading == 1:
             x0 = 1
-        if up0 == 0:
+        if upper.leading == 0:
             if x0 == 1:
                 return None, None, None, None
             x0 = 0

@@ -38,7 +38,10 @@ def as_time(value: RationalLike) -> Fraction:
     """
     if isinstance(value, float):
         raise TypeError("float times are not exact; pass Fraction, int or a 'p/q' string")
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"time {value!r} has a zero denominator") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,18 @@ def test_simulate_event_budget_exits_3(netfile, capsys):
     assert "event budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra", [
+    ["--until", "1/0"],
+    ["--until", "-3"],
+    ["--until", "6", "--event-budget", "-1"],
+])
+def test_simulate_rejects_bad_horizon_and_budget(netfile, capsys, extra):
+    code = main(["simulate", "--netlist", netfile("loop.net", NOT_LOOP)] + extra)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_simulate_vcd_and_json(netfile, tmp_path, capsys):
     net = netfile("loop.net", NOT_LOOP)
     out = tmp_path / "dump.vcd"
@@ -127,6 +139,9 @@ def test_check_horizon_cutoff(capsys):
             "--state", "x: 0 @ 1"]
     assert main(args) == 1
     assert main(args + ["--until", "4"]) == 0
+    capsys.readouterr()
+    assert main(args + ["--until", "1/0"]) == 2
+    assert "zero denominator" in capsys.readouterr().err
 
 
 def test_consistent_outputs(capsys):
@@ -168,6 +183,7 @@ def test_sample_exhaustion_exits_4(tmp_path, capsys):
     assert main(["sample", "--model",
                  "bridc mr=1 dr=2 mf=1 df=2 mur=1 deltar=2 muf=1 deltaf=2",
                  "--input", str(u), "--retries", "0"]) == 4
+    assert "for 'bridc mr=1 dr=2 mf=1 df=2 mur=1 deltar=2" in capsys.readouterr().err
 
 
 def test_parse_error_names_line(tmp_path, capsys):

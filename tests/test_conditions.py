@@ -2,11 +2,13 @@
 
 import random
 from fractions import Fraction as F
+from typing import get_args
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sigdelay as sd
-from sigdelay.conditions import dbridc_form_report
+from sigdelay.conditions import MODELS, dbridc_form_report
 from sigdelay.stepfn import StepFunction, chi, chi_point, window, window_inf, window_sup
 
 from conftest import brute_check, rand_bdc_params, rand_signal, rand_stepfn
@@ -617,6 +619,57 @@ def test_model_syntax_round_trip(text):
 def test_model_syntax_rejects(bad):
     with pytest.raises(ValueError):
         sd.parse_model(bad)
+
+
+# valid parameters: non-unit denominators, m <= d pairs, positive where needed
+_times = st.builds(F, st.integers(0, 60), st.integers(2, 9))
+_positive = _times.map(lambda t: t + F(1, 7))
+_pairs = st.tuples(_times, _times).map(lambda md: (md[0], md[0] + md[1]))
+_bdc = st.builds(lambda r, f: sd.BdcParams(*r, *f), _pairs, _pairs)
+_aic = st.builds(sd.AicParams, _times, _times)
+_ric = st.builds(lambda r, f: sd.RicParams(*r, *f), _pairs, _pairs)
+MODEL_STRATEGIES = {
+    "sc": st.just(sd.Sc()),
+    "fixed": st.builds(sd.Fixed, _times),
+    "bdc": st.builds(sd.Bdc, _bdc),
+    "bdcprime": st.builds(sd.BdcPrime, _positive, _positive),
+    "wand": _pairs.map(lambda md: sd.WindowAnd(*md)),
+    "wor": _pairs.map(lambda md: sd.WindowOr(*md)),
+    "aic": st.builds(sd.Aic, _aic),
+    "aicprime": st.builds(sd.AicPrime, _aic),
+    "ric": st.builds(sd.Ric, _ric),
+    "ricprime": st.builds(sd.RicPrime, _ric),
+    "baidc": st.builds(sd.Baidc, _bdc, _aic),
+    "bridc": st.builds(sd.Bridc, _bdc, _ric),
+    "dbridc": st.builds(sd.Dbridc, _bdc),
+    "sdbridc": st.builds(sd.SdbridcPrime, _positive),
+}
+
+
+def test_every_delay_model_is_registered_under_a_unique_keyword():
+    members = get_args(sd.DelayModel)
+    assert len(MODELS) == len(members) == 14
+    for cls in members:
+        assert MODELS[cls.keyword] is cls
+    assert set(MODEL_STRATEGIES) == set(MODELS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(*MODEL_STRATEGIES.values()))
+def test_hypothesis_model_syntax_round_trip(model):
+    text = sd.format_model(model)
+    assert text.split()[0] == model.keyword
+    assert sd.parse_model(text) == model
+
+
+def test_errors_name_the_model_by_its_spec():
+    model = sd.parse_model("bdc mr=1 dr=2 mf=1/2 df=2")
+    with pytest.raises(ValueError, match="'bdc mr=1 dr=2 mf=1/2 df=2' needs an input"):
+        sd.check_membership(None, StepFunction.const(0), model)
+    bad = sd.parse_model("bdc mr=0 dr=2 mf=0 df=3")
+    with pytest.raises(sd.InconsistentModelError,
+                       match="CC_BDC fails for 'bdc mr=0 dr=2 mf=0 df=3'"):
+        sd.check_membership(StepFunction.const(0), StepFunction.const(0), bad)
 
 
 def test_exact_rational_parsing():
