@@ -11,7 +11,9 @@ Feedback is legal when every cycle contains an element that looks
 strictly into the past (a positive-lookback window or the open-window
 derivative equation); a cycle of zero-lookback elements has no
 well-defined solution and is rejected statically, as is a delay whose
-initial-value override contradicts its input.
+initial-value override contradicts its input.  Such cycles are found
+from the evaluation order itself: the nets that the Kahn sort of the
+zero-lookback graph cannot place all lie on or behind a cycle.
 
 Simulation runs the per-net update maps to a fixpoint over the horizon.
 Each round recomputes every net from its driver in a quasi-topological
@@ -23,7 +25,7 @@ runaway growth into an explicit error instead of a hang.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import reduce
 from typing import Callable, NamedTuple, Optional
@@ -34,8 +36,10 @@ from .conditions import (
     DelayModel,
     Dbridc,
     Fixed,
-    Violation,
     BdcParams,
+    _eq,
+    _report,
+    _violation_key,
     check_membership,
     format_model,
     parse_model,
@@ -182,37 +186,9 @@ def validate(n: Netlist, inputs: Optional[dict[str, StepFunction]] = None
         if name not in n.nets():
             diags.append(f"init override on unknown net {name!r}")
 
-    # zero-lookback cycles
-    edges: dict[str, list[str]] = {net: [] for net in n.nets()}
-    for g in n.gates:
-        for src in g.ins:
-            edges.setdefault(src, []).append(g.out)
-    for d in n.delays:
-        if d.model.zero_lookback():
-            edges.setdefault(d.src, []).append(d.out)
-    state: dict[str, int] = {}
-    stack: list[str] = []
-
-    def dfs(net: str) -> Optional[list[str]]:
-        state[net] = 1
-        stack.append(net)
-        for succ in edges.get(net, ()):
-            if state.get(succ, 0) == 1:
-                return stack[stack.index(succ):] + [succ]
-            if state.get(succ, 0) == 0:
-                cycle = dfs(succ)
-                if cycle is not None:
-                    return cycle
-        stack.pop()
-        state[net] = 2
-        return None
-
-    for net in n.nets():
-        if state.get(net, 0) == 0:
-            cycle = dfs(net)
-            if cycle is not None:
-                diags.append("zero-lookback cycle: " + " -> ".join(cycle))
-                break
+    _, cycle = _eval_order(n)
+    if cycle is not None:
+        diags.append("zero-lookback cycle: " + " -> ".join(cycle))
 
     if diags:
         return diags
@@ -327,29 +303,35 @@ def _clamped_gate(kind: str, ins: list[StepFunction], y0: int) -> StepFunction:
     return (before & y0sig) | (after & body)
 
 
-def _eval_order(n: Netlist) -> list[str]:
-    """Topological order of the zero-lookback graph (Kahn, stable)."""
+def _eval_order(n: Netlist) -> tuple[list[str], Optional[list[str]]]:
+    """Topological order of the zero-lookback graph (Kahn, first in first
+    out) and, when some nets cannot be ordered, one cycle through them."""
     nets = n.nets()
-    preds: dict[str, set[str]] = {net: set() for net in nets}
+    edges = [(src, g.out) for g in n.gates for src in g.ins]
+    edges += [(d.src, d.out) for d in n.delays if d.model.zero_lookback()]
+    preds: dict[str, list[str]] = {net: [] for net in nets}
     succs: dict[str, list[str]] = {net: [] for net in nets}
-    for g in n.gates:
-        for src in g.ins:
-            preds[g.out].add(src)
-            succs[src].append(g.out)
-    for d in n.delays:
-        if d.model.zero_lookback():
-            preds[d.out].add(d.src)
-            succs[d.src].append(d.out)
-    order: list[str] = []
-    ready = [net for net in nets if not preds[net]]
-    while ready:
-        net = ready.pop(0)
-        order.append(net)
+    for src, out in edges:
+        preds[out].append(src)
+        succs[src].append(out)
+    indegree = {net: len(preds[net]) for net in nets}
+    order = [net for net in nets if not indegree[net]]
+    for net in order:  # order is also the queue: it grows while it is read
         for s in succs[net]:
-            preds[s].discard(net)
-            if not preds[s] and s not in order and s not in ready:
-                ready.append(s)
-    return order
+            indegree[s] -= 1
+            if not indegree[s]:
+                order.append(s)
+    if len(order) == len(nets):
+        return order, None
+    # every left-over net has a left-over predecessor; walk back to a repeat
+    walk = [next(net for net in nets if indegree[net])]
+    pos = {walk[0]: 0}
+    while True:
+        p = next(q for q in preds[walk[-1]] if indegree[q])
+        if p in pos:
+            return order, [p] + walk[pos[p]:][::-1]
+        pos[p] = len(walk)
+        walk.append(p)
 
 
 def simulate(n: Netlist, inputs: dict[str, StepFunction],
@@ -385,7 +367,7 @@ def simulate(n: Netlist, inputs: dict[str, StepFunction],
 
     gate_by_out = {g.out: g for g in n.gates}
     delay_by_out = {d.out: d for d in n.delays}
-    order = [net for net in _eval_order(n) if net not in n.inputs]
+    order = [net for net in _eval_order(n)[0] if net not in n.inputs]
 
     # each productive round extends some net's settled prefix past at
     # least one switch, so the budget bounds the round count as well
@@ -434,37 +416,19 @@ def check_trace_conformance(n: Netlist,
         raise ValueError("waveform set lacks signals for "
                          + ", ".join(repr(m) for m in missing))
     h = w.horizon
-    worst: Optional[Violation] = None
-
-    def consider(report: CheckReport, net: str):
-        nonlocal worst
-        if report.ok:
-            return
-        v = report.first_violation
-        v = Violation(v.time, v.attained, v.clause, net)
-        if worst is None or _vkey(v) < _vkey(worst):
-            worst = v
-
-    def _vkey(v: Violation):
-        if v.time is None:
-            return (0, Fraction(0))
-        return (1, v.time)
-
+    reports = []
     for g in n.gates:
         out = w.signals[g.out].truncate(h)
         expect = _clamped_gate(g.kind, [w.signals[i].truncate(h) for i in g.ins],
                                out.leading)
-        diff = (out ^ expect).support().clipped_below(h)
-        if diff:
-            t, attained = diff.infimum()
-            consider(CheckReport(False, Violation(t, attained, "gate-equation")),
-                     g.out)
+        reports.append((g.out, _report([_eq(out, expect, "gate-equation")], h)))
     for d in n.delays:
         model = nondet_models.get(d.out, d.model)
-        report = check_membership(w.signals[d.src].truncate(h),
-                                  w.signals[d.out].truncate(h),
-                                  model, horizon=h)
-        consider(report, d.out)
+        reports.append((d.out, check_membership(w.signals[d.src].truncate(h),
+                                                w.signals[d.out].truncate(h),
+                                                model, horizon=h)))
+    worst = min((replace(r.first_violation, net=net) for net, r in reports if not r.ok),
+                key=_violation_key, default=None)
     return CheckReport(worst is None, worst)
 
 

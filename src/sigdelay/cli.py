@@ -2,7 +2,8 @@
 
 Subcommands: simulate, check, consistent, compose, sample.  Exit codes
 are a stable contract: 0 ok, 1 trace violation, 2 parameter or
-validation error, 3 event-budget abort, 4 sampler exhaustion.
+validation error, 3 event-budget abort, 4 sampler exhaustion, 5 internal
+error (a failed self-check or invariant; a bug, reported in one line).
 
 Waveform output formats: ascii (one lane per net, switch marks carrying
 the direction of the attained value, exact switch times listed), vcd,
@@ -52,6 +53,7 @@ EXIT_VIOLATION = 1
 EXIT_PARAMETER = 2
 EXIT_EVENT_BUDGET = 3
 EXIT_SAMPLER = 4
+EXIT_INTERNAL = 5
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +305,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMETER
+    except RuntimeError as exc:  # after its subclasses above
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

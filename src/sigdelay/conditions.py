@@ -146,10 +146,6 @@ class _Model:
                     _le(x.falls(), permits[1], "fall-permit")]
         return out
 
-    def check(self, u: Optional[StepFunction], x: StepFunction,
-              horizon: Optional[Fraction]) -> CheckReport:
-        return _report(self.clauses(u, x), horizon)
-
     def zero_lookback(self) -> bool:
         """Does the output at t depend on the input at t itself?"""
         return False
@@ -183,9 +179,6 @@ class Sc(_Model):
             return [(IntervalSet(), "final-value")]
         settle = max([Fraction(0), *u.bps, *x.bps])
         return [(IntervalSet([Interval(settle, True, None, False)]), "final-value")]
-
-    def check(self, u, x, horizon):
-        return _report(self.clauses(u, x))  # a condition at +oo: no horizon cuts it
 
 
 @dataclass(frozen=True)
@@ -408,10 +401,13 @@ class SdbridcPrime(_Model):
         before = chi(None, 0)  # before time 0 the output equals the input
         return u & before, u | ~before
 
+    def quiet(self, u: StepFunction) -> StepFunction:
+        """Where the open lookback window (t-d, t) holds no input switch."""
+        return ~window(u.derivative(), "sup", -self.d, 0,
+                       include_start=False, include_end=False)
+
     def clauses(self, u, x):
-        quiet = ~window(u.derivative(), "sup", -self.d, 0,
-                        include_start=False, include_end=False)
-        rhs = (x.left_limit() ^ u.left_limit()) & quiet
+        rhs = (x.left_limit() ^ u.left_limit()) & self.quiet(u)
         return [_eq(x.derivative(), rhs, "derivative-equation")]
 
     def solve(self, u):
@@ -588,7 +584,7 @@ def convert_minmax(d_r_min: RationalLike, d_r_max: RationalLike,
 def check_sc(u: StepFunction, x: StepFunction) -> CheckReport:
     """Stability: if the input settles, the output settles to the same value."""
     as_signal(u), as_signal(x)
-    return Sc().check(u, x, None)
+    return _report(Sc().clauses(u, x))
 
 
 def transmission_delay(u: StepFunction, x: StepFunction
@@ -712,7 +708,7 @@ def check_membership(u: Optional[StepFunction], x: StepFunction,
     cc = model.consistency()
     if cc is not None and not cc[1]:
         raise InconsistentModelError(f"{cc[0]} fails for {format_model(model)!r}")
-    return model.check(u, x, h)
+    return _report(model.clauses(u, x), h)
 
 
 # ---------------------------------------------------------------------------

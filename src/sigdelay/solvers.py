@@ -27,20 +27,18 @@ from .stepfn import (
     StepFunction,
     as_signal,
     as_time,
-    window,
-    window_inf,
 )
 from .conditions import (
     Baidc,
     Bdc,
     BdcParams,
     Bridc,
+    Dbridc,
     DelayModel,
     InconsistentModelError,
     RicParams,
     Sc,
-    bdc_lower,
-    bdc_upper,
+    SdbridcPrime,
     cc_bdc,
     cc_bridc,
     check_membership,
@@ -75,7 +73,7 @@ def bdc_bounds(u: StepFunction, p: BdcParams) -> tuple[StepFunction, StepFunctio
     if not cc_bdc(p):
         raise InconsistentModelError(f"CC_BDC fails for {p}")
     as_signal(u)
-    return bdc_lower(u, p), bdc_upper(u, p)
+    return Bdc(p).sandwich(u)
 
 
 def sample_bdc(u: StepFunction, p: BdcParams, free: StepFunction) -> StepFunction:
@@ -99,8 +97,7 @@ def solve_dbridc(u: StepFunction, p: BdcParams) -> StepFunction:
     if not cc_bdc(p):
         raise InconsistentModelError(f"CC_BDC fails for {p}")
     as_signal(u)
-    a = window_inf(u, p.d_r, p.m_r)
-    b0 = window_inf(~u, p.d_f, p.m_f)
+    a, b0 = Dbridc(p).permits(u)
     v = u.leading
     toggles = []
     for t in sorted(set(a.bps) | set(b0.bps)):
@@ -115,12 +112,9 @@ def solve_sdbridc(u: StepFunction, d: RationalLike) -> StepFunction:
     """Unique solution with x(0-0) = u(0-0) of the symmetric deterministic
     variant: x toggles toward u(t-0) exactly when the open lookback window
     (t-d, t) contains no input switch."""
-    d = as_time(d)
-    if d <= 0:
-        raise ValueError("SDBRIDC' needs d > 0")
+    model = SdbridcPrime(d)  # checks d > 0
     as_signal(u)
-    quiet = ~window(u.derivative(), "sup", -d, 0,
-                    include_start=False, include_end=False)
+    quiet = model.quiet(u)
     events = sorted(set(u.bps) | set(quiet.bps))
     v = u.leading
     toggles = []

@@ -4,9 +4,11 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sigdelay as sd
 from sigdelay.circuit import (
+    GATES,
     DelayElement,
     EventBudgetError,
     Gate,
@@ -20,6 +22,7 @@ from sigdelay.circuit import (
     simulate,
     validate,
 )
+from sigdelay.cli import main
 from sigdelay.stepfn import StepFunction, chi, window_inf, window_sup
 from sigdelay.stepfn import window_inf_halfopen, window_sup_halfopen
 
@@ -61,6 +64,74 @@ def test_dbridc_lookback_classification():
     loose = sd.Dbridc(sd.BdcParams(1, 2, 1, 2))
     assert any("zero-lookback" in d for d in validate(not_loop(tight, sd.Fixed(0))))
     assert validate(not_loop(loose, loose), {}) == []
+
+
+def not_chain(k, closed):
+    """k NOT gates in a row, fed by input u or, closed, by the last gate."""
+    first = f"g{k - 1}" if closed else "u"
+    gates = [Gate("NOT", f"g{i}", (f"g{i - 1}" if i else first,)) for i in range(k)]
+    return Netlist(inputs=[] if closed else ["u"], gates=gates,
+                   outputs=[f"g{k - 1}"])
+
+
+def test_deep_not_chain_validates_and_simulates():
+    n = not_chain(3000, closed=False)
+    u = chi(1, None)
+    assert validate(n, {"u": u}) == []
+    w = simulate(n, {"u": u}, 2)
+    assert w.signals["g2999"] == u  # an even number of inversions
+
+
+def test_deep_not_ring_is_one_zero_lookback_cycle(tmp_path, capsys):
+    n = not_chain(3000, closed=True)
+    cycles = [d for d in validate(n) if "zero-lookback cycle" in d]
+    assert len(cycles) == 1
+    path = tmp_path / "ring.net"
+    path.write_text(format_netlist(n))
+    assert main(["simulate", "--netlist", str(path), "--until", "3"]) == 2
+    err = capsys.readouterr().err
+    assert "zero-lookback cycle" in err and "Traceback" not in err
+
+
+@st.composite
+def small_netlists(draw):
+    """Up to 8 nets, each an input, a gate output or a fixed-delay output."""
+    nets = [f"n{i}" for i in range(draw(st.integers(1, 8)))]
+    n = Netlist()
+    for net in nets:
+        role = draw(st.sampled_from(["input", "gate", "delay"]))
+        if role == "input":
+            n.inputs.append(net)
+        elif role == "gate":
+            kind = draw(st.sampled_from(sorted(GATES)))
+            arity = 1 if GATES[kind].unary else draw(st.integers(2, 3))
+            ins = draw(st.lists(st.sampled_from(nets), min_size=arity, max_size=arity))
+            n.gates.append(Gate(kind, net, tuple(ins)))
+        else:
+            src = draw(st.sampled_from(nets))
+            n.delays.append(DelayElement(net, src, sd.Fixed(draw(st.integers(0, 1)))))
+    return n
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_netlists())
+def test_hypothesis_cycle_diagnostic_matches_reachability(n):
+    edges = {(src, g.out) for g in n.gates for src in g.ins}
+    edges |= {(d.src, d.out) for d in n.delays if d.model.d == 0}
+    reach = set(edges)
+    while True:  # transitive closure, pair by pair
+        more = {(a, d) for a, b in reach for c, d in reach if b == c} - reach
+        if not more:
+            break
+        reach |= more
+    has_cycle = any(a == b for a, b in reach)
+    prefix = "zero-lookback cycle: "
+    cycles = [d for d in validate(n) if d.startswith(prefix)]
+    assert len(cycles) == has_cycle
+    if cycles:
+        path = cycles[0][len(prefix):].split(" -> ")
+        assert len(path) >= 2 and path[0] == path[-1]
+        assert all(step in edges for step in zip(path, path[1:]))
 
 
 def test_delay_initial_override_must_match_input():
@@ -239,6 +310,16 @@ def test_conformance_localizes_perturbation():
     assert not report.ok
     assert report.first_violation.net == "w"
     assert report.first_violation.time == early
+
+
+def test_conformance_ranks_attained_first_at_equal_times():
+    # x breaks its delay at 3/2 itself; y breaks its gate only just after
+    n = parse_netlist("input u\ndelay x u fixed d=1\ngate NOT y x\n")
+    x = StepFunction.from_toggles(0, [F(3, 2)])
+    y = ~x ^ chi(F(3, 2), F(5, 2), lo_closed=False)
+    w = WaveformSet({"u": StepFunction.const(0), "x": x, "y": y}, F(4))
+    v = check_trace_conformance(n, {}, w).first_violation
+    assert (v.net, v.time, v.attained) == ("x", F(3, 2), True)
 
 
 def test_conformance_rejects_missing_nets():

@@ -61,6 +61,17 @@ def test_simulate_event_budget_exits_3(netfile, capsys):
     assert "event budget" in capsys.readouterr().err
 
 
+def test_simulate_failed_self_check_exits_5(netfile, capsys, monkeypatch):
+    failing = sd.CheckReport(False, sd.Violation(F(0), True, "gate-equation", "x"))
+    monkeypatch.setattr("sigdelay.circuit.check_trace_conformance",
+                        lambda *args: failing)
+    code = main(["simulate", "--netlist", netfile("loop.net", NOT_LOOP),
+                 "--until", "6"])
+    assert code == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: internal: ") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("extra", [
     ["--until", "1/0"],
     ["--until", "-3"],
@@ -142,6 +153,15 @@ def test_check_horizon_cutoff(capsys):
     capsys.readouterr()
     assert main(args + ["--until", "1/0"]) == 2
     assert "zero denominator" in capsys.readouterr().err
+
+
+def test_check_sc_honours_horizon(capsys):
+    # the final values differ from t=5 on, which only a later horizon sees
+    args = ["check", "--model", "sc", "--input", "u: 0 @ 5", "--state", "x: 0"]
+    assert main(args + ["--until", "1"]) == 0
+    assert capsys.readouterr().out == "ok\n"
+    assert main(args + ["--until", "5"]) == 1
+    assert capsys.readouterr().out == "violation at t=5: final-value\n"
 
 
 def test_consistent_outputs(capsys):
