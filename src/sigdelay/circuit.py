@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import reduce
 from typing import Callable, NamedTuple, Optional
 
-from .stepfn import RationalLike, StepFunction, as_time, chi, format_time
+from .stepfn import RationalLike, StepFunction, as_time, format_time
 from .conditions import (
     CheckReport,
     DelayModel,
@@ -296,11 +296,8 @@ def _solve_delay(model: DelayModel, u: StepFunction) -> StepFunction:
 
 
 def _clamped_gate(kind: str, ins: list[StepFunction], y0: int) -> StepFunction:
-    body = _gate_signal(kind, ins)
-    before = chi(None, 0)
-    after = ~before
-    y0sig = StepFunction.const(y0)
-    return (before & y0sig) | (after & body)
+    """The gate's output: ``y0`` before time 0, the gate of its inputs from 0 on."""
+    return _gate_signal(kind, ins).truncate_before(0, y0)
 
 
 def _eval_order(n: Netlist) -> tuple[list[str], Optional[list[str]]]:

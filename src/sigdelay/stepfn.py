@@ -17,11 +17,18 @@ zero set (resp. support) of the input with the window interval, with
 explicit open/closed bookkeeping at every endpoint.  Window endpoint
 membership is exactly where the delay conditions differ from each
 other, so closures are never approximated.
+
+Cost is linear in the breakpoints involved: the Boolean operations merge
+the two breakpoint tuples in one two-pointer walk, and ``indicator``
+builds a function from an interval set in one walk over its sorted,
+disjoint intervals.  ``IntervalSet`` construction sorts its input, so
+sets built from unsorted pieces add a logarithmic factor.
 """
 
 from __future__ import annotations
 
 import bisect
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
@@ -240,11 +247,25 @@ class StepFunction:
         if leading not in (0, 1) or any(v not in (0, 1) for v in at) \
                 or any(v not in (0, 1) for v in right):
             raise ValueError("values must be bits")
+        self._fill(leading, ts, at, right)
+
+    @classmethod
+    def _canon(cls, leading: int, bps: Sequence[Fraction],
+               at: Sequence[int], right: Sequence[int]) -> "StepFunction":
+        """Trusted constructor for data that is well formed by construction:
+        Fraction breakpoints in strictly increasing order and bit values.
+        It only drops uninformative breakpoints; ``StepFunction(...)``
+        validates everything that comes from outside."""
+        f = object.__new__(cls)
+        f._fill(leading, bps, at, right)
+        return f
+
+    def _fill(self, leading, bps, at, right) -> None:
         k_bps: list[Fraction] = []
         k_at: list[int] = []
         k_right: list[int] = []
         left = leading
-        for b, a, r in zip(ts, at, right):
+        for b, a, r in zip(bps, at, right):
             if a == r == left:
                 continue
             k_bps.append(b)
@@ -326,24 +347,48 @@ class StepFunction:
     # -- Boolean algebra ----------------------------------------------------
 
     def __invert__(self) -> "StepFunction":
-        return StepFunction(1 - self.leading, self.bps,
-                            tuple(1 - v for v in self.at),
-                            tuple(1 - v for v in self.right))
+        return StepFunction._canon(1 - self.leading, self.bps,
+                                   tuple(1 - v for v in self.at),
+                                   tuple(1 - v for v in self.right))
 
     def _zip(self, other: "StepFunction", op) -> "StepFunction":
-        bps = sorted(set(self.bps) | set(other.bps))
-        at = [op(self.value(b), other.value(b)) for b in bps]
-        right = [op(self.right_value(b), other.right_value(b)) for b in bps]
-        return StepFunction(op(self.leading, other.leading), bps, at, right)
+        """Pointwise ``op``: one two-pointer merge of the breakpoint tuples,
+        carrying each side's value right of its last breakpoint passed."""
+        f_bps, f_at, f_right = self.bps, self.at, self.right
+        g_bps, g_at, g_right = other.bps, other.at, other.right
+        nf, ng = len(f_bps), len(g_bps)
+        i = j = 0
+        fv, gv = self.leading, other.leading
+        bps: list[Fraction] = []
+        at: list[int] = []
+        right: list[int] = []
+        while i < nf or j < ng:
+            if j == ng or (i < nf and f_bps[i] < g_bps[j]):
+                b, fa, ga = f_bps[i], f_at[i], gv
+                fv = f_right[i]
+                i += 1
+            elif i == nf or g_bps[j] < f_bps[i]:
+                b, fa, ga = g_bps[j], fv, g_at[j]
+                gv = g_right[j]
+                j += 1
+            else:
+                b, fa, ga = f_bps[i], f_at[i], g_at[j]
+                fv, gv = f_right[i], g_right[j]
+                i += 1
+                j += 1
+            bps.append(b)
+            at.append(op(fa, ga))
+            right.append(op(fv, gv))
+        return StepFunction._canon(op(self.leading, other.leading), bps, at, right)
 
     def __and__(self, other: "StepFunction") -> "StepFunction":
-        return self._zip(other, lambda a, b: a & b)
+        return self._zip(other, operator.and_)
 
     def __or__(self, other: "StepFunction") -> "StepFunction":
-        return self._zip(other, lambda a, b: a | b)
+        return self._zip(other, operator.or_)
 
     def __xor__(self, other: "StepFunction") -> "StepFunction":
-        return self._zip(other, lambda a, b: a ^ b)
+        return self._zip(other, operator.xor)
 
     def __le__(self, other: "StepFunction") -> bool:
         """Pointwise order: self(t) <= other(t) for all t."""
@@ -361,11 +406,11 @@ class StepFunction:
         for i in range(len(self.bps)):
             at.append(left)
             left = self.right[i]
-        return StepFunction(self.leading, self.bps, at, self.right)
+        return StepFunction._canon(self.leading, self.bps, at, self.right)
 
     def right_limit(self) -> "StepFunction":
         """t -> f(t+0); the result is right-continuous."""
-        return StepFunction(self.leading, self.bps, self.right, self.right)
+        return StepFunction._canon(self.leading, self.bps, self.right, self.right)
 
     def derivative(self) -> "StepFunction":
         """Left derivative  Df(t) = f(t-0) xor f(t)."""
@@ -401,14 +446,27 @@ class StepFunction:
     def shift(self, d: RationalLike) -> "StepFunction":
         """Translation: result(t) = f(t - d)."""
         d = as_time(d)
-        return StepFunction(self.leading, tuple(b + d for b in self.bps),
-                            self.at, self.right)
+        return StepFunction._canon(self.leading, tuple(b + d for b in self.bps),
+                                   self.at, self.right)
 
     def truncate(self, horizon: RationalLike) -> "StepFunction":
         """Drop behaviour after the horizon; the value at it extends to +oo."""
         h = as_time(horizon)
         n = bisect.bisect_right(self.bps, h)
-        return StepFunction(self.leading, self.bps[:n], self.at[:n], self.right[:n])
+        return StepFunction._canon(self.leading, self.bps[:n], self.at[:n], self.right[:n])
+
+    def truncate_before(self, start: RationalLike, value: int) -> "StepFunction":
+        """Drop behaviour before ``start``: the result is ``value`` before it
+        and f from it on."""
+        if value not in (0, 1):
+            raise ValueError("values must be bits")
+        s = as_time(start)
+        i = bisect.bisect_left(self.bps, s)
+        bps, at, right = self.bps[i:], self.at[i:], self.right[i:]
+        if not bps or bps[0] != s:  # a breakpoint at start carrying f's value there
+            v = self.leading if i == 0 else self.right[i - 1]
+            bps, at, right = (s,) + bps, (v,) + at, (v,) + right
+        return StepFunction._canon(value, bps, at, right)
 
     def support(self) -> IntervalSet:
         """The set {t : f(t) = 1} with exact endpoint closures."""
@@ -459,18 +517,32 @@ def as_signal(f: StepFunction) -> StepFunction:
 
 
 def indicator(intervals: IntervalSet) -> StepFunction:
-    """The characteristic StepFunction of an interval set."""
-    endpoints = sorted({p for iv in intervals
-                        for p in (iv.lo, iv.hi) if p is not None})
-    if not endpoints:
-        return StepFunction.const(1 if intervals else 0)
-    leading = 1 if intervals.contains(endpoints[0] - 1) else 0
-    at, right = [], []
-    for i, b in enumerate(endpoints):
-        at.append(1 if intervals.contains(b) else 0)
-        probe = b + 1 if i + 1 == len(endpoints) else (b + endpoints[i + 1]) / 2
-        right.append(1 if intervals.contains(probe) else 0)
-    return StepFunction(leading, endpoints, at, right)
+    """The characteristic StepFunction of an interval set.
+
+    One walk over the merged intervals, which are sorted, disjoint and
+    non-touching: each finite endpoint is one breakpoint whose point value
+    its own interval decides.  The only shared breakpoint is where two open
+    ends meet, as in [0, 1) u (1, 2]: point value 0, right value 1.
+    """
+    ivs = intervals.intervals
+    bps: list[Fraction] = []
+    at: list[int] = []
+    right: list[int] = []
+    for iv in ivs:
+        lo, hi = iv.lo, iv.hi
+        if lo is not None:
+            if bps and bps[-1] == lo:  # open ends meet: (p, lo) u (lo, q)
+                right[-1] = 1
+            else:
+                bps.append(lo)
+                at.append(1 if iv.contains(lo) else 0)
+                right.append(0 if lo == hi else 1)
+        if hi is not None and hi != lo:
+            bps.append(hi)
+            at.append(1 if iv.contains(hi) else 0)
+            right.append(0)
+    leading = 1 if ivs and ivs[0].lo is None else 0
+    return StepFunction._canon(leading, bps, at, right)
 
 
 def chi(lo, hi, lo_closed: bool = True, hi_closed: bool = False) -> StepFunction:
