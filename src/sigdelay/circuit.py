@@ -15,16 +15,21 @@ initial-value override contradicts its input.  Such cycles are found
 from the evaluation order itself: the nets that the Kahn sort of the
 zero-lookback graph cannot place all lie on or behind a cycle.
 
-Simulation runs the per-net update maps to a fixpoint over the horizon.
-Each round recomputes every net from its driver in a quasi-topological
-order; positive lookback guarantees each round extends the correct
-prefix, so the iteration stabilizes, and an event budget converts
-runaway growth into an explicit error instead of a hang.
+Simulation is event-driven: one queue of switch times, each delay
+element in its model's event form (``conditions._Events``).  At each
+time only the nets an event touches are settled, in the order of the
+zero-lookback graph, so a gate or a zero-lookback delay sees its
+inputs' values at that instant; a positive-lookback delay decides from
+its input before that instant.  Work grows with the switches made, not
+with the horizon, and an event budget bounds the switches of every net,
+so runaway oscillation ends in an explicit error instead of a hang.
 """
 
 from __future__ import annotations
 
+import heapq
 import operator
+from collections import deque
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import reduce
@@ -53,8 +58,10 @@ class ValidationError(ValueError):
 
 
 class EventBudgetError(RuntimeError):
+    """A net's switch at ``time`` is one more than the event budget allows."""
+
     def __init__(self, net: str, time: Optional[Fraction]):
-        at = f" around t={time}" if time is not None else ""
+        at = f" at t={format_time(time)}" if time is not None else ""
         super().__init__(f"event budget exceeded on net {net!r}{at}")
         self.net = net
         self.time = time
@@ -164,7 +171,7 @@ def validate(n: Netlist, inputs: Optional[dict[str, StepFunction]] = None
             diags.append(f"net {g.out!r} driven more than once")
         drivers[g.out] = "gate"
     for d in n.delays:
-        if d.model.solve is None:
+        if d.model.events is None:
             diags.append(f"delay {d.out!r} uses non-simulatable model "
                          f"{format_model(d.model)!r}")
         if d.out in drivers:
@@ -290,9 +297,9 @@ def _resolve_initials(n: Netlist, inputs: Optional[dict[str, StepFunction]]
 # Simulation
 # ---------------------------------------------------------------------------
 
-def _solve_delay(model: DelayModel, u: StepFunction) -> StepFunction:
-    """One delay evaluation; simulate evaluates delays only through here."""
-    return model.solve(u)
+def _solve_delay(model: DelayModel, leading: int):
+    """The element's event form; simulate reaches a delay model only here."""
+    return model.events(leading)
 
 
 def _clamped_gate(kind: str, ins: list[StepFunction], y0: int) -> StepFunction:
@@ -333,11 +340,13 @@ def _eval_order(n: Netlist) -> tuple[list[str], Optional[list[str]]]:
 
 def simulate(n: Netlist, inputs: dict[str, StepFunction],
              horizon: RationalLike) -> WaveformSet:
-    """Run the netlist to its unique waveform fixpoint on (-oo, horizon].
+    """Run the netlist on (-oo, horizon] by event-driven simulation.
 
     Inputs must provide a signal for every primary input.  Raises
-    ValidationError for a malformed netlist and EventBudgetError when a
-    net accumulates more switches than the configured budget.
+    ValidationError for a malformed netlist and EventBudgetError at the
+    first switch that takes a non-input net past the event budget.  The
+    result is re-judged by ``check_trace_conformance`` before it is
+    returned.
     """
     h = as_time(horizon)
     if h < 0:
@@ -350,51 +359,69 @@ def simulate(n: Netlist, inputs: dict[str, StepFunction],
     diags = validate(n, inputs)
     if diags:
         raise ValidationError(diags)
+    for name in n.inputs:
+        if not inputs[name].is_signal():
+            raise ValidationError([f"input waveform {name!r} is not a signal"])
     init, _ = _resolve_initials(n, inputs)
 
-    current: dict[str, StepFunction] = {}
-    for name in n.inputs:
-        sig = inputs[name]
-        if not sig.is_signal():
-            raise ValidationError([f"input waveform {name!r} is not a signal"])
-        current[name] = sig.truncate(h)
-    for net in n.nets():
-        if net not in current:
-            current[net] = StepFunction.const(init[net])
-
+    order = _eval_order(n)[0]
+    rank = {net: i for i, net in enumerate(order)}
+    value = dict(init)
+    switches: dict[str, list[Fraction]] = {net: [] for net in order}
     gate_by_out = {g.out: g for g in n.gates}
-    delay_by_out = {d.out: d for d in n.delays}
-    order = [net for net in _eval_order(n)[0] if net not in n.inputs]
+    # the next switches of every input and delay output, in time order
+    pending: dict[str, deque] = {}
+    # per net, who reads it: (gate output, None) or (delay output, event form)
+    readers: dict[str, list] = {net: [] for net in order}
+    # (time, rank, net): the net may switch at that time; stale entries are
+    # skipped, and at one time the nets settle in evaluation order
+    queue: list[tuple[Fraction, int, str]] = []
+    for name in n.inputs:
+        pending[name] = deque(inputs[name].truncate(h).bps)
+        queue += [(t, rank[name], name) for t in pending[name]]
+    for d in n.delays:
+        form = _solve_delay(d.model, init[d.src])
+        pending[d.out] = form.pending
+        readers[d.src].append((d.out, form))
+    for g in n.gates:  # an initial value may differ from the gate of the inputs at 0
+        queue.append((Fraction(0), rank[g.out], g.out))
+        for i in g.ins:
+            readers[i].append((g.out, None))
+    heapq.heapify(queue)
 
-    # each productive round extends some net's settled prefix past at
-    # least one switch, so the budget bounds the round count as well
-    max_rounds = n.event_budget + len(order) + 8
-    for _ in range(max_rounds):
-        changed = False
-        for net in order:
-            if net in gate_by_out:
-                g = gate_by_out[net]
-                new = _clamped_gate(g.kind, [current[i] for i in g.ins], init[net])
+    budget = n.event_budget
+    primary = set(n.inputs)
+    while queue:
+        t, _, net = heapq.heappop(queue)
+        g = gate_by_out.get(net)
+        if g is not None:
+            bit = _gate_value(g.kind, [value[i] for i in g.ins])
+            if bit == value[net]:
+                continue
+        else:
+            q = pending[net]
+            if not q or q[0] != t:  # stale: that switch was cancelled
+                continue
+            q.popleft()
+            bit = value[net] ^ 1
+        ts = switches[net]
+        if len(ts) == budget and net not in primary:
+            raise EventBudgetError(net, t)
+        ts.append(t)
+        value[net] = bit
+        for out, form in readers[net]:
+            if form is None:
+                heapq.heappush(queue, (t, rank[out], out))
             else:
-                d = delay_by_out[net]
-                new = _solve_delay(d.model, current[d.src])
-            new = new.truncate(h)
-            if len(new.bps) > n.event_budget:
-                raise EventBudgetError(net, new.bps[n.event_budget - 1])
-            if new != current[net]:
-                current[net] = new
-                changed = True
-        if not changed:
-            break
-    else:
-        busiest = max(order, key=lambda net: len(current[net].bps))
-        raise EventBudgetError(busiest, current[busiest].bps[-1]
-                               if current[busiest].bps else None)
+                s = form.feed(t, bit)
+                if s is not None and s <= h:
+                    heapq.heappush(queue, (s, rank[out], out))
 
-    w = WaveformSet(dict(current), h)
+    w = WaveformSet({net: StepFunction.from_toggles(init[net], switches[net])
+                     for net in n.nets()}, h)
     report = check_trace_conformance(n, {}, w)
     if not report.ok:
-        raise RuntimeError(f"simulation fixpoint fails self-check: {report}")
+        raise RuntimeError(f"simulation fails self-check: {report}")
     return w
 
 

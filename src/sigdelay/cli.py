@@ -246,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact delay-condition checking and asynchronous-circuit simulation")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", help="run a netlist to its waveform fixpoint")
+    sim = sub.add_parser("simulate", help="run a netlist by event-driven simulation")
     sim.add_argument("--netlist", required=True)
     sim.add_argument("--inputs", help="signal file for the primary inputs")
     sim.add_argument("--input", action="append",
@@ -256,7 +256,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--until", required=True, help="horizon (exact rational)")
     sim.add_argument("--format", choices=("ascii", "vcd", "json-report"),
                      default="ascii")
-    sim.add_argument("--event-budget", type=int, default=None)
+    sim.add_argument("--event-budget", type=int, default=None,
+                     help="most switches any net may make before exit 3 "
+                          "(default 10000)")
     sim.add_argument("--out")
     sim.set_defaults(fn=cmd_simulate)
 

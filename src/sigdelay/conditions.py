@@ -17,6 +17,7 @@ callers can tell a malformed model from a bad trace.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from itertools import islice
@@ -108,14 +109,16 @@ class _Model:
 
     ``keyword`` and ``keys`` give its spec text ``keyword key=value ...``,
     one key per number of the dataclass fields in order, parameter tuples
-    flattened.  ``solve`` maps an input to the unique output and is None
-    for a model that does not determine its output.
+    flattened.  ``solve`` maps an input to the unique output and
+    ``events(leading)`` builds the element's event form (``_Events``);
+    both are None for a model that does not determine its output.
     """
 
     keyword: ClassVar[str]
     keys: ClassVar[tuple[str, ...]] = ()
     needs_input: ClassVar[bool] = True
     solve: ClassVar[Optional[Callable[[StepFunction], StepFunction]]] = None
+    events: ClassVar[Optional[Callable[[int], "_Events"]]] = None
     _groups: ClassVar[tuple] = ()   # per field: (parameter class or None, key count)
     _getters: ClassVar[tuple] = ()  # per key: its value's attribute getter
 
@@ -164,6 +167,101 @@ class _Formula(_Model):
         return [_eq(x, self.solve(u), self.clause)]
 
 
+class _Events:
+    """A deterministic delay element as an event form.
+
+    ``feed(s, bit)`` takes the input's switch to ``bit`` at s, in time
+    order.  ``pending`` holds, in time order, the output switches that the
+    input up to s implies if it holds from then on, and ``value`` is the
+    output after the last of them.  A feed cancels or adds switches only
+    from s on, and for a positive-lookback model only after s; it returns
+    the time of the switch it adds, if any.
+    """
+
+    def __init__(self, leading: int):
+        self.pending: deque[Fraction] = deque()
+        self.value = leading
+
+    def _add(self, t: Fraction) -> Fraction:
+        self.pending.append(t)
+        self.value ^= 1
+        return t
+
+    def _cancel(self, t: Fraction, closed: bool) -> None:
+        """Drop the pending switches after t, and at t when closed."""
+        p = self.pending
+        while p and (p[-1] > t or closed and p[-1] == t):
+            p.pop()
+            self.value ^= 1
+
+
+class _Transport(_Events):
+    """fixed: every input switch at s reappears at s + d."""
+
+    def __init__(self, leading: int, d: Fraction):
+        super().__init__(leading)
+        self.d = d
+
+    def feed(self, s, bit):
+        return self._add(s + self.d)
+
+
+class _WindowEdges(_Events):
+    """wand/wor: a switch to the dominant value (0 for wand, 1 for wor) at s
+    reaches the output with the first window that sees it, at s + d - m,
+    and merges with any later pending switch; a switch away from it
+    reaches the output once the whole window has passed it, at s + d."""
+
+    def __init__(self, leading: int, m: Fraction, d: Fraction, dominant: int):
+        super().__init__(leading)
+        self.m, self.d, self.dominant = m, d, dominant
+
+    def feed(self, s, bit):
+        if bit != self.dominant:
+            return self._add(s + self.d)
+        cut = s + self.d - self.m
+        self._cancel(cut, closed=True)
+        return self._add(cut) if self.value != bit else None
+
+
+class _SharedWindow(_Events):
+    """dbridc: an input rise at s sets the output at s + d_r unless the
+    input falls again by s + m_r; a fall resets it at s + d_f unless the
+    input rises again by s + m_f.  The output holds in between, so a set
+    or reset that finds it at its value adds no switch."""
+
+    def __init__(self, leading: int, p: BdcParams):
+        super().__init__(leading)
+        self.p = p
+        self.last: Optional[Fraction] = None  # the latest input switch
+        self.added = False                    # did it add the last pending switch
+
+    def feed(self, s, bit):
+        p = self.p
+        # the memory of the previous, opposite switch and this switch's delay
+        memory, delay = (p.m_f, p.d_r) if bit else (p.m_r, p.d_f)
+        if self.added and s - self.last <= memory:
+            self.pending.pop()
+            self.value ^= 1
+        self.last = s
+        self.added = self.value != bit
+        return self._add(s + delay) if self.added else None
+
+
+class _OpenWindow(_Events):
+    """sdbridc: an input switch at s cancels the pending output switches in
+    (s, s + d); if the output then differs from the input, it switches at
+    s + d."""
+
+    def __init__(self, leading: int, d: Fraction):
+        super().__init__(leading)
+        self.d = d
+
+    def feed(self, s, bit):
+        self._cancel(s, closed=False)
+        return self._add(s + self.d) if self.value != bit else None
+
+
 @dataclass(frozen=True)
 class Sc(_Model):
     """Stability: if the input settles, the output settles to the same value.
@@ -196,7 +294,11 @@ class Fixed(_Formula):
             raise ValueError("fixed delay needs d >= 0")
 
     def solve(self, u):
-        return u.shift(self.d)
+        from . import solvers  # solvers imports this module
+        return solvers.solve_fixed(u, self.d)
+
+    def events(self, leading):
+        return _Transport(leading, self.d)
 
     def zero_lookback(self):
         return self.d == 0
@@ -264,6 +366,9 @@ class WindowAnd(_Window):
     def solve(self, u):
         return window_inf(u, self.d, self.m)
 
+    def events(self, leading):
+        return _WindowEdges(leading, self.m, self.d, 0)
+
 
 @dataclass(frozen=True)
 class WindowOr(_Window):
@@ -277,6 +382,9 @@ class WindowOr(_Window):
 
     def solve(self, u):
         return window_sup(u, self.d, self.m)
+
+    def events(self, leading):
+        return _WindowEdges(leading, self.m, self.d, 1)
 
 
 @dataclass(frozen=True)
@@ -379,6 +487,11 @@ class Dbridc(_Bounded):
         from . import solvers  # solvers imports this module
         return solvers.solve_dbridc(u, self.p)
 
+    def events(self, leading):
+        if not cc_bdc(self.p):
+            raise InconsistentModelError(f"CC_BDC fails for {self.p}")
+        return _SharedWindow(leading, self.p)
+
     def zero_lookback(self):
         return self.p.d_r == self.p.m_r or self.p.d_f == self.p.m_f
 
@@ -413,6 +526,9 @@ class SdbridcPrime(_Model):
     def solve(self, u):
         from . import solvers  # solvers imports this module
         return solvers.solve_sdbridc(u, self.d)
+
+    def events(self, leading):
+        return _OpenWindow(leading, self.d)
 
 
 DelayModel = Union[Sc, Fixed, Bdc, BdcPrime, WindowAnd, WindowOr, Aic, AicPrime,

@@ -1,7 +1,7 @@
 """Solution construction and the independent brute-force oracle.
 
 Deterministic conditions get direct solvers (a translation, a window
-evaluation, or an event sweep).  Nondeterministic conditions are
+evaluation, or an event form).  Nondeterministic conditions are
 represented three ways: exact extremal members, a constructive sampler
 built on the representation  x = lower or (free . upper),  and
 exhaustive enumeration of all grid-toggle candidates filtered through
@@ -87,46 +87,31 @@ def sample_bdc(u: StepFunction, p: BdcParams, free: StepFunction) -> StepFunctio
     return lower | (free & upper)
 
 
+def _drive(model: DelayModel, u: StepFunction) -> StepFunction:
+    """The model's event form fed every switch of the known input u."""
+    as_signal(u)
+    form = model.events(u.leading)
+    for s, bit in zip(u.bps, u.at):
+        form.feed(s, bit)
+    return StepFunction.from_toggles(u.leading, form.pending)
+
+
 def solve_dbridc(u: StepFunction, p: BdcParams) -> StepFunction:
     """Unique solution of the deterministic bounded relative inertial delay.
 
-    Event sweep over the merged switches of  a = inf-window of u  and
-    b0 = inf-window of not-u:  x is 1 where a is 1, 0 where b0 is 1 and
-    holds its previous value elsewhere; before time 0 it equals u.
+    x is 1 where  a = inf-window of u  is 1, 0 where  b0 = inf-window of
+    not-u  is 1 and holds its previous value elsewhere; before time 0 it
+    equals u.  Computed by the model's event form, one step per switch of u.
     """
-    if not cc_bdc(p):
-        raise InconsistentModelError(f"CC_BDC fails for {p}")
-    as_signal(u)
-    a, b0 = Dbridc(p).permits(u)
-    v = u.leading
-    toggles = []
-    for t in sorted(set(a.bps) | set(b0.bps)):
-        nv = 1 if a.value(t) else (0 if b0.value(t) else v)
-        if nv != v:
-            toggles.append(t)
-            v = nv
-    return StepFunction.from_toggles(u.leading, toggles)
+    return _drive(Dbridc(p), u)
 
 
 def solve_sdbridc(u: StepFunction, d: RationalLike) -> StepFunction:
     """Unique solution with x(0-0) = u(0-0) of the symmetric deterministic
     variant: x toggles toward u(t-0) exactly when the open lookback window
-    (t-d, t) contains no input switch."""
-    model = SdbridcPrime(d)  # checks d > 0
-    as_signal(u)
-    quiet = model.quiet(u)
-    events = sorted(set(u.bps) | set(quiet.bps))
-    v = u.leading
-    toggles = []
-    for t in events:
-        if (v ^ u.left_value(t)) and quiet.value(t):
-            v ^= 1
-            toggles.append(t)
-        # a pending difference across a whole quiet interval would mean
-        # dense switching; the sweep always clears it at the left end
-        if (v ^ u.right_value(t)) and quiet.right_value(t):
-            raise RuntimeError(f"solve_sdbridc left a pending switch after t={t}")
-    return StepFunction.from_toggles(u.leading, toggles)
+    (t-d, t) contains no input switch.  Computed by the model's event form,
+    one step per switch of u."""
+    return _drive(SdbridcPrime(d), u)  # SdbridcPrime checks d > 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Command-line contract: exit codes, formats, round-trips."""
 
+import contextlib
+import io
 import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sigdelay as sd
 from sigdelay.cli import main
@@ -82,6 +85,89 @@ def test_simulate_rejects_bad_horizon_and_budget(netfile, capsys, extra):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+NOT_GATE = """\
+input u
+gate NOT x u
+output x
+"""
+
+
+@pytest.mark.parametrize("budget,first_over", [("0", "1"), ("1", "2")])
+def test_event_budget_names_the_first_switch_over_it(netfile, capsys, budget,
+                                                     first_over):
+    code = main(["simulate", "--netlist", netfile("not.net", NOT_GATE),
+                 "--input", "u: 0 @ 1, 2, 3", "--until", "10",
+                 "--event-budget", budget])
+    assert code == 3
+    assert capsys.readouterr().err == \
+        f"error: event budget exceeded on net 'x' at t={first_over}\n"
+
+
+def test_huge_horizon_hits_the_default_budget(netfile, capsys):
+    code = main(["simulate", "--netlist", netfile("loop.net", NOT_LOOP),
+                 "--until", "1e400"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: event budget")
+
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("argv")
+    files = {"ring": NOT_LOOP,
+             "sdbridc-ring": NOT_LOOP.replace("fixed d=1", "sdbridc d=1/2"),
+             "not-gate": NOT_GATE}
+    for name, text in files.items():
+        (folder / f"{name}.net").write_text(text)
+    return {name: str(folder / f"{name}.net") for name in files}
+
+
+NOT_A_TIME = ["1/0", "inf", "nan", "-inf"]
+horizons = st.one_of(
+    st.sampled_from(["1e400", "-3", "0", "1e-400"] + NOT_A_TIME),
+    st.integers(10 ** 6, 10 ** 30).map(str),
+    st.fractions(0, 12, max_denominator=8).map(str))
+
+simulate_argv = st.tuples(
+    st.just("simulate"), st.sampled_from(["ring", "sdbridc-ring", "not-gate"]),
+    horizons, st.integers(-2, 50),
+    st.sampled_from(["ascii", "vcd", "json-report"]))
+
+check_argv = st.tuples(
+    st.just("check"),
+    st.sampled_from(["fixed d=1", "sdbridc d=1", "dbridc mr=1 dr=2 mf=1 df=2",
+                     "wand m=1 d=2", "aic dr=1 df=1", "sc",
+                     "bdc mr=0 dr=0 mf=0 df=3"]),  # the last fails CC_BDC
+    horizons)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(simulate_argv, check_argv))
+def test_random_argv_exits_with_a_documented_code(argv_files, case):
+    if case[0] == "simulate":
+        _, net, until, budget, fmt = case
+        argv = ["simulate", "--netlist", argv_files[net], "--until", until,
+                "--event-budget", str(budget), "--format", fmt]
+        if net == "not-gate":
+            argv += ["--input", "u: 0 @ 1, 2, 3"]
+        bad = until in NOT_A_TIME or until.startswith("-") or budget < 0
+    else:
+        _, model, until = case
+        argv = ["check", "--model", model, "--input", "u: 0 @ 1, 5/2",
+                "--state", "x: 0 @ 2, 7/2", "--until", until]
+        bad = until in NOT_A_TIME
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse reads "-inf" as an option
+            code = exc.code
+    assert code in range(6)
+    assert "Traceback" not in err.getvalue()
+    if bad:
+        assert code == 2
 
 
 def test_simulate_vcd_and_json(netfile, tmp_path, capsys):
