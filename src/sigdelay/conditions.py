@@ -112,11 +112,17 @@ class _Model:
     flattened.  ``solve`` maps an input to the unique output and
     ``events(leading)`` builds the element's event form (``_Events``);
     both are None for a model that does not determine its output.
+
+    ``clauses`` is built from up to three declared parts, in this order:
+    the ``sandwich`` lower <= x <= upper, the switch ``permits``, and the
+    hold windows on the ``AicParams`` field ``a`` when ``hold`` is set
+    (True: closed windows [t, t+delta]; False: half-open [t, t+delta)).
     """
 
     keyword: ClassVar[str]
     keys: ClassVar[tuple[str, ...]] = ()
     needs_input: ClassVar[bool] = True
+    hold: ClassVar[Optional[bool]] = None
     solve: ClassVar[Optional[Callable[[StepFunction], StepFunction]]] = None
     events: ClassVar[Optional[Callable[[int], "_Events"]]] = None
     _groups: ClassVar[tuple] = ()   # per field: (parameter class or None, key count)
@@ -126,6 +132,12 @@ class _Model:
         """(predicate name, result, satisfied clause), or None when the
         parameters are consistent by construction."""
         return None
+
+    def require_consistent(self) -> None:
+        """Raise InconsistentModelError, naming the model, if it is inconsistent."""
+        cc = self.consistency()
+        if cc is not None and not cc[1]:
+            raise InconsistentModelError(f"{cc[0]} fails for {format_model(self)!r}")
 
     def sandwich(self, u: StepFunction) -> Optional[tuple[StepFunction, StepFunction]]:
         """Bounds lower <= x <= upper that every member x obeys."""
@@ -147,6 +159,11 @@ class _Model:
         if permits is not None:
             out += [_le(x.rises(), permits[0], "rise-permit"),
                     _le(x.falls(), permits[1], "fall-permit")]
+        if self.hold is not None:
+            a = self.a
+            hold1 = window(x, "inf", 0, a.delta_r, include_end=self.hold)
+            hold0 = window(~x, "inf", 0, a.delta_f, include_end=self.hold)
+            out += [_le(x.rises(), hold1, "rise-hold"), _le(x.falls(), hold0, "fall-hold")]
         return out
 
     def zero_lookback(self) -> bool:
@@ -165,6 +182,17 @@ class _Formula(_Model):
 
     def clauses(self, u, x):
         return [_eq(x, self.solve(u), self.clause)]
+
+
+class _Driven(_Model):
+    """A deterministic model solved by feeding its event form every switch of u."""
+
+    def solve(self, u):
+        as_signal(u)
+        form = self.events(u.leading)
+        for s, bit in zip(u.bps, u.at):
+            form.feed(s, bit)
+        return StepFunction.from_toggles(u.leading, form.pending)
 
 
 class _Events:
@@ -311,7 +339,8 @@ class _Bounded(_Model):
         return "CC_BDC", cc_bdc(self.p), None
 
     def sandwich(self, u):
-        return bdc_lower(u, self.p), bdc_upper(u, self.p)
+        p = self.p
+        return window_inf(u, p.d_r, p.m_r), window_sup(u, p.d_f, p.m_f)
 
 
 @dataclass(frozen=True)
@@ -396,9 +425,7 @@ class Aic(_Model):
     keyword = "aic"
     keys = ("dr", "df")
     needs_input = False
-
-    def clauses(self, u, x):
-        return _hold_clauses(x, self.a, include_end=True)
+    hold = True
 
 
 @dataclass(frozen=True)
@@ -409,19 +436,22 @@ class AicPrime(_Model):
     keyword = "aicprime"
     keys = ("dr", "df")
     needs_input = False
+    hold = False
 
-    def clauses(self, u, x):
-        return _hold_clauses(x, self.a, include_end=False)
+
+class _Relative(_Model):
+    """Relative inertia's switch permits from the windows of its parameters ``r``."""
+
+    def permits(self, u):
+        r = self.r
+        return window_inf(u, r.delta_r, r.mu_r), window_inf(~u, r.delta_f, r.mu_f)
 
 
 @dataclass(frozen=True)
-class Ric(_Model):
+class Ric(_Relative):
     r: RicParams
     keyword = "ric"
     keys = ("mur", "deltar", "muf", "deltaf")
-
-    def permits(self, u):
-        return ric_rise_permit(u, self.r), ric_fall_permit(u, self.r)
 
 
 @dataclass(frozen=True)
@@ -443,16 +473,14 @@ class Baidc(_Bounded):
     a: AicParams
     keyword = "baidc"
     keys = ("mr", "dr", "mf", "df", "deltar", "deltaf")
+    hold = True
 
     def consistency(self):
         return "CC_BAIDC", cc_baidc(self.p, self.a), None
 
-    def clauses(self, u, x):
-        return super().clauses(u, x) + _hold_clauses(x, self.a, include_end=True)
-
 
 @dataclass(frozen=True)
-class Bridc(_Bounded):
+class Bridc(_Bounded, _Relative):
     p: BdcParams
     r: RicParams
     keyword = "bridc"
@@ -461,12 +489,9 @@ class Bridc(_Bounded):
     def consistency(self):
         return ("CC_BRIDC", *cc_bridc(self.p, self.r))
 
-    def permits(self, u):
-        return ric_rise_permit(u, self.r), ric_fall_permit(u, self.r)
-
 
 @dataclass(frozen=True)
-class Dbridc(_Bounded):
+class Dbridc(_Bounded, _Driven):
     """Deterministic: the bound and inertia windows share parameters."""
 
     p: BdcParams
@@ -474,7 +499,8 @@ class Dbridc(_Bounded):
     keys = ("mr", "dr", "mf", "df")
 
     def permits(self, u):
-        return bdc_lower(u, self.p), window_inf(~u, self.p.d_f, self.p.m_f)
+        p = self.p  # not sandwich(u)[0], which would also build the unused upper window
+        return window_inf(u, p.d_r, p.m_r), window_inf(~u, p.d_f, p.m_f)
 
     def clauses(self, u, x):
         # equality form: a switch happens exactly when the shared window demands
@@ -483,13 +509,8 @@ class Dbridc(_Bounded):
         return [_eq(~xl & x, ~xl & a, "rise-equality"),
                 _eq(xl & ~x, xl & b0, "fall-equality")]
 
-    def solve(self, u):
-        from . import solvers  # solvers imports this module
-        return solvers.solve_dbridc(u, self.p)
-
     def events(self, leading):
-        if not cc_bdc(self.p):
-            raise InconsistentModelError(f"CC_BDC fails for {self.p}")
+        self.require_consistent()
         return _SharedWindow(leading, self.p)
 
     def zero_lookback(self):
@@ -497,7 +518,7 @@ class Dbridc(_Bounded):
 
 
 @dataclass(frozen=True)
-class SdbridcPrime(_Model):
+class SdbridcPrime(_Driven):
     """Symmetric deterministic variant written as a single left-derivative
     equation with an open lookback window free of input switches."""
 
@@ -522,10 +543,6 @@ class SdbridcPrime(_Model):
     def clauses(self, u, x):
         rhs = (x.left_limit() ^ u.left_limit()) & self.quiet(u)
         return [_eq(x.derivative(), rhs, "derivative-equation")]
-
-    def solve(self, u):
-        from . import solvers  # solvers imports this module
-        return solvers.solve_sdbridc(u, self.d)
 
     def events(self, leading):
         return _OpenWindow(leading, self.d)
@@ -657,8 +674,7 @@ def zeno_free(r: RicParams) -> bool:
 def compose_bdc(p: BdcParams, q: BdcParams) -> BdcParams:
     """Serial connection of bounded delays: parameters add."""
     for params in (p, q):
-        if not cc_bdc(params):
-            raise InconsistentModelError(f"CC_BDC fails for {params}")
+        Bdc(params).require_consistent()
     return BdcParams(p.m_r + q.m_r, p.d_r + q.d_r, p.m_f + q.m_f, p.d_f + q.d_f)
 
 
@@ -669,14 +685,12 @@ def bdc_includes(p: BdcParams, q: BdcParams) -> bool:
 
 
 def bdc_deterministic(p: BdcParams) -> bool:
-    if not cc_bdc(p):
-        raise InconsistentModelError(f"CC_BDC fails for {p}")
+    Bdc(p).require_consistent()
     return p.m_r == p.m_f == 0
 
 
 def bdc_symmetric(p: BdcParams) -> bool:
-    if not cc_bdc(p):
-        raise InconsistentModelError(f"CC_BDC fails for {p}")
+    Bdc(p).require_consistent()
     return p.d_r == p.d_f and p.m_r == p.m_f
 
 
@@ -699,8 +713,7 @@ def convert_minmax(d_r_min: RationalLike, d_r_max: RationalLike,
 
 def check_sc(u: StepFunction, x: StepFunction) -> CheckReport:
     """Stability: if the input settles, the output settles to the same value."""
-    as_signal(u), as_signal(x)
-    return _report(Sc().clauses(u, x))
+    return check_membership(u, x, Sc())
 
 
 def transmission_delay(u: StepFunction, x: StepFunction
@@ -745,29 +758,6 @@ def check_constancy(u: StepFunction, x: StepFunction,
 # Membership
 # ---------------------------------------------------------------------------
 
-def bdc_lower(u: StepFunction, p: BdcParams) -> StepFunction:
-    return window_inf(u, p.d_r, p.m_r)
-
-
-def bdc_upper(u: StepFunction, p: BdcParams) -> StepFunction:
-    return window_sup(u, p.d_f, p.m_f)
-
-
-def ric_rise_permit(u: StepFunction, r: RicParams) -> StepFunction:
-    return window_inf(u, r.delta_r, r.mu_r)
-
-
-def ric_fall_permit(u: StepFunction, r: RicParams) -> StepFunction:
-    return window_inf(~u, r.delta_f, r.mu_f)
-
-
-def _hold_clauses(x: StepFunction, a: AicParams, include_end: bool):
-    hold1 = window(x, "inf", 0, a.delta_r, include_end=include_end)
-    hold0 = window(~x, "inf", 0, a.delta_f, include_end=include_end)
-    return [_le(x.rises(), hold1, "rise-hold"),
-            _le(x.falls(), hold0, "fall-hold")]
-
-
 def dbridc_form_report(u: StepFunction, x: StepFunction, p: BdcParams,
                        form: str) -> CheckReport:
     """Membership under one of the equivalent shapes of the deterministic
@@ -778,12 +768,11 @@ def dbridc_form_report(u: StepFunction, x: StepFunction, p: BdcParams,
     The forms are provably equivalent; independent implementations
     cross-check each other on random traces.
     """
-    if not cc_bdc(p):
-        raise InconsistentModelError(f"CC_BDC fails for {p}")
+    Dbridc(p).require_consistent()
     as_signal(u), as_signal(x)
-    a = bdc_lower(u, p)
+    a = window_inf(u, p.d_r, p.m_r)
     b0 = window_inf(~u, p.d_f, p.m_f)
-    upper = bdc_upper(u, p)
+    upper = window_sup(u, p.d_f, p.m_f)
     xl = x.left_limit()
     if form == "a":
         return _report([
@@ -821,9 +810,7 @@ def check_membership(u: Optional[StepFunction], x: StepFunction,
         if u is None:
             raise ValueError(f"model {format_model(model)!r} needs an input signal")
         as_signal(u)
-    cc = model.consistency()
-    if cc is not None and not cc[1]:
-        raise InconsistentModelError(f"{cc[0]} fails for {format_model(model)!r}")
+    model.require_consistent()
     return _report(model.clauses(u, x), h)
 
 

@@ -27,24 +27,19 @@ from .stepfn import (
     StepFunction,
     as_signal,
     as_time,
+    window_inf,
 )
 from .conditions import (
-    Baidc,
     Bdc,
     BdcParams,
     Bridc,
     Dbridc,
     DelayModel,
-    InconsistentModelError,
     RicParams,
-    Sc,
     SdbridcPrime,
-    cc_bdc,
-    cc_bridc,
+    _Bounded,
     check_membership,
     format_model,
-    ric_fall_permit,
-    ric_rise_permit,
 )
 
 
@@ -70,10 +65,10 @@ def solve_fixed(u: StepFunction, d: RationalLike) -> StepFunction:
 
 def bdc_bounds(u: StepFunction, p: BdcParams) -> tuple[StepFunction, StepFunction]:
     """Extremal members (windowed AND, windowed OR) of the bounded delay."""
-    if not cc_bdc(p):
-        raise InconsistentModelError(f"CC_BDC fails for {p}")
+    model = Bdc(p)
+    model.require_consistent()
     as_signal(u)
-    return Bdc(p).sandwich(u)
+    return model.sandwich(u)
 
 
 def sample_bdc(u: StepFunction, p: BdcParams, free: StepFunction) -> StepFunction:
@@ -87,15 +82,6 @@ def sample_bdc(u: StepFunction, p: BdcParams, free: StepFunction) -> StepFunctio
     return lower | (free & upper)
 
 
-def _drive(model: DelayModel, u: StepFunction) -> StepFunction:
-    """The model's event form fed every switch of the known input u."""
-    as_signal(u)
-    form = model.events(u.leading)
-    for s, bit in zip(u.bps, u.at):
-        form.feed(s, bit)
-    return StepFunction.from_toggles(u.leading, form.pending)
-
-
 def solve_dbridc(u: StepFunction, p: BdcParams) -> StepFunction:
     """Unique solution of the deterministic bounded relative inertial delay.
 
@@ -103,7 +89,7 @@ def solve_dbridc(u: StepFunction, p: BdcParams) -> StepFunction:
     not-u  is 1 and holds its previous value elsewhere; before time 0 it
     equals u.  Computed by the model's event form, one step per switch of u.
     """
-    return _drive(Dbridc(p), u)
+    return Dbridc(p).solve(u)
 
 
 def solve_sdbridc(u: StepFunction, d: RationalLike) -> StepFunction:
@@ -111,7 +97,7 @@ def solve_sdbridc(u: StepFunction, d: RationalLike) -> StepFunction:
     variant: x toggles toward u(t-0) exactly when the open lookback window
     (t-d, t) contains no input switch.  Computed by the model's event form,
     one step per switch of u."""
-    return _drive(SdbridcPrime(d), u)  # SdbridcPrime checks d > 0
+    return SdbridcPrime(d).solve(u)  # SdbridcPrime checks d > 0
 
 
 # ---------------------------------------------------------------------------
@@ -131,9 +117,10 @@ def forced_switch_windows(u: StepFunction, p: BdcParams) -> list[SwitchWindow]:
 
     Forced regions are supp(inf-window) and the zero set of the
     sup-window; between consecutive opposite regions exactly one switch
-    must fall, anywhere in [end of one, start of the next].
+    must fall, anywhere in [end of one, start of the next].  The windows
+    are built whether or not the parameters are consistent.
     """
-    lower, upper = bdc_bounds(u, p)
+    lower, upper = Bdc(p).sandwich(u)
     regions = []
     for iv in lower.support():
         regions.append((iv, 1))
@@ -187,33 +174,27 @@ def alternating_witness(u: StepFunction, model: DelayModel
     propagation of switch-window infima; returns a verified member, or
     None when the window chain is infeasible.
 
-    Handles Bdc, Baidc and Bridc, with or without a satisfied
-    consistency condition (consistency quantifies over all inputs; this
-    decides one input).  Infeasibility is exact: any solution must place
-    its k-th forced switch inside the k-th window (and permit set),
-    above the propagated bound -- the hold constraints apply to all
-    later opposite switches, so intermediate extra switches cannot relax
-    the chain.
+    Handles the models with bounded-delay parameters ``p``: Bdc, Baidc,
+    Bridc and Dbridc, with or without a satisfied consistency condition
+    (consistency quantifies over all inputs; this decides one input).
+    Their switch permits and closed hold windows narrow the chain.
+    Infeasibility is exact: any solution must place its k-th forced
+    switch inside the k-th window (and permit set), above the propagated
+    bound -- the hold constraints apply to all later opposite switches,
+    so intermediate extra switches cannot relax the chain.
     """
-    if isinstance(model, Bdc):
-        p, gaps, permits = model.p, None, None
-    elif isinstance(model, Baidc):
-        p = model.p
-        gaps = {"rise": model.a.delta_r, "fall": model.a.delta_f}
-        permits = None
-    elif isinstance(model, Bridc):
-        p = model.p
-        gaps = None
-        permits = {"rise": ric_rise_permit(u, model.r).support(),
-                   "fall": ric_fall_permit(u, model.r).support()}
-    else:
+    if not isinstance(model, _Bounded):
         raise TypeError(f"alternating_witness does not handle {format_model(model)!r}")
+    gaps = {"rise": model.a.delta_r, "fall": model.a.delta_f} if model.hold else None
+    permits = model.permits(u)
+    if permits is not None:
+        permits = {"rise": permits[0].support(), "fall": permits[1].support()}
 
     def member(x: StepFunction) -> bool:
         # clause by clause without the consistency gate: this judges one input
         return not any(vset for vset, _ in model.clauses(u, x))
 
-    windows = forced_switch_windows(u, p)
+    windows = forced_switch_windows(u, model.p)
     if not windows:
         x = StepFunction.const(u.leading)
         return x if member(x) else None
@@ -241,8 +222,7 @@ def alternating_witness(u: StepFunction, model: DelayModel
                 if permits is not None and not permits[w.kind].contains(t):
                     return None
             times.append(t)
-            gap = gaps["rise" if w.kind == "rise" else "fall"] if gaps \
-                else Fraction(0)
+            gap = gaps[w.kind] if gaps else Fraction(0)
             bound, strict = t + gap, True
         return times
 
@@ -271,10 +251,8 @@ def sample_bridc(u: StepFunction, p: BdcParams, r: RicParams,
     filtered through the checker, and exhaustion raises instead of
     returning an unverified trace.
     """
-    ok, _ = cc_bridc(p, r)
-    if not ok:
-        raise InconsistentModelError(f"CC_BRIDC fails for {p}, {r}")
     model = Bridc(p, r)
+    model.require_consistent()
     as_signal(free)
 
     def verified(x: Optional[StepFunction]) -> Optional[StepFunction]:
@@ -287,7 +265,7 @@ def sample_bridc(u: StepFunction, p: BdcParams, r: RicParams,
         lambda: sample_bdc(u, p, free),
         lambda: sample_bdc(u, p, StepFunction.const(0)),
         lambda: sample_bdc(u, p, StepFunction.const(1)),
-        lambda: sample_bdc(u, p, free & ric_rise_permit(u, r)),
+        lambda: sample_bdc(u, p, free & window_inf(u, r.delta_r, r.mu_r)),
         lambda: alternating_witness(u, model),
     ]
     tried = 0
@@ -409,9 +387,6 @@ def enumerate_grid_solutions(u: Optional[StepFunction], model: DelayModel,
             raise ValueError("input breakpoints must lie on the grid")
     points = grid.points()
     x0_forced, cells, rise, fall = _oracle_constraints(u, model, points)
-    if isinstance(model, Sc):
-        cells = [None] * len(points)
-        cells[-1] = u.limit_at_infinity()
     if cells is None:
         return []
 

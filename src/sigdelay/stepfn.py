@@ -289,16 +289,12 @@ class StepFunction:
     @staticmethod
     def from_toggles(initial: int, toggles: Sequence[RationalLike]) -> "StepFunction":
         """Right-continuous function flipping its value at each toggle."""
-        ts = [as_time(t) for t in toggles]
-        if any(ts[i] >= ts[i + 1] for i in range(len(ts) - 1)):
-            raise ValueError("toggle times must be strictly increasing")
-        at, right = [], []
+        at = []
         v = initial
-        for _ in ts:
+        for _ in toggles:
             v ^= 1
             at.append(v)
-            right.append(v)
-        return StepFunction(initial, ts, at, right)
+        return StepFunction(initial, toggles, at, at)  # a toggle's value holds after it
 
     # -- evaluation ---------------------------------------------------------
 

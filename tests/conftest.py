@@ -140,6 +140,20 @@ def brute_check(u, x, model, horizon=None) -> bool:
             lambda t: _fall(xr, t) <= nwin(xr, t, 0, a.delta_f),
         ]
         offsets = [0, -a.delta_r, -a.delta_f]
+    elif isinstance(model, sd.AicPrime):
+        a = model.a  # half-open hold windows [t, t+delta)
+        clauses = [
+            lambda t: _rise(xr, t) <= win(xr, "inf", t, 0, a.delta_r, True, False),
+            lambda t: _fall(xr, t) <= nwin(xr, t, 0, a.delta_f, True, False),
+        ]
+        offsets = [0, -a.delta_r, -a.delta_f]
+    elif isinstance(model, sd.RicPrime):
+        r = model.r  # half-open lookback windows [t-delta, t)
+        clauses = [
+            lambda t: _rise(xr, t) <= win(ur, "inf", t, -r.delta_r, 0, True, False),
+            lambda t: _fall(xr, t) <= nwin(ur, t, -r.delta_f, 0, True, False),
+        ]
+        offsets = [0, r.delta_r, r.delta_f]
     elif isinstance(model, sd.Ric):
         r = model.r
         clauses = [

@@ -268,6 +268,24 @@ def test_compose_output(capsys):
                  "--b", "bdc mr=1 dr=2 mf=1 df=2"]) == 2
 
 
+_BAD_BDC = "mr=0 dr=1 mf=0 df=2"  # d_f - m_f = 2 > d_r = 1: CC_BDC fails
+
+
+@pytest.mark.parametrize("command", ["simulate", "sample", "compose"])
+def test_inconsistent_model_exits_2_naming_its_spec(netfile, capsys, command):
+    argv = {
+        "simulate": ["simulate", "--until", "4", "--netlist", netfile(
+            "bad.net", NOT_LOOP.replace("delay y x fixed d=1", f"delay y x dbridc {_BAD_BDC}"))],
+        "sample": ["sample", "--model", f"bdc {_BAD_BDC}", "--input", "u: 0 @ 1"],
+        "compose": ["compose", "--a", "bdc mr=1 dr=2 mf=1 df=2", "--b", f"bdc {_BAD_BDC}"],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    spec = f"dbridc {_BAD_BDC}" if command == "simulate" else f"bdc {_BAD_BDC}"
+    assert err == f"error: CC_BDC fails for {spec!r}\n"
+    assert "BdcParams(" not in err
+
+
 def test_sample_is_seed_deterministic(tmp_path):
     u = tmp_path / "u.sig"
     u.write_text("u: 0 @ 0, 4\n")

@@ -1,5 +1,7 @@
 """Consistency predicates, membership checkers, parameter algebra."""
 
+import ast
+import pathlib
 import random
 from fractions import Fraction as F
 from typing import get_args
@@ -311,6 +313,46 @@ def test_sdbridc_membership_agrees_with_brute_force(rng):
         d = F(rng.randrange(1, 7), 2)
         model = sd.SdbridcPrime(d)
         assert sd.check_membership(u, x, model).ok == brute_check(u, x, model)
+
+
+def _rand_declared_parts_model(rng, kind):
+    """A model whose clauses come from declared hold or permit parts, or a
+    window delay; Baidc and Bridc with consistent parameters."""
+    while True:
+        p = rand_bdc_params(rng)
+        a = sd.AicParams(F(rng.randrange(0, 5), 2), F(rng.randrange(0, 5), 2))
+        mu_r, mu_f = F(rng.randrange(0, 4), 2), F(rng.randrange(0, 4), 2)
+        r = sd.RicParams(mu_r, mu_r + F(rng.randrange(0, 4), 2),
+                         mu_f, mu_f + F(rng.randrange(0, 4), 2))
+        if kind == "bridc" and rng.randrange(2):  # shared windows satisfy CC_BRIDC often
+            r = sd.RicParams(min(p.m_r, mu_r), p.d_r, min(p.m_f, mu_f), p.d_f)
+        m = F(rng.randrange(0, 4), 2)
+        d = m + F(rng.randrange(0, 4), 2)
+        model = {"baidc": sd.Baidc(p, a), "bridc": sd.Bridc(p, r), "aicprime": sd.AicPrime(a),
+                 "wand": sd.WindowAnd(m, d), "wor": sd.WindowOr(m, d),
+                 "ricprime": sd.RicPrime(r)}[kind]
+        if model.consistency() is None or model.consistency()[1]:
+            return model
+
+
+@pytest.mark.parametrize("kind", ["baidc", "bridc", "aicprime", "wand", "wor", "ricprime"])
+def test_declared_part_clauses_agree_with_brute_force(rng, kind):
+    verdicts = set()
+    for _ in range(25):
+        model = _rand_declared_parts_model(rng, kind)
+        u = rand_signal(rng)
+        xs = [rand_signal(rng), rand_signal(rng, n_max=2), u.shift(F(rng.randrange(0, 6), 2))]
+        if model.solve is not None:
+            xs.append(model.solve(u))
+        elif isinstance(model, sd.Bridc):
+            xs.append(sd.sample_bridc(u, model.p, model.r, rand_signal(rng)))
+        elif isinstance(model, sd.Baidc):
+            xs.append(sd.alternating_witness(u, model) or u)
+        for x in xs:
+            got = sd.check_membership(u, x, model).ok
+            assert got == brute_check(u, x, model), (u, x, model)
+            verdicts.add(got)
+    assert verdicts == {True, False}
 
 
 # ---------------------------------------------------------------------------
@@ -654,6 +696,40 @@ def test_every_delay_model_is_registered_under_a_unique_keyword():
     assert set(MODEL_STRATEGIES) == set(MODELS)
 
 
+# Delay-model classes that code outside `conditions` may still name in an
+# isinstance test: composition is defined only for BDC, and the two
+# samplers only for BDC and BRIDC.
+_ALLOWED_MODEL_DISPATCH = {("cli.py", "cmd_compose", "Bdc"),
+                           ("cli.py", "cmd_sample", "Bdc"),
+                           ("cli.py", "cmd_sample", "Bridc")}
+
+
+def test_no_model_dispatch_outside_conditions():
+    """Model-specific behaviour lives on the model classes: outside
+    `conditions`, an isinstance test against a `DelayModel` member is a
+    dispatch that a model hook should replace."""
+    model_names = {cls.__name__ for cls in get_args(sd.DelayModel)}
+    found = set()
+    for path in pathlib.Path(sd.__file__).parent.glob("*.py"):
+        if path.name == "conditions.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for call in ast.walk(func):
+                if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                        and call.func.id == "isinstance" and len(call.args) == 2):
+                    continue
+                spec = call.args[1]
+                for node in spec.elts if isinstance(spec, ast.Tuple) else [spec]:
+                    name = node.attr if isinstance(node, ast.Attribute) else \
+                        getattr(node, "id", None)
+                    if name in model_names:
+                        found.add((path.name, func.name, name))
+    assert found <= _ALLOWED_MODEL_DISPATCH, sorted(found - _ALLOWED_MODEL_DISPATCH)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(*MODEL_STRATEGIES.values()))
 def test_hypothesis_model_syntax_round_trip(model):
@@ -670,6 +746,39 @@ def test_errors_name_the_model_by_its_spec():
     with pytest.raises(sd.InconsistentModelError,
                        match="CC_BDC fails for 'bdc mr=0 dr=2 mf=0 df=3'"):
         sd.check_membership(StepFunction.const(0), StepFunction.const(0), bad)
+
+
+_BAD_P = sd.BdcParams(0, 1, 0, 2)  # d_f - m_f = 2 > d_r = 1: CC_BDC fails
+_GOOD_P = sd.BdcParams(1, 2, 1, 2)
+_U, _X = chi(0, None), chi(3, None)
+
+# every place that refuses an inconsistent model, with the spec it must name
+_GATE_SITES = {
+    "check_membership": (lambda: sd.check_membership(_U, _X, sd.Bdc(_BAD_P)),
+                         "CC_BDC fails for 'bdc mr=0 dr=1 mf=0 df=2'"),
+    "Dbridc.events": (lambda: sd.Dbridc(_BAD_P).events(0),
+                      "CC_BDC fails for 'dbridc mr=0 dr=1 mf=0 df=2'"),
+    "compose_bdc": (lambda: sd.compose_bdc(_GOOD_P, _BAD_P),
+                    "CC_BDC fails for 'bdc mr=0 dr=1 mf=0 df=2'"),
+    "bdc_deterministic": (lambda: sd.bdc_deterministic(_BAD_P),
+                          "CC_BDC fails for 'bdc mr=0 dr=1 mf=0 df=2'"),
+    "bdc_symmetric": (lambda: sd.bdc_symmetric(_BAD_P),
+                      "CC_BDC fails for 'bdc mr=0 dr=1 mf=0 df=2'"),
+    "dbridc_form_report": (lambda: dbridc_form_report(_U, _X, _BAD_P, "a"),
+                           "CC_BDC fails for 'dbridc mr=0 dr=1 mf=0 df=2'"),
+    "bdc_bounds": (lambda: sd.bdc_bounds(_U, _BAD_P),
+                   "CC_BDC fails for 'bdc mr=0 dr=1 mf=0 df=2'"),
+    "sample_bridc": (lambda: sd.sample_bridc(_U, _GOOD_P, sd.RicParams(1, 5, 1, 5), _X),
+                     "CC_BRIDC fails for 'bridc mr=1 dr=2 mf=1 df=2 mur=1 deltar=5 muf=1 deltaf=5'"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(_GATE_SITES))
+def test_inconsistency_errors_name_the_spec(site):
+    call, message = _GATE_SITES[site]
+    with pytest.raises(sd.InconsistentModelError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 def test_exact_rational_parsing():

@@ -1,5 +1,6 @@
 """Solvers, sampler, switch-window propagation and the grid oracle."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -21,7 +22,7 @@ from sigdelay.solvers import (
 )
 from sigdelay.stepfn import StepFunction, chi, window, window_inf, window_sup
 
-from conftest import rand_bdc_params, rand_signal
+from conftest import brute_check, rand_bdc_params, rand_signal
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +201,54 @@ def test_alternating_witness_matches_enumeration(rng):
         if witness is not None and all(b * 2 % 1 == 0 for b in witness.bps) \
                 and all(b <= 8 for b in witness.bps):
             assert found
+
+
+def _rand_inconsistent_bdc_params(rng):
+    while True:
+        m_r, m_f = F(rng.randrange(0, 3), 2), F(rng.randrange(0, 3), 2)
+        p = sd.BdcParams(m_r, m_r + F(rng.randrange(0, 4), 2),
+                         m_f, m_f + F(rng.randrange(0, 4), 2))
+        if not sd.cc_bdc(p):
+            return p
+
+
+def _clause_member(u, x, model):
+    # membership clause by clause: check_membership refuses inconsistent models
+    return not any(vset for vset, _ in model.clauses(u, x))
+
+
+def test_alternating_witness_decides_inconsistent_parameters(rng):
+    """Consistency quantifies over all inputs; the witness decides one input
+    even where CC_BDC fails.  A witness is a member; where there is none, a
+    search over every grid signal with at most three toggles finds none."""
+    points = [F(k, 2) for k in range(17)]  # 0 .. 8
+    grid = [StepFunction.from_toggles(x0, combo) for x0 in (0, 1) for k in range(4)
+            for combo in itertools.combinations(points, k)]
+    outcomes = []
+    for _ in range(40):
+        p = _rand_inconsistent_bdc_params(rng)
+        a = sd.AicParams(F(rng.randrange(0, 3), 2), F(rng.randrange(0, 3), 2))
+        r = sd.RicParams(min(p.m_r, F(rng.randrange(0, 3), 2)), p.d_r,
+                         min(p.m_f, F(rng.randrange(0, 3), 2)), p.d_f)
+        model = rng.choice([sd.Bdc(p), sd.Baidc(p, a), sd.Bridc(p, r)])
+        u = rand_signal(rng, n_max=3, span=6)
+        witness = alternating_witness(u, model)
+        outcomes.append(witness is not None)
+        if witness is not None:
+            assert _clause_member(u, witness, model)
+            assert brute_check(u, witness, model)
+            continue
+        lower, upper = model.sandwich(u)  # a member lies between its bounds
+        assert not any(_clause_member(u, x, model) for x in grid
+                       if lower <= x and x <= upper), (u, model)
+    assert True in outcomes and False in outcomes
+
+
+def test_alternating_witness_of_dbridc_is_its_solution(rng):
+    for _ in range(40):
+        p = rand_bdc_params(rng)
+        u = rand_signal(rng, n_max=4, span=8)
+        assert alternating_witness(u, sd.Dbridc(p)) == solve_dbridc(u, p)
 
 
 def test_sample_bridc_returns_verified_member(rng):

@@ -67,6 +67,13 @@ def test_equality_is_pointwise(rng):
         assert (f == g) == same
 
 
+def test_from_toggles_validates_in_the_constructor():
+    with pytest.raises(ValueError, match="breakpoints must be strictly increasing"):
+        StepFunction.from_toggles(0, [2, 1])
+    with pytest.raises(ValueError, match="toggle times of 'u' must be strictly increasing"):
+        sd.parse_signal_literal("u: 0 @ 2, 1")
+
+
 def test_float_times_rejected():
     with pytest.raises(TypeError):
         StepFunction.from_toggles(0, [0.5])
