@@ -417,7 +417,7 @@ def simulate(n: Netlist, inputs: dict[str, StepFunction],
                 if s is not None and s <= h:
                     heapq.heappush(queue, (s, rank[out], out))
 
-    w = WaveformSet({net: StepFunction.from_toggles(init[net], switches[net])
+    w = WaveformSet({net: StepFunction._from_toggles(init[net], switches[net])
                      for net in n.nets()}, h)
     report = check_trace_conformance(n, {}, w)
     if not report.ok:

@@ -192,7 +192,7 @@ class _Driven(_Model):
         form = self.events(u.leading)
         for s, bit in zip(u.bps, u.at):
             form.feed(s, bit)
-        return StepFunction.from_toggles(u.leading, form.pending)
+        return StepFunction._from_toggles(u.leading, form.pending)
 
 
 class _Events:

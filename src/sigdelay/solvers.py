@@ -398,7 +398,7 @@ def enumerate_grid_solutions(u: Optional[StepFunction], model: DelayModel,
         budget -= 1
         if budget < 0:
             raise BudgetExceededError("grid enumeration budget exceeded")
-        x = StepFunction.from_toggles(x0, toggles)
+        x = StepFunction._from_toggles(x0, toggles)
         if check_membership(u, x, model).ok:
             solutions.append(x)
             if stop_after is not None and len(solutions) >= stop_after:

@@ -19,10 +19,13 @@ membership is exactly where the delay conditions differ from each
 other, so closures are never approximated.
 
 Cost is linear in the breakpoints involved: the Boolean operations merge
-the two breakpoint tuples in one two-pointer walk, and ``indicator``
-builds a function from an interval set in one walk over its sorted,
-disjoint intervals.  ``IntervalSet`` construction sorts its input, so
-sets built from unsorted pieces add a logarithmic factor.
+the two breakpoint tuples in one two-pointer walk, ``indicator`` builds
+a function from an interval set in one walk over its sorted, disjoint
+intervals, and level sets, Minkowski sums, complements and clips build
+their interval sets in one walk too.  Only the public ``IntervalSet``
+constructor sorts and merges, so a set built there from unsorted pieces
+adds a logarithmic factor; kernel-built sets and signals skip the
+validation of what they built themselves.
 """
 
 from __future__ import annotations
@@ -138,6 +141,17 @@ class IntervalSet:
     def __init__(self, intervals: Iterable[Interval] = ()):
         object.__setattr__(self, "intervals", _merge_intervals(intervals))
 
+    @classmethod
+    def _canon(cls, intervals: Sequence[Interval]) -> "IntervalSet":
+        """Trusted constructor for intervals that are canonical by
+        construction: sorted, disjoint, non-touching (two of them share an
+        end only where both ends are open) and non-empty.  It stores them
+        as they are; ``IntervalSet(...)`` sorts and merges everything that
+        comes from outside."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "intervals", tuple(intervals))
+        return s
+
     def __bool__(self) -> bool:
         return bool(self.intervals)
 
@@ -175,19 +189,29 @@ class IntervalSet:
 
         [p,q) + [a,b] = [p+a, q+b) and {p} + (0,d] = (p, p+d]; in general
         each endpoint closure survives only if both contributing ends are
-        closed.
+        closed.  Shifting keeps the lower ends, and so the upper ends,
+        strictly increasing, so one pass fuses each sum with the previous
+        one where they now overlap or touch, the later upper end winning.
         """
         if lo_off > hi_off or (lo_off == hi_off and not (lo_closed and hi_closed)):
             raise ValueError("empty offset interval in Minkowski sum")
-        out = []
+        out: list[Interval] = []
         for iv in self.intervals:
             lo = None if iv.lo is None else iv.lo + lo_off
+            lo_c = iv.lo_closed and lo_closed
             hi = None if iv.hi is None else iv.hi + hi_off
-            out.append(Interval(lo, iv.lo_closed and lo_closed,
-                                hi, iv.hi_closed and hi_closed))
-        return IntervalSet(out)
+            hi_c = iv.hi_closed and hi_closed
+            if out:  # only the first sum starts at -oo, only the last ends at +oo
+                prev = out[-1]
+                if lo < prev.hi or (lo == prev.hi and (prev.hi_closed or lo_c)):
+                    out[-1] = Interval(prev.lo, prev.lo_closed, hi, hi_c)
+                    continue
+            out.append(Interval(lo, lo_c, hi, hi_c))
+        return IntervalSet._canon(out)
 
     def complement(self) -> "IntervalSet":
+        """The gaps between the intervals; gaps between canonical intervals
+        are non-empty."""
         out = []
         prev_hi: Optional[Fraction] = None
         prev_closed = False
@@ -200,12 +224,12 @@ class IntervalSet:
             else:
                 out.append(Interval(prev_hi, not prev_closed, iv.lo, not iv.lo_closed))
             if iv.hi is None:
-                return IntervalSet(out)
+                return IntervalSet._canon(out)
             prev_hi, prev_closed = iv.hi, iv.hi_closed
         if at_start:
-            return IntervalSet([Interval(None, False, None, False)])
+            return IntervalSet._canon([Interval(None, False, None, False)])
         out.append(Interval(prev_hi, not prev_closed, None, False))
-        return IntervalSet(out)
+        return IntervalSet._canon(out)
 
     def clipped_below(self, t: Fraction) -> "IntervalSet":
         """Intersection with (-oo, t]."""
@@ -214,10 +238,11 @@ class IntervalSet:
             if iv.lo is not None and (iv.lo > t):
                 break
             if iv.hi is None or iv.hi > t:
-                out.append(Interval(iv.lo, iv.lo_closed, t, True))
+                if iv.lo != t or iv.lo_closed:  # (t, t] is empty
+                    out.append(Interval(iv.lo, iv.lo_closed, t, True))
                 break
             out.append(iv)
-        return IntervalSet(out)
+        return IntervalSet._canon(out)
 
 
 # ---------------------------------------------------------------------------
@@ -289,12 +314,17 @@ class StepFunction:
     @staticmethod
     def from_toggles(initial: int, toggles: Sequence[RationalLike]) -> "StepFunction":
         """Right-continuous function flipping its value at each toggle."""
-        at = []
-        v = initial
-        for _ in toggles:
-            v ^= 1
-            at.append(v)
-        return StepFunction(initial, toggles, at, at)  # a toggle's value holds after it
+        at = _toggled_bits(initial, toggles)
+        return StepFunction(initial, toggles, at, at)
+
+    @classmethod
+    def _from_toggles(cls, initial: int, times: Sequence[Fraction]) -> "StepFunction":
+        """Trusted ``from_toggles`` for an initial bit and Fraction times in
+        strictly increasing order, as the kernel, the simulator and the
+        parser (after its own checks) produce them; ``from_toggles``
+        validates everything that comes from outside."""
+        at = _toggled_bits(initial, times)
+        return cls._canon(initial, times, at, at)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -472,16 +502,26 @@ class StepFunction:
         return self._level_set(0)
 
     def _level_set(self, bit: int) -> IntervalSet:
-        pieces: list[Interval] = []
-        if self.leading == bit:
-            pieces.append(Interval(None, False, self.bps[0] if self.bps else None, False))
-        for i, b in enumerate(self.bps):
-            if self.at[i] == bit:
-                pieces.append(Interval(b, True, b, True))
-            if self.right[i] == bit:
-                hi = self.bps[i + 1] if i + 1 < len(self.bps) else None
-                pieces.append(Interval(b, False, hi, False))
-        return IntervalSet(pieces)
+        """Maximal runs of ``bit`` in one walk: a run opens where the value
+        turns to ``bit`` and closes where it leaves it, closed at b if the
+        point value there is ``bit``.  Runs that meet at a point outside the
+        set, as in (p, b) u (b, q), stay two intervals."""
+        out: list[Interval] = []
+        inside = self.leading == bit
+        lo: Optional[Fraction] = None
+        lo_closed = False
+        for b, a, r in zip(self.bps, self.at, self.right):
+            if inside:
+                if a == bit == r:
+                    continue
+                out.append(Interval(lo, lo_closed, b, a == bit))
+            elif a == bit != r:
+                out.append(Interval(b, True, b, True))
+            inside = r == bit
+            lo, lo_closed = b, a == bit
+        if inside:
+            out.append(Interval(lo, lo_closed, None, False))
+        return IntervalSet._canon(out)
 
     # -- classification -----------------------------------------------------
 
@@ -504,6 +544,17 @@ class StepFunction:
 
     def final_value(self) -> int:
         return self.limit_at_infinity()
+
+
+def _toggled_bits(initial: int, toggles: Iterable) -> list[int]:
+    """The value after each toggle from ``initial``; a toggle's value holds
+    after it."""
+    at = []
+    v = initial
+    for _ in toggles:
+        v ^= 1
+        at.append(v)
+    return at
 
 
 def as_signal(f: StepFunction) -> StepFunction:
@@ -674,7 +725,7 @@ def parse_signal_literal(line: str) -> tuple[str, StepFunction]:
             raise ValueError(f"bad time {tok!r} in signal {name!r}: {exc}") from exc
     if any(toggles[i] >= toggles[i + 1] for i in range(len(toggles) - 1)):
         raise ValueError(f"toggle times of {name!r} must be strictly increasing")
-    return name, StepFunction.from_toggles(int(init_txt), toggles)
+    return name, StepFunction._from_toggles(int(init_txt), toggles)
 
 
 def parse_signal_file(text: str) -> dict[str, StepFunction]:

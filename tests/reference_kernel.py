@@ -1,6 +1,6 @@
 """Reference step-function kernel and deterministic solvers: the
-probe-based indicator, the bisect-based Boolean merge and the window
-sweeps of the two inertial delays.
+probe-based indicator, the bisect-based Boolean merge, the sorting
+interval-set operations and the window sweeps of the two inertial delays.
 
 These are the straightforward, quadratic-time versions of
 ``stepfn.indicator``, ``StepFunction._zip``, ``solve_dbridc`` and
@@ -8,13 +8,81 @@ These are the straightforward, quadratic-time versions of
 functions at probe points (every interval's ``contains`` and
 ``StepFunction.value``/``left_value``/``right_value``), so they share no
 walking logic or event form with the library and serve as its
-independent oracle.
+independent oracle.  The interval-set operations emit loose pieces and
+leave sorting, dropping empties and merging to the public
+``IntervalSet(...)`` constructor, where the library builds its results
+canonical in one walk.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from typing import Optional
+
 from sigdelay.conditions import BdcParams, Dbridc, SdbridcPrime
-from sigdelay.stepfn import IntervalSet, StepFunction
+from sigdelay.stepfn import Interval, IntervalSet, StepFunction
+
+
+def sorted_level_set(f: StepFunction, bit: int) -> IntervalSet:
+    """{t : f(t) = bit}: one point piece per breakpoint valued ``bit`` and
+    one open piece per run between breakpoints, merged by sorting."""
+    pieces: list[Interval] = []
+    if f.leading == bit:
+        pieces.append(Interval(None, False, f.bps[0] if f.bps else None, False))
+    for i, b in enumerate(f.bps):
+        if f.at[i] == bit:
+            pieces.append(Interval(b, True, b, True))
+        if f.right[i] == bit:
+            hi = f.bps[i + 1] if i + 1 < len(f.bps) else None
+            pieces.append(Interval(b, False, hi, False))
+    return IntervalSet(pieces)
+
+
+def sorted_minkowski(s: IntervalSet, lo_off: Fraction, lo_closed: bool,
+                     hi_off: Fraction, hi_closed: bool) -> IntervalSet:
+    """Minkowski sum with <lo_off, hi_off>: every interval shifted on its
+    own, the overlaps left to the constructor."""
+    out = []
+    for iv in s.intervals:
+        lo = None if iv.lo is None else iv.lo + lo_off
+        hi = None if iv.hi is None else iv.hi + hi_off
+        out.append(Interval(lo, iv.lo_closed and lo_closed,
+                            hi, iv.hi_closed and hi_closed))
+    return IntervalSet(out)
+
+
+def sorted_complement(s: IntervalSet) -> IntervalSet:
+    out = []
+    prev_hi: Optional[Fraction] = None
+    prev_closed = False
+    at_start = True
+    for iv in s.intervals:
+        if at_start:
+            if iv.lo is not None:
+                out.append(Interval(None, False, iv.lo, not iv.lo_closed))
+            at_start = False
+        else:
+            out.append(Interval(prev_hi, not prev_closed, iv.lo, not iv.lo_closed))
+        if iv.hi is None:
+            return IntervalSet(out)
+        prev_hi, prev_closed = iv.hi, iv.hi_closed
+    if at_start:
+        return IntervalSet([Interval(None, False, None, False)])
+    out.append(Interval(prev_hi, not prev_closed, None, False))
+    return IntervalSet(out)
+
+
+def sorted_clipped_below(s: IntervalSet, t: Fraction) -> IntervalSet:
+    """Intersection with (-oo, t]; the constructor drops an empty cut."""
+    out = []
+    for iv in s.intervals:
+        if iv.lo is not None and (iv.lo > t):
+            break
+        if iv.hi is None or iv.hi > t:
+            out.append(Interval(iv.lo, iv.lo_closed, t, True))
+            break
+        out.append(iv)
+    return IntervalSet(out)
 
 
 def probe_indicator(intervals: IntervalSet) -> StepFunction:

@@ -1,29 +1,36 @@
 """The linear step-function kernel against its reference implementation.
 
-``indicator`` and the Boolean merge walk their inputs once;
-``reference_kernel`` decides the same results by probing.
-The growth guards count probes instead of timing them, so they cannot
-flake.
+``indicator``, the Boolean merge and the interval-set operations walk
+their inputs once; ``reference_kernel`` decides the same results by
+probing, or by sorting loose pieces through the public constructor.
+The growth guards count probes and constructions instead of timing them,
+so they cannot flake.
 """
 
 import operator
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import sigdelay as sd
+from sigdelay import stepfn
+from sigdelay.cli import main
 from sigdelay.stepfn import Interval, IntervalSet, StepFunction, chi, indicator
 
-from reference_kernel import bisect_zip, probe_indicator
+from reference_kernel import (bisect_zip, probe_indicator, sorted_clipped_below,
+                              sorted_complement, sorted_level_set, sorted_minkowski)
 
 # a coarse grid, so that random intervals often share endpoints
 grid = st.integers(-6, 6).map(lambda n: F(n, 2))
+# mixed denominators 1, 3 and 7, whose points still coincide now and then
+mixed = st.tuples(st.integers(-9, 9), st.sampled_from((1, 3, 7))).map(lambda p: F(*p))
 
 
 @st.composite
-def intervals(draw):
-    lo = draw(st.one_of(st.none(), grid))
-    hi = draw(st.one_of(st.none(), grid))
+def intervals(draw, points=grid):
+    lo = draw(st.one_of(st.none(), points))
+    hi = draw(st.one_of(st.none(), points))
     if lo is not None and hi is not None and hi < lo:
         lo, hi = hi, lo
     if draw(st.booleans()) and lo is not None:
@@ -33,27 +40,32 @@ def intervals(draw):
 
 
 @st.composite
-def touching_chains(draw):
+def touching_chains(draw, points=grid):
     """Consecutive intervals over sorted grid points with random closures;
     where two open ends meet, the merged set keeps both intervals."""
-    points = sorted(draw(st.sets(grid, min_size=1, max_size=6)))
+    ends = sorted(draw(st.sets(points, min_size=1, max_size=6)))
     out = []
-    for lo, hi in zip([None] + points, points + [None]):
+    for lo, hi in zip([None] + ends, ends + [None]):
         if draw(st.booleans()):
             out.append(Interval(lo, lo is not None and draw(st.booleans()),
                                 hi, hi is not None and draw(st.booleans())))
     return out
 
 
-interval_sets = st.one_of(st.lists(intervals(), max_size=6),
-                          touching_chains()).map(IntervalSet)
+def interval_sets_on(points):
+    return st.one_of(st.lists(intervals(points), max_size=6),
+                     touching_chains(points)).map(IntervalSet)
+
+
+interval_sets = interval_sets_on(grid)
+any_sets = st.one_of(interval_sets, interval_sets_on(mixed))
 
 times = st.integers(-14, 14).map(lambda n: F(n, 4))
 
 
 @st.composite
-def stepfns(draw):
-    bps = sorted(draw(st.sets(grid, max_size=6)))
+def stepfns(draw, points=grid):
+    bps = sorted(draw(st.sets(points, max_size=6)))
     at = [draw(st.integers(0, 1)) for _ in bps]
     right = [draw(st.integers(0, 1)) for _ in bps]
     return StepFunction(draw(st.integers(0, 1)), bps, at, right)
@@ -108,6 +120,101 @@ def test_truncate_before_matches_boolean_clamp(f, d, v):
     assert f.truncate_before(d, v) == (before & StepFunction.const(v)) | (~before & f)
 
 
+@st.composite
+def sums(draw):
+    """An interval set and a non-empty offset interval <a, a + w>, closed or
+    open at each end, or the zero-width [a, a].  Half the time w is a gap
+    of the set, so that shifted neighbours touch; wider offsets make them
+    overlap."""
+    s = draw(any_sets)
+    a = draw(mixed)
+    gaps = [q.lo - p.hi for p, q in zip(s.intervals, s.intervals[1:])]
+    if gaps and draw(st.booleans()):
+        w = draw(st.sampled_from(gaps))
+    else:
+        w = abs(draw(mixed))
+    if w == 0:
+        return s, (a, True, a, True)
+    return s, (a, draw(st.booleans()), a + w, draw(st.booleans()))
+
+
+def canonical(s):
+    return IntervalSet(s.intervals) == s
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(stepfns(), stepfns(mixed)), st.integers(0, 1))
+def test_level_set_matches_sorting_reference(f, bit):
+    s = f._level_set(bit)
+    assert s == sorted_level_set(f, bit)
+    assert canonical(s)
+
+
+@settings(max_examples=500, deadline=None)
+@given(sums())
+def test_minkowski_matches_sorting_reference(sum_):
+    s, off = sum_
+    m = s.minkowski(*off)
+    assert m == sorted_minkowski(s, *off)
+    assert canonical(m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_sets)
+def test_complement_matches_sorting_reference(s):
+    c = s.complement()
+    assert c == sorted_complement(s)
+    assert canonical(c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_sets, st.one_of(times, mixed))
+@example(IntervalSet([Interval(F(0), False, F(1), False),
+                      Interval(F(1), False, F(2), False)]), F(1))
+def test_clipped_below_matches_sorting_reference(s, t):
+    c = s.clipped_below(t)
+    assert c == sorted_clipped_below(s, t)
+    assert canonical(c)
+
+
+def iv(lo, lo_closed, hi, hi_closed):
+    return Interval(None if lo is None else F(lo), lo_closed,
+                    None if hi is None else F(hi), hi_closed)
+
+
+@pytest.mark.parametrize("pieces, off, expected", [
+    # the shifted intervals overlap
+    ([iv(0, True, 1, True), iv(2, True, 3, True)], (0, True, 2, True),
+     [iv(0, True, 5, True)]),
+    # they touch open against open, so they stay two
+    ([iv(0, True, 1, False), iv(1, False, 2, True)], (3, True, 3, True),
+     [iv(3, True, 4, False), iv(4, False, 5, True)]),
+    ([iv(0, True, 1, False), iv(2, False, 3, True)], (0, True, 1, True),
+     [iv(0, True, 2, False), iv(2, False, 4, True)]),
+    # they touch closed against open, so they fuse
+    ([iv(0, True, 1, True), iv(2, False, 3, True)], (0, True, 1, True),
+     [iv(0, True, 4, True)]),
+    # open offset ends open both sums; +-oo ends stay infinite
+    ([iv(None, False, 0, True), iv(1, True, 1, True), iv(3, True, None, False)],
+     (0, False, 1, False),
+     [iv(None, False, 1, False), iv(1, False, 2, False), iv(3, False, None, False)]),
+])
+def test_minkowski_fuses_only_overlapping_or_touching_sums(pieces, off, expected):
+    s = IntervalSet(pieces)
+    lo, lo_closed, hi, hi_closed = off
+    m = s.minkowski(F(lo), lo_closed, F(hi), hi_closed)
+    assert m.intervals == tuple(expected)
+    assert m == sorted_minkowski(s, F(lo), lo_closed, F(hi), hi_closed)
+
+
+def test_clipped_below_drops_the_empty_cut():
+    assert IntervalSet([iv(5, False, 7, False)]).clipped_below(F(5)) == IntervalSet()
+    assert not IntervalSet([iv(5, False, 7, False)]).clipped_below(F(5))
+    assert IntervalSet([iv(5, True, 7, False)]).clipped_below(F(5)).intervals \
+        == (iv(5, True, 5, True),)
+    assert not IntervalSet([iv(5, True, 7, False)]).clipped_below(F(3))
+
+
 # ---------------------------------------------------------------------------
 # Growth guards: operation counts, no timing bound
 # ---------------------------------------------------------------------------
@@ -153,3 +260,54 @@ def test_boolean_merge_evaluates_no_operand(monkeypatch):
     out = a & b
     assert calls == 0
     assert out.bps
+
+
+def long_pair():
+    """A 2,000-toggle input with gaps 1/3 to 2 and its output under a
+    transport delay of 3: long enough that a sort per window would show."""
+    gaps = (F(1, 3), F(2), F(3, 2), F(5, 7), F(1))
+    ts, t = [], F(0)
+    for k in range(N):
+        t += gaps[k % len(gaps)]
+        ts.append(t)
+    return (StepFunction.from_toggles(0, ts),
+            StepFunction.from_toggles(0, [t + 3 for t in ts]))
+
+
+@pytest.mark.parametrize("spec", [
+    "bdc mr=1 dr=3 mf=1 df=3",
+    "bridc mr=1 dr=3 mf=1 df=3 mur=0 deltar=2 muf=0 deltaf=2",
+    "dbridc mr=1 dr=3 mf=1 df=3",
+    "sdbridc d=2",
+    "aic dr=1 df=1",
+])
+def test_check_membership_sorts_no_interval_set(monkeypatch, spec):
+    u, x = long_pair()
+    calls = 0
+    merge = stepfn._merge_intervals
+
+    def counted(intervals):
+        nonlocal calls
+        calls += 1
+        return merge(intervals)
+    monkeypatch.setattr(stepfn, "_merge_intervals", counted)
+    sd.check_membership(u, x, sd.parse_model(spec))
+    assert calls == 0
+
+
+def test_cli_check_validates_no_signal_twice(monkeypatch, tmp_path):
+    u, x = long_pair()
+    (tmp_path / "u.sig").write_text(sd.format_signal_literal("u", u) + "\n")
+    (tmp_path / "x.sig").write_text(sd.format_signal_literal("x", x) + "\n")
+    calls = 0
+    init = StepFunction.__init__
+
+    def counted(self, *args):
+        nonlocal calls
+        calls += 1
+        init(self, *args)
+    monkeypatch.setattr(StepFunction, "__init__", counted)
+    code = main(["check", "--model", "dbridc mr=1 dr=3 mf=1 df=3",
+                 "--input", str(tmp_path / "u.sig"), "--state", str(tmp_path / "x.sig")])
+    assert code in (0, 1)
+    assert calls == 0
