@@ -23,6 +23,9 @@ inputs' values at that instant; a positive-lookback delay decides from
 its input before that instant.  Work grows with the switches made, not
 with the horizon, and an event budget bounds the switches of every net,
 so runaway oscillation ends in an explicit error instead of a hang.
+Simulation and conformance checks run on integer ticks over the
+timebase of their inputs, parameters and horizon (``stepfn.timebase``);
+every time they return is a Fraction.
 """
 
 from __future__ import annotations
@@ -33,9 +36,11 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import reduce
+from itertools import chain
 from typing import Callable, NamedTuple, Optional
 
-from .stepfn import RationalLike, StepFunction, as_time, format_time
+from .stepfn import (RationalLike, StepFunction, _to_ticks, _to_time, as_time,
+                     format_time, timebase)
 from .conditions import (
     CheckReport,
     DelayModel,
@@ -43,6 +48,8 @@ from .conditions import (
     Fixed,
     BdcParams,
     _eq,
+    _in_ticks,
+    _in_time,
     _report,
     _violation_key,
     check_membership,
@@ -347,6 +354,13 @@ def simulate(n: Netlist, inputs: dict[str, StepFunction],
     first switch that takes a non-input net past the event budget.  The
     result is re-judged by ``check_trace_conformance`` before it is
     returned.
+
+    After validation the inputs, the delay parameters and the horizon
+    are scaled to integer ticks over their ``timebase`` k: the queue, the
+    event forms, the gates and the self-check all run on ints, and the
+    result nets, the horizon and a budget error's time are scaled back
+    to Fractions.  Above the timebase bound the same code runs on the
+    Fractions themselves.
     """
     h = as_time(horizon)
     if h < 0:
@@ -363,11 +377,15 @@ def simulate(n: Netlist, inputs: dict[str, StepFunction],
         if not inputs[name].is_signal():
             raise ValidationError([f"input waveform {name!r} is not a signal"])
     init, _ = _resolve_initials(n, inputs)
+    ins = {name: inputs[name].truncate(h) for name in n.inputs}
+    k = timebase(chain([h], *(f.bps for f in ins.values()),
+                       *(d.model._parameters() for d in n.delays)))
+    ht = _to_ticks(h, k)
 
     order = _eval_order(n)[0]
     rank = {net: i for i, net in enumerate(order)}
     value = dict(init)
-    switches: dict[str, list[Fraction]] = {net: [] for net in order}
+    switches: dict[str, list] = {net: [] for net in order}  # in ticks
     gate_by_out = {g.out: g for g in n.gates}
     # the next switches of every input and delay output, in time order
     pending: dict[str, deque] = {}
@@ -375,16 +393,19 @@ def simulate(n: Netlist, inputs: dict[str, StepFunction],
     readers: dict[str, list] = {net: [] for net in order}
     # (time, rank, net): the net may switch at that time; stale entries are
     # skipped, and at one time the nets settle in evaluation order
-    queue: list[tuple[Fraction, int, str]] = []
+    queue: list[tuple] = []
     for name in n.inputs:
-        pending[name] = deque(inputs[name].truncate(h).bps)
+        pending[name] = deque(ins[name]._to_ticks(k).bps)
         queue += [(t, rank[name], name) for t in pending[name]]
+    models = {}
     for d in n.delays:
-        form = _solve_delay(d.model, init[d.src])
+        models[d.out] = _in_ticks(d.model, k)
+        form = _solve_delay(models[d.out], init[d.src])
         pending[d.out] = form.pending
         readers[d.src].append((d.out, form))
+    zero = _to_ticks(Fraction(0), k)
     for g in n.gates:  # an initial value may differ from the gate of the inputs at 0
-        queue.append((Fraction(0), rank[g.out], g.out))
+        queue.append((zero, rank[g.out], g.out))
         for i in g.ins:
             readers[i].append((g.out, None))
     heapq.heapify(queue)
@@ -406,7 +427,7 @@ def simulate(n: Netlist, inputs: dict[str, StepFunction],
             bit = value[net] ^ 1
         ts = switches[net]
         if len(ts) == budget and net not in primary:
-            raise EventBudgetError(net, t)
+            raise EventBudgetError(net, _to_time(t, k))
         ts.append(t)
         value[net] = bit
         for out, form in readers[net]:
@@ -414,15 +435,14 @@ def simulate(n: Netlist, inputs: dict[str, StepFunction],
                 heapq.heappush(queue, (t, rank[out], out))
             else:
                 s = form.feed(t, bit)
-                if s is not None and s <= h:
+                if s is not None and s <= ht:
                     heapq.heappush(queue, (s, rank[out], out))
 
-    w = WaveformSet({net: StepFunction._from_toggles(init[net], switches[net])
-                     for net in n.nets()}, h)
-    report = check_trace_conformance(n, {}, w)
+    signals = {net: StepFunction._from_toggles(init[net], switches[net]) for net in n.nets()}
+    report = check_trace_conformance(n, models, WaveformSet(signals, ht))
     if not report.ok:
-        raise RuntimeError(f"simulation fails self-check: {report}")
-    return w
+        raise RuntimeError(f"simulation fails self-check: {_in_time(report, k)}")
+    return WaveformSet({net: f._to_time(k) for net, f in signals.items()}, h)
 
 
 def check_trace_conformance(n: Netlist,
@@ -433,27 +453,33 @@ def check_trace_conformance(n: Netlist,
     nondet_models (keyed by delay output net) overriding per element.
 
     Violations after the waveform horizon are ignored; the signals make
-    no claim there.
+    no claim there.  Like ``simulate``, it judges in integer ticks and
+    reports the violation time as a Fraction.
     """
-    missing = [net for net in n.nets() if net not in w.signals]
+    nets = n.nets()
+    missing = [net for net in nets if net not in w.signals]
     if missing:
         raise ValueError("waveform set lacks signals for "
                          + ", ".join(repr(m) for m in missing))
-    h = w.horizon
+    models = {d.out: nondet_models.get(d.out, d.model) for d in n.delays}
+    k = timebase(chain([w.horizon], *(w.signals[net].bps for net in nets),
+                       *(m._parameters() for m in models.values())))
+    models = {out: _in_ticks(m, k) for out, m in models.items()}
+    signals = {net: w.signals[net]._to_ticks(k) for net in nets}
+    h = _to_ticks(w.horizon, k)
     reports = []
     for g in n.gates:
-        out = w.signals[g.out].truncate(h)
-        expect = _clamped_gate(g.kind, [w.signals[i].truncate(h) for i in g.ins],
+        out = signals[g.out].truncate(h)
+        expect = _clamped_gate(g.kind, [signals[i].truncate(h) for i in g.ins],
                                out.leading)
         reports.append((g.out, _report([_eq(out, expect, "gate-equation")], h)))
     for d in n.delays:
-        model = nondet_models.get(d.out, d.model)
-        reports.append((d.out, check_membership(w.signals[d.src].truncate(h),
-                                                w.signals[d.out].truncate(h),
-                                                model, horizon=h)))
+        reports.append((d.out, check_membership(signals[d.src].truncate(h),
+                                                signals[d.out].truncate(h),
+                                                models[d.out], horizon=h)))
     worst = min((replace(r.first_violation, net=net) for net, r in reports if not r.ok),
                 key=_violation_key, default=None)
-    return CheckReport(worst is None, worst)
+    return _in_time(CheckReport(worst is None, worst), k)
 
 
 # ---------------------------------------------------------------------------

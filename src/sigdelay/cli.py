@@ -135,11 +135,17 @@ def _write(text: str, out: Optional[str]) -> None:
             fh.write(text)
 
 
+# most half-unit cells a free signal draws; it holds its value after them
+_FREE_CELLS = 256
+
+
 def _random_free(rng: random.Random, span: Fraction) -> StepFunction:
-    """A pseudorandom free signal on a half-unit grid covering the span."""
-    cells = int(span * 2) + 4
+    """A pseudorandom free signal on a half-unit grid covering the span, or
+    its first _FREE_CELLS cells: any free signal yields a member, so its
+    cost need not grow with the time of the input's last switch."""
+    cells = min(int(span * 2) + 4, _FREE_CELLS)
     toggles = [Fraction(k, 2) for k in range(cells) if rng.random() < Fraction(1, 3)]
-    return StepFunction.from_toggles(rng.randrange(2), toggles)
+    return StepFunction._from_toggles(rng.randrange(2), toggles)
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +222,8 @@ def cmd_compose(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    if args.retries < 0:
+        raise ValueError(f"retries must be >= 0, got {args.retries}")
     model = parse_model(args.model)
     name, u = _load_signal(args.input, "--input")
     rng = random.Random(args.seed)

@@ -6,7 +6,9 @@ of the two signals.  Membership is decided exactly: each clause
 ``lhs <= rhs`` is turned into the step function lhs . not(rhs), whose
 support is the violation set; the condition holds iff every violation
 set is empty.  ``first_violation`` reports the infimum of the earliest
-one, with a flag saying whether it is attained.
+one, with a flag saying whether it is attained.  Each check runs on
+integer ticks over the timebase of its signals, parameters and horizon
+(``stepfn.timebase``) and reports its times as Fractions.
 
 Consistency predicates (cc_*) are the closed-form parameter
 inequalities equivalent to "a solution exists for every input".  A
@@ -20,7 +22,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from operator import attrgetter
 from typing import Callable, ClassVar, Optional, Union, get_args
 
@@ -29,10 +31,14 @@ from .stepfn import (
     IntervalSet,
     RationalLike,
     StepFunction,
+    _as_offset,
+    _to_ticks,
+    _to_time,
     as_signal,
     as_time,
     chi,
     format_time,
+    timebase,
     window,
     window_inf,
     window_inf_halfopen,
@@ -170,6 +176,10 @@ class _Model:
         """Does the output at t depend on the input at t itself?"""
         return False
 
+    def _parameters(self) -> list[Fraction]:
+        """Every number of the spec, in key order."""
+        return [get(self) for get in self._getters]
+
 
 class _Formula(_Model):
     """A deterministic model given by its closed form x = solve(u)."""
@@ -303,7 +313,7 @@ class Sc(_Model):
     def clauses(self, u, x):
         if u.limit_at_infinity() == x.limit_at_infinity():
             return [(IntervalSet(), "final-value")]
-        settle = max([Fraction(0), *u.bps, *x.bps])
+        settle = max([Fraction(0), *u.bps[-1:], *x.bps[-1:]])
         return [(IntervalSet([Interval(settle, True, None, False)]), "final-value")]
 
 
@@ -578,6 +588,33 @@ for _cls in get_args(DelayModel):
     _register(_cls)
 
 
+def _assemble(cls, nums, make):
+    """Model ``cls`` from its spec numbers in key order: ``make(c, values)``
+    builds each parameter tuple, then the model."""
+    return make(cls, [next(nums) if group is None else make(group, list(islice(nums, n)))
+                      for group, n in cls._groups])
+
+
+def _trusted(cls, values):
+    """A dataclass holding ``values`` as they are, without ``__post_init__``
+    (which would make ticks Fractions again)."""
+    obj = object.__new__(cls)
+    for f, value in zip(fields(cls), values):
+        object.__setattr__(obj, f.name, value)
+    return obj
+
+
+def _in_ticks(model: DelayModel, k: Optional[int]) -> DelayModel:
+    """The model with every parameter in ticks of 1/k (k None: as it is),
+    after ``require_consistent``: scaling by k > 0 keeps every consistency
+    inequality, and every check of ``__post_init__``."""
+    model.require_consistent()
+    if k is None:
+        return model
+    return _assemble(type(model), iter([_to_ticks(t, k) for t in model._parameters()]),
+                     _trusted)
+
+
 # ---------------------------------------------------------------------------
 # Check reports
 # ---------------------------------------------------------------------------
@@ -613,6 +650,14 @@ def _report(violations: list[tuple[IntervalSet, str]],
         if best is None or _violation_key(cand) < _violation_key(best):
             best = cand
     return CheckReport(best is None, best)
+
+
+def _in_time(report: CheckReport, k: Optional[int]) -> CheckReport:
+    """The report of a check run in ticks of 1/k, its violation time as a Fraction."""
+    v = report.first_violation
+    if v is None or v.time is None or k is None:
+        return report
+    return CheckReport(report.ok, Violation(_to_time(v.time, k), v.attained, v.clause, v.net))
 
 
 def _violation_key(v: Violation):
@@ -748,10 +793,12 @@ def check_constancy(u: StepFunction, x: StepFunction,
     if d_r < 0 or d_f < 0:
         raise ValueError("constancy needs d_r >= 0 and d_f >= 0")
     as_signal(u), as_signal(x)
-    return _report([
-        _le(x.rises(), u.shift(d_r), "rising-anticipation"),
-        _le(x.falls(), ~u.shift(d_f), "falling-anticipation"),
-    ])
+    k = timebase(chain(u.bps, x.bps, (d_r, d_f)))
+    u, x = u._to_ticks(k), x._to_ticks(k)
+    return _in_time(_report([
+        _le(x.rises(), u.shift(_to_ticks(d_r, k)), "rising-anticipation"),
+        _le(x.falls(), ~u.shift(_to_ticks(d_f, k)), "falling-anticipation"),
+    ]), k)
 
 
 # ---------------------------------------------------------------------------
@@ -768,8 +815,15 @@ def dbridc_form_report(u: StepFunction, x: StepFunction, p: BdcParams,
     The forms are provably equivalent; independent implementations
     cross-check each other on random traces.
     """
-    Dbridc(p).require_consistent()
+    model = Dbridc(p)
+    k = timebase(chain(u.bps, x.bps, model._parameters()))
+    model = _in_ticks(model, k)
     as_signal(u), as_signal(x)
+    return _in_time(_form_report(u._to_ticks(k), x._to_ticks(k), model, form), k)
+
+
+def _form_report(u: StepFunction, x: StepFunction, model: Dbridc, form: str) -> CheckReport:
+    p = model.p
     a = window_inf(u, p.d_r, p.m_r)
     b0 = window_inf(~u, p.d_f, p.m_f)
     upper = window_sup(u, p.d_f, p.m_f)
@@ -782,7 +836,7 @@ def dbridc_form_report(u: StepFunction, x: StepFunction, p: BdcParams,
             _le(xl & ~x, b0, "fall-permit"),
         ])
     if form == "b":
-        return _report(Dbridc(p).clauses(u, x))
+        return _report(model.clauses(u, x))
     if form == "e":
         return _report([_eq(x, a | (xl & upper), "recursion")])
     if form == "f":
@@ -803,15 +857,23 @@ def check_membership(u: Optional[StepFunction], x: StepFunction,
     ``u`` may be None only for the input-free conditions (SC needs both).
     With ``horizon`` set, violations after it are ignored (the signals
     are then only claimed up to the horizon).
+
+    The clauses are decided on integer ticks: the signals, the parameters
+    and the horizon are scaled by their ``timebase`` k, and the
+    violation time is scaled back to a Fraction.  Above the timebase
+    bound the same clauses run on the Fractions themselves.
     """
-    h = None if horizon is None else as_time(horizon)
+    h = None if horizon is None else _as_offset(horizon)
     as_signal(x)
     if model.needs_input:
         if u is None:
             raise ValueError(f"model {format_model(model)!r} needs an input signal")
         as_signal(u)
-    model.require_consistent()
-    return _report(model.clauses(u, x), h)
+    k = timebase(chain(x.bps, () if u is None else u.bps, model._parameters(),
+                       () if h is None else (h,)))
+    ticked = _in_ticks(model, k)
+    u = None if u is None else u._to_ticks(k)
+    return _in_time(_report(ticked.clauses(u, x._to_ticks(k)), _to_ticks(h, k)), k)
 
 
 # ---------------------------------------------------------------------------
@@ -848,10 +910,8 @@ def parse_model(text: str) -> DelayModel:
     missing = [k for k in cls.keys if k not in vals]
     if missing:
         raise ValueError(f"model {kind!r} is missing {', '.join(missing)}")
-    nums = iter([vals[k] for k in cls.keys])
     try:
-        return cls(*[next(nums) if group is None else group(*islice(nums, n))
-                     for group, n in cls._groups])
+        return _assemble(cls, iter([vals[k] for k in cls.keys]), lambda c, args: c(*args))
     except ValueError as exc:
         raise ValueError(f"invalid parameters for {kind!r}: {exc}") from exc
 

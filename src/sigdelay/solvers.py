@@ -25,6 +25,7 @@ from .stepfn import (
     IntervalSet,
     RationalLike,
     StepFunction,
+    _as_offset,
     as_signal,
     as_time,
     window_inf,
@@ -57,7 +58,7 @@ class SampleRetryError(RuntimeError):
 
 def solve_fixed(u: StepFunction, d: RationalLike) -> StepFunction:
     """The pure delay: x(t) = u(t-d), d >= 0."""
-    d = as_time(d)
+    d = _as_offset(d)
     if d < 0:
         raise ValueError("fixed delay needs d >= 0")
     return as_signal(u).shift(d)
@@ -253,7 +254,7 @@ def sample_bridc(u: StepFunction, p: BdcParams, r: RicParams,
     """
     model = Bridc(p, r)
     model.require_consistent()
-    as_signal(free)
+    as_signal(u), as_signal(free)
 
     def verified(x: Optional[StepFunction]) -> Optional[StepFunction]:
         if x is None:

@@ -81,8 +81,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 # Brute-force model checking at probe points
 # ---------------------------------------------------------------------------
 
-def _probes(reprs, offsets):
-    base = {F(0)}
+def _probes(reprs, offsets, horizon=None):
+    base = {F(0)} if horizon is None else {F(0), horizon}
     for init, toggles in reprs:
         for b in toggles:
             for off in offsets:
@@ -200,7 +200,7 @@ def brute_check(u, x, model, horizon=None) -> bool:
 
     reprs = [xr] + ([ur] if ur is not None else [])
     offs = sorted({o for base in offsets for o in (base, -base)} | {0})
-    for t in _probes(reprs, offs):
+    for t in _probes(reprs, offs, horizon):  # a violation set the horizon cuts contains it
         if horizon is not None and t > horizon:
             continue
         if not all(c(t) for c in clauses):

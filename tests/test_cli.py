@@ -3,13 +3,14 @@
 import contextlib
 import io
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import sigdelay as sd
-from sigdelay.cli import main
+from sigdelay.cli import _random_free, main
 from sigdelay.circuit import WaveformSet, builtin, format_netlist, simulate
 from sigdelay.stepfn import StepFunction, chi
 from sigdelay.vcd import export_vcd, import_vcd
@@ -142,9 +143,17 @@ check_argv = st.tuples(
                      "bdc mr=0 dr=0 mf=0 df=3"]),  # the last fails CC_BDC
     horizons)
 
+sample_argv = st.tuples(
+    st.just("sample"),
+    st.sampled_from(["bdc mr=1 dr=2 mf=1 df=2", "dbridc mr=1 dr=2 mf=1 df=2",
+                     "bridc mr=1 dr=2 mf=1 df=2 mur=1 deltar=2 muf=1 deltaf=2"]),
+    st.lists(horizons, max_size=2), st.integers(-2, 3))
 
-@settings(max_examples=150, deadline=None)
-@given(st.one_of(simulate_argv, check_argv))
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(simulate_argv, check_argv, sample_argv))
+@example(case=("sample", "bridc mr=1 dr=2 mf=1 df=2 mur=1 deltar=2 muf=1 deltaf=2",
+               ["-3"], 8))  # not a signal: a parameter error, not sampler exhaustion
 def test_random_argv_exits_with_a_documented_code(argv_files, case):
     if case[0] == "simulate":
         _, net, until, budget, fmt = case
@@ -153,6 +162,11 @@ def test_random_argv_exits_with_a_documented_code(argv_files, case):
         if net == "not-gate":
             argv += ["--input", "u: 0 @ 1, 2, 3"]
         bad = until in NOT_A_TIME or until.startswith("-") or budget < 0
+    elif case[0] == "sample":
+        _, model, switches, retries = case
+        argv = ["sample", "--model", model, "--input", "u: 0 @ " + ", ".join(switches),
+                "--retries", str(retries)]
+        bad = retries < 0 or any(t in NOT_A_TIME or t.startswith("-") for t in switches)
     else:
         _, model, until = case
         argv = ["check", "--model", model, "--input", "u: 0 @ 1, 5/2",
@@ -308,6 +322,16 @@ def test_sample_exhaustion_exits_4(tmp_path, capsys):
                  "bridc mr=1 dr=2 mf=1 df=2 mur=1 deltar=2 muf=1 deltaf=2",
                  "--input", str(u), "--retries", "0"]) == 4
     assert "for 'bridc mr=1 dr=2 mf=1 df=2 mur=1 deltar=2" in capsys.readouterr().err
+
+
+def test_sample_draws_a_bounded_free_signal_for_a_late_switch(capsys):
+    free = _random_free(random.Random(1), F(10) ** 5)
+    assert free.bps and free.bps[-1] < 128
+    spec = "bdc mr=1 dr=2 mf=1 df=2"
+    assert main(["sample", "--model", spec, "--input", "u: 0 @ 1e400"]) == 0
+    _, x = sd.parse_signal_literal(capsys.readouterr().out.strip())
+    assert sd.check_membership(StepFunction.from_toggles(0, [F(10) ** 400]), x,
+                               sd.parse_model(spec)).ok
 
 
 def test_parse_error_names_line(tmp_path, capsys):

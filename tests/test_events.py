@@ -7,7 +7,8 @@ input, must reproduce the model's closed form (``fixed``, ``wand``,
 relaxation of ``reference_sim`` returns, or raise the same error.
 Parameters and switch times share the half-unit grid, so input gaps
 often equal d, m and d - m exactly, and switches of different nets
-often coincide.
+often coincide; the random netlists also draw delays in thirds and
+fifths, which the half-unit inputs do not share.
 """
 
 from fractions import Fraction as F
@@ -30,8 +31,12 @@ from sigdelay.stepfn import StepFunction
 from reference_kernel import sweep_dbridc, sweep_sdbridc
 from reference_sim import relax
 
-half = st.integers(0, 6).map(lambda k: F(k, 2))
-positive = st.integers(1, 6).map(lambda k: F(k, 2))
+def grid(den, lo=0):
+    """Times k/den up to 3."""
+    return st.integers(lo, 3 * den).map(lambda k: F(k, den))
+
+
+half, positive = grid(2), grid(2, 1)
 
 
 @st.composite
@@ -41,15 +46,16 @@ def signals(draw, span=24):
 
 
 @st.composite
-def windows(draw, cls):
-    d = draw(half)
-    return cls(F(draw(st.integers(0, int(2 * d))), 2), d)
+def windows(draw, cls, den=2):
+    d = draw(grid(den))
+    return cls(F(draw(st.integers(0, int(den * d))), den), d)
 
 
 @st.composite
-def dbridcs(draw):
-    m_r, m_f = draw(half), draw(half)
-    d_r, d_f = m_r + draw(half), m_f + draw(half)
+def dbridcs(draw, den=2):
+    times = grid(den)
+    m_r, m_f = draw(times), draw(times)
+    d_r, d_f = m_r + draw(times), m_f + draw(times)
     p = sd.BdcParams(m_r, d_r, m_f, d_f)
     if not sd.cc_bdc(p):  # shrink the longer lower bound onto the other edge
         if d_r - m_r > d_f:
@@ -59,16 +65,24 @@ def dbridcs(draw):
     return sd.Dbridc(p)
 
 
-deterministic_models = st.one_of(
-    half.map(sd.Fixed), windows(sd.WindowAnd), windows(sd.WindowOr), dbridcs(),
-    positive.map(sd.SdbridcPrime))
+def deterministic_models_in(den):
+    return st.one_of(
+        grid(den).map(sd.Fixed), windows(sd.WindowAnd, den), windows(sd.WindowOr, den),
+        dbridcs(den), grid(den, 1).map(sd.SdbridcPrime))
 
-zero_lookback_models = st.one_of(
-    st.just(sd.Fixed(0)),
-    half.map(lambda d: sd.WindowAnd(d, d)),
-    half.map(lambda d: sd.WindowOr(d, d)),
-    st.tuples(half, half, half).map(
-        lambda t: sd.Dbridc(sd.BdcParams(t[0], t[0], t[1], t[1] + min(t[2], t[0])))))
+
+def zero_lookback_models_in(den):
+    times = grid(den)
+    return st.one_of(
+        st.just(sd.Fixed(0)),
+        times.map(lambda d: sd.WindowAnd(d, d)),
+        times.map(lambda d: sd.WindowOr(d, d)),
+        st.tuples(times, times, times).map(
+            lambda t: sd.Dbridc(sd.BdcParams(t[0], t[0], t[1], t[1] + min(t[2], t[0])))))
+
+
+deterministic_models = deterministic_models_in(2)
+zero_lookback_models = zero_lookback_models_in(2)
 
 
 def oracle(model, u):
@@ -121,13 +135,18 @@ def test_solvers_drive_the_event_forms(model, d, u):
 # simulate against the relaxation
 # ---------------------------------------------------------------------------
 
-positive_lookback_models = deterministic_models.filter(lambda m: not m.zero_lookback())
+def positive_lookback_models_in(den):
+    return deterministic_models_in(den).filter(lambda m: not m.zero_lookback())
+
+
+dens = st.sampled_from([2, 3, 5])
 
 
 @st.composite
 def sim_cases(draw):
-    """Up to 8 nets: primary inputs, gates and delays of all five
-    simulatable models.  Gates and zero-lookback delays read earlier nets;
+    """Up to 8 nets: primary inputs on the half-unit grid, gates, and
+    delays of all five simulatable models with parameters in halves,
+    thirds or fifths.  Gates and zero-lookback delays read earlier nets;
     a positive-lookback delay may read a later net or its own output, and
     a loop is such a delay read back by the gate after it, so every cycle
     passes through positive lookback.  Loop gates and most others get an
@@ -155,12 +174,13 @@ def sim_cases(draw):
         elif role == "gate":
             gate(k, [], False)
         elif role == "loop" and k + 1 < len(nets):
-            model = draw(positive_lookback_models)
+            model = draw(positive_lookback_models_in(draw(dens)))
             n.delays.append(DelayElement(net, nets[k + 1], model))
             k += 1
             gate(k, [net], True)
         else:
-            model = draw(st.one_of(deterministic_models, zero_lookback_models))
+            den = draw(dens)
+            model = draw(st.one_of(deterministic_models_in(den), zero_lookback_models_in(den)))
             later = not model.zero_lookback() and draw(st.booleans())
             src = draw(st.sampled_from(nets[k:] if later else nets[:k]))
             n.delays.append(DelayElement(net, src, model))
