@@ -349,11 +349,11 @@ def simulate(n: Netlist, inputs: dict[str, StepFunction],
              horizon: RationalLike) -> WaveformSet:
     """Run the netlist on (-oo, horizon] by event-driven simulation.
 
-    Inputs must provide a signal for every primary input.  Raises
-    ValidationError for a malformed netlist and EventBudgetError at the
-    first switch that takes a non-input net past the event budget.  The
-    result is re-judged by ``check_trace_conformance`` before it is
-    returned.
+    Inputs must provide a signal for every primary input and for no
+    other net.  Raises ValidationError for a malformed netlist or inputs
+    and EventBudgetError at the first switch that takes a non-input net
+    past the event budget.  The result is re-judged by
+    ``check_trace_conformance`` before it is returned.
 
     After validation the inputs, the delay parameters and the horizon
     are scaled to integer ticks over their ``timebase`` k: the queue, the
@@ -370,6 +370,10 @@ def simulate(n: Netlist, inputs: dict[str, StepFunction],
     for name in n.inputs:
         if name not in inputs:
             raise ValidationError([f"no waveform for primary input {name!r}"])
+    extra = [f"waveform for {name!r}, which is not a primary input"
+             for name in inputs if name not in n.inputs]
+    if extra:
+        raise ValidationError(extra)
     diags = validate(n, inputs)
     if diags:
         raise ValidationError(diags)

@@ -55,6 +55,15 @@ class InconsistentModelError(ValueError):
 # Parameter tuples
 # ---------------------------------------------------------------------------
 
+class _RangeError(ValueError):
+    """Parameters out of range: ``rule`` is what they need, and the message
+    adds the parameter tuple; ``parse_model`` names its spec text instead."""
+
+    def __init__(self, rule: str, params):
+        super().__init__(f"{rule}, got {params}")
+        self.rule = rule
+
+
 @dataclass(frozen=True)
 class BdcParams:
     """Memories (thresholds for cancellation) and upper delay bounds.
@@ -72,7 +81,7 @@ class BdcParams:
         for name in ("m_r", "d_r", "m_f", "d_f"):
             object.__setattr__(self, name, as_time(getattr(self, name)))
         if not (0 <= self.m_r <= self.d_r and 0 <= self.m_f <= self.d_f):
-            raise ValueError(f"need 0 <= m_r <= d_r and 0 <= m_f <= d_f, got {self}")
+            raise _RangeError("need 0 <= m_r <= d_r and 0 <= m_f <= d_f", self)
 
 
 @dataclass(frozen=True)
@@ -86,7 +95,7 @@ class AicParams:
         for name in ("delta_r", "delta_f"):
             object.__setattr__(self, name, as_time(getattr(self, name)))
         if self.delta_r < 0 or self.delta_f < 0:
-            raise ValueError(f"inertia parameters must be >= 0, got {self}")
+            raise _RangeError("inertia parameters must be >= 0", self)
 
 
 @dataclass(frozen=True)
@@ -103,7 +112,7 @@ class RicParams:
         for name in ("mu_r", "delta_r", "mu_f", "delta_f"):
             object.__setattr__(self, name, as_time(getattr(self, name)))
         if not (0 <= self.mu_r <= self.delta_r and 0 <= self.mu_f <= self.delta_f):
-            raise ValueError(f"need 0 <= mu <= delta for both edges, got {self}")
+            raise _RangeError("need 0 <= mu <= delta for both edges", self)
 
 
 # ---------------------------------------------------------------------------
@@ -913,7 +922,8 @@ def parse_model(text: str) -> DelayModel:
     try:
         return _assemble(cls, iter([vals[k] for k in cls.keys]), lambda c, args: c(*args))
     except ValueError as exc:
-        raise ValueError(f"invalid parameters for {kind!r}: {exc}") from exc
+        raise ValueError(f"invalid parameters for {' '.join(tokens)!r}: "
+                         f"{getattr(exc, 'rule', exc)}") from exc
 
 
 def format_model(model: DelayModel) -> str:

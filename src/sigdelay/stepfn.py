@@ -25,7 +25,11 @@ intervals, and level sets, Minkowski sums, complements and clips build
 their interval sets in one walk too.  Only the public ``IntervalSet``
 constructor sorts and merges, so a set built there from unsorted pieces
 adds a logarithmic factor; kernel-built sets and signals skip the
-validation of what they built themselves.
+validation of what they built themselves.  Each kernel result is
+canonical as built: an operation that can make a breakpoint
+uninformative drops it inside its own walk, so only the validating
+``StepFunction`` constructor runs a canonicalizing pass.  An ``Interval``
+is a named tuple, so building one costs little more than a tuple.
 
 The kernel only adds, subtracts and compares times, so it runs alike on
 Fractions and on plain ints, which mix exactly.  A computation over
@@ -45,7 +49,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 Time = Fraction
 
@@ -114,12 +118,13 @@ def _to_time(t, k: Optional[int]):
 # Interval sets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(NamedTuple):
     """One maximal interval of an interval set.
 
     ``lo is None`` means -oo (then lo_closed is False), ``hi is None``
-    means +oo.  A single point is lo == hi with both ends closed.
+    means +oo.  A single point is lo == hi with both ends closed.  A
+    plain tuple underneath: immutable and hashable, and equal to the
+    4-tuple of its fields.
     """
 
     lo: Optional[Fraction]
@@ -149,6 +154,11 @@ class Interval:
         lo = "-oo" if self.lo is None else str(self.lo)
         hi = "+oo" if self.hi is None else str(self.hi)
         return f"{left}{lo}, {hi}{right}"
+
+
+# ``Interval(...)`` runs a Python-level ``__new__``; the kernel builds the
+# intervals it knows to be well formed with ``tuple.__new__`` directly.
+_new = tuple.__new__
 
 
 def _lo_key(iv: Interval):
@@ -252,50 +262,46 @@ class IntervalSet:
         if lo_off > hi_off or (lo_off == hi_off and not (lo_closed and hi_closed)):
             raise ValueError("empty offset interval in Minkowski sum")
         out: list[Interval] = []
-        for iv in self.intervals:
-            lo = None if iv.lo is None else iv.lo + lo_off
-            lo_c = iv.lo_closed and lo_closed
-            hi = None if iv.hi is None else iv.hi + hi_off
-            hi_c = iv.hi_closed and hi_closed
+        for lo, lo_c, hi, hi_c in self.intervals:
+            if lo is not None:
+                lo += lo_off
+            lo_c = lo_c and lo_closed
+            if hi is not None:
+                hi += hi_off
+            hi_c = hi_c and hi_closed
             if out:  # only the first sum starts at -oo, only the last ends at +oo
-                prev = out[-1]
-                if lo < prev.hi or (lo == prev.hi and (prev.hi_closed or lo_c)):
-                    out[-1] = Interval(prev.lo, prev.lo_closed, hi, hi_c)
+                p_lo, p_lo_c, p_hi, p_hi_c = out[-1]
+                if lo < p_hi or (lo == p_hi and (p_hi_c or lo_c)):
+                    out[-1] = _new(Interval, (p_lo, p_lo_c, hi, hi_c))
                     continue
-            out.append(Interval(lo, lo_c, hi, hi_c))
+            out.append(_new(Interval, (lo, lo_c, hi, hi_c)))
         return IntervalSet._canon(out)
 
     def complement(self) -> "IntervalSet":
         """The gaps between the intervals; gaps between canonical intervals
         are non-empty."""
         out = []
-        prev_hi: Optional[Fraction] = None
-        prev_closed = False
-        at_start = True
-        for iv in self.intervals:
-            if at_start:
-                if iv.lo is not None:
-                    out.append(Interval(None, False, iv.lo, not iv.lo_closed))
-                at_start = False
-            else:
-                out.append(Interval(prev_hi, not prev_closed, iv.lo, not iv.lo_closed))
-            if iv.hi is None:
+        gap_lo: Optional[Fraction] = None  # the first gap starts at -oo
+        gap_lo_c = False
+        for lo, lo_c, hi, hi_c in self.intervals:
+            if lo is not None:
+                out.append(_new(Interval, (gap_lo, gap_lo_c, lo, not lo_c)))
+            if hi is None:
                 return IntervalSet._canon(out)
-            prev_hi, prev_closed = iv.hi, iv.hi_closed
-        if at_start:
-            return IntervalSet._canon([Interval(None, False, None, False)])
-        out.append(Interval(prev_hi, not prev_closed, None, False))
+            gap_lo, gap_lo_c = hi, not hi_c
+        out.append(_new(Interval, (gap_lo, gap_lo_c, None, False)))
         return IntervalSet._canon(out)
 
     def clipped_below(self, t: Fraction) -> "IntervalSet":
         """Intersection with (-oo, t]."""
         out = []
         for iv in self.intervals:
-            if iv.lo is not None and (iv.lo > t):
+            lo, lo_c, hi, _ = iv
+            if lo is not None and lo > t:
                 break
-            if iv.hi is None or iv.hi > t:
-                if iv.lo != t or iv.lo_closed:  # (t, t] is empty
-                    out.append(Interval(iv.lo, iv.lo_closed, t, True))
+            if hi is None or hi > t:
+                if lo != t or lo_c:  # (t, t] is empty
+                    out.append(_new(Interval, (lo, lo_c, t, True)))
                 break
             out.append(iv)
         return IntervalSet._canon(out)
@@ -310,10 +316,11 @@ class StepFunction:
 
     The value is ``leading`` on (-oo, bps[0]), ``at[i]`` at bps[i] and
     ``right[i]`` on (bps[i], bps[i+1]) -- the last ``right`` extends to
-    +oo.  Construction canonicalizes: a breakpoint whose point value and
-    right value both equal the value to its left carries no information
-    and is dropped, so pointwise equality of functions coincides with
-    structural equality (``==``).
+    +oo.  The form is canonical: a breakpoint whose point value and right
+    value both equal the value to its left carries no information and is
+    never stored, so pointwise equality of functions coincides with
+    structural equality (``==``).  ``StepFunction(...)`` drops such
+    breakpoints from what it is given; every kernel operation emits none.
     """
 
     __slots__ = ("leading", "bps", "at", "right")
@@ -328,35 +335,30 @@ class StepFunction:
         if leading not in (0, 1) or any(v not in (0, 1) for v in at) \
                 or any(v not in (0, 1) for v in right):
             raise ValueError("values must be bits")
-        self._fill(leading, ts, at, right)
-
-    @classmethod
-    def _canon(cls, leading: int, bps: Sequence[Fraction],
-               at: Sequence[int], right: Sequence[int]) -> "StepFunction":
-        """Trusted constructor for data that is well formed by construction:
-        Fraction breakpoints in strictly increasing order and bit values.
-        It only drops uninformative breakpoints; ``StepFunction(...)``
-        validates everything that comes from outside."""
-        f = object.__new__(cls)
-        f._fill(leading, bps, at, right)
-        return f
-
-    def _fill(self, leading, bps, at, right) -> None:
         k_bps: list[Fraction] = []
         k_at: list[int] = []
         k_right: list[int] = []
         left = leading
-        for b, a, r in zip(bps, at, right):
+        for b, a, r in zip(ts, at, right):
             if a == r == left:
                 continue
             k_bps.append(b)
             k_at.append(a)
             k_right.append(r)
             left = r
-        object.__setattr__(self, "leading", leading)
-        object.__setattr__(self, "bps", tuple(k_bps))
-        object.__setattr__(self, "at", tuple(k_at))
-        object.__setattr__(self, "right", tuple(k_right))
+        _store(self, leading, k_bps, k_at, k_right)
+
+    @classmethod
+    def _canon(cls, leading: int, bps: Sequence[Fraction],
+               at: Sequence[int], right: Sequence[int]) -> "StepFunction":
+        """Trusted constructor for data that is canonical by construction:
+        breakpoints in strictly increasing order, bit values, and no
+        breakpoint whose point and right values repeat the value to its
+        left.  It stores them as they are; ``StepFunction(...)`` validates
+        and canonicalizes everything that comes from outside."""
+        f = object.__new__(cls)
+        _store(f, leading, bps, at, right)
+        return f
 
     def __setattr__(self, *a):  # immutable
         raise AttributeError("StepFunction is immutable")
@@ -370,7 +372,7 @@ class StepFunction:
     @staticmethod
     def from_toggles(initial: int, toggles: Sequence[RationalLike]) -> "StepFunction":
         """Right-continuous function flipping its value at each toggle."""
-        at = _toggled_bits(initial, toggles)
+        at = _toggled_bits(initial, len(toggles))
         return StepFunction(initial, toggles, at, at)
 
     @classmethod
@@ -378,8 +380,9 @@ class StepFunction:
         """Trusted ``from_toggles`` for an initial bit and Fraction times in
         strictly increasing order, as the kernel, the simulator and the
         parser (after its own checks) produce them; ``from_toggles``
-        validates everything that comes from outside."""
-        at = _toggled_bits(initial, times)
+        validates everything that comes from outside.  Canonical: each
+        breakpoint switches the value."""
+        at = _toggled_bits(initial, len(times))
         return cls._canon(initial, times, at, at)
 
     # -- ticks --------------------------------------------------------------
@@ -390,21 +393,17 @@ class StepFunction:
         so the values are shared as they are."""
         if k is None:
             return self
-        return self._with_bps(tuple(b.numerator * (k // b.denominator) for b in self.bps))
+        return self._with_bps([b.numerator * (k // b.denominator) for b in self.bps])
 
     def _to_time(self, k: Optional[int]) -> "StepFunction":
-        """The inverse of ``_to_ticks``: breakpoints of t ticks back to t/k."""
+        """The inverse of ``_to_ticks``: breakpoints of t ticks back to t/k,
+        which keeps a canonical function canonical too."""
         if k is None:
             return self
-        return self._with_bps(tuple(Fraction(b, k) for b in self.bps))
+        return self._with_bps([Fraction(b, k) for b in self.bps])
 
-    def _with_bps(self, bps: tuple) -> "StepFunction":
-        f = object.__new__(StepFunction)
-        object.__setattr__(f, "leading", self.leading)
-        object.__setattr__(f, "bps", bps)
-        object.__setattr__(f, "at", self.at)
-        object.__setattr__(f, "right", self.right)
-        return f
+    def _with_bps(self, bps: Sequence) -> "StepFunction":
+        return StepFunction._canon(self.leading, bps, self.at, self.right)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -453,18 +452,21 @@ class StepFunction:
     # -- Boolean algebra ----------------------------------------------------
 
     def __invert__(self) -> "StepFunction":
+        # negation keeps every breakpoint informative
         return StepFunction._canon(1 - self.leading, self.bps,
-                                   tuple(1 - v for v in self.at),
-                                   tuple(1 - v for v in self.right))
+                                   [1 - v for v in self.at],
+                                   [1 - v for v in self.right])
 
     def _zip(self, other: "StepFunction", op) -> "StepFunction":
         """Pointwise ``op``: one two-pointer merge of the breakpoint tuples,
-        carrying each side's value right of its last breakpoint passed."""
+        carrying each side's value right of its last breakpoint passed and
+        dropping every breakpoint whose values both equal the one to its left."""
         f_bps, f_at, f_right = self.bps, self.at, self.right
         g_bps, g_at, g_right = other.bps, other.at, other.right
         nf, ng = len(f_bps), len(g_bps)
         i = j = 0
         fv, gv = self.leading, other.leading
+        left = leading = op(fv, gv)
         bps: list[Fraction] = []
         at: list[int] = []
         right: list[int] = []
@@ -482,10 +484,14 @@ class StepFunction:
                 fv, gv = f_right[i], g_right[j]
                 i += 1
                 j += 1
+            a, r = op(fa, ga), op(fv, gv)
+            if a == r == left:
+                continue
             bps.append(b)
-            at.append(op(fa, ga))
-            right.append(op(fv, gv))
-        return StepFunction._canon(op(self.leading, other.leading), bps, at, right)
+            at.append(a)
+            right.append(r)
+            left = r
+        return StepFunction._canon(leading, bps, at, right)
 
     def __and__(self, other: "StepFunction") -> "StepFunction":
         return self._zip(other, operator.and_)
@@ -505,18 +511,29 @@ class StepFunction:
 
     # -- limits and derivatives ---------------------------------------------
 
+    def _switches(self) -> tuple[list, list[int]]:
+        """The breakpoints where the value to the right changes, with that
+        value: the breakpoints of both one-sided limits.  The others are
+        point glitches, which neither limit sees."""
+        bps: list[Fraction] = []
+        right: list[int] = []
+        left = self.leading
+        for b, r in zip(self.bps, self.right):
+            if r != left:
+                bps.append(b)
+                right.append(r)
+                left = r
+        return bps, right
+
     def left_limit(self) -> "StepFunction":
         """t -> f(t-0); the result is left-continuous."""
-        at = []
-        left = self.leading
-        for i in range(len(self.bps)):
-            at.append(left)
-            left = self.right[i]
-        return StepFunction._canon(self.leading, self.bps, at, self.right)
+        bps, right = self._switches()
+        return StepFunction._canon(self.leading, bps, [1 - r for r in right], right)
 
     def right_limit(self) -> "StepFunction":
         """t -> f(t+0); the result is right-continuous."""
-        return StepFunction._canon(self.leading, self.bps, self.right, self.right)
+        bps, right = self._switches()
+        return StepFunction._canon(self.leading, bps, right, right)
 
     def derivative(self) -> "StepFunction":
         """Left derivative  Df(t) = f(t-0) xor f(t)."""
@@ -552,13 +569,15 @@ class StepFunction:
     def shift(self, d: RationalLike) -> "StepFunction":
         """Translation: result(t) = f(t - d)."""
         d = _as_offset(d)
-        return StepFunction._canon(self.leading, tuple(b + d for b in self.bps),
+        # translation keeps the order of the breakpoints and their values
+        return StepFunction._canon(self.leading, [b + d for b in self.bps],
                                    self.at, self.right)
 
     def truncate(self, horizon: RationalLike) -> "StepFunction":
         """Drop behaviour after the horizon; the value at it extends to +oo."""
         h = _as_offset(horizon)
         n = bisect.bisect_right(self.bps, h)
+        # a prefix of a canonical function is canonical
         return StepFunction._canon(self.leading, self.bps[:n], self.at[:n], self.right[:n])
 
     def truncate_before(self, start: RationalLike, value: int) -> "StepFunction":
@@ -568,10 +587,15 @@ class StepFunction:
             raise ValueError("values must be bits")
         s = _as_offset(start)
         i = bisect.bisect_left(self.bps, s)
+        if i < len(self.bps) and self.bps[i] == s:
+            b, a, r = self.bps[i], self.at[i], self.right[i]
+            i += 1
+        else:  # a breakpoint at start carrying f's value there
+            b, a = as_time(s), (self.leading if i == 0 else self.right[i - 1])
+            r = a
         bps, at, right = self.bps[i:], self.at[i:], self.right[i:]
-        if not bps or bps[0] != s:  # a breakpoint at start carrying f's value there
-            v = self.leading if i == 0 else self.right[i - 1]
-            bps, at, right = (as_time(s),) + bps, (v,) + at, (v,) + right
+        if not a == r == value:  # else it repeats the value before start
+            bps, at, right = (b,) + bps, (a,) + at, (r,) + right
         return StepFunction._canon(value, bps, at, right)
 
     def support(self) -> IntervalSet:
@@ -594,13 +618,13 @@ class StepFunction:
             if inside:
                 if a == bit == r:
                     continue
-                out.append(Interval(lo, lo_closed, b, a == bit))
+                out.append(_new(Interval, (lo, lo_closed, b, a == bit)))
             elif a == bit != r:
-                out.append(Interval(b, True, b, True))
+                out.append(_new(Interval, (b, True, b, True)))
             inside = r == bit
             lo, lo_closed = b, a == bit
         if inside:
-            out.append(Interval(lo, lo_closed, None, False))
+            out.append(_new(Interval, (lo, lo_closed, None, False)))
         return IntervalSet._canon(out)
 
     # -- classification -----------------------------------------------------
@@ -626,15 +650,23 @@ class StepFunction:
         return self.limit_at_infinity()
 
 
-def _toggled_bits(initial: int, toggles: Iterable) -> list[int]:
-    """The value after each toggle from ``initial``; a toggle's value holds
-    after it."""
-    at = []
-    v = initial
-    for _ in toggles:
-        v ^= 1
-        at.append(v)
-    return at
+# StepFunction refuses attribute assignment; its slots' own setters store
+# its data at half the cost of object.__setattr__
+_set_leading, _set_bps, _set_at, _set_right = (
+    StepFunction.__dict__[name].__set__ for name in StepFunction.__slots__)
+
+
+def _store(f: StepFunction, leading, bps, at, right) -> None:
+    _set_leading(f, leading)
+    _set_bps(f, tuple(bps))
+    _set_at(f, tuple(at))
+    _set_right(f, tuple(right))
+
+
+def _toggled_bits(initial: int, n: int) -> tuple[int, ...]:
+    """The value after each of n toggles from ``initial``; a toggle's value
+    holds after it."""
+    return ((1 - initial, initial) * ((n + 1) // 2))[:n]
 
 
 def as_signal(f: StepFunction) -> StepFunction:
@@ -649,14 +681,16 @@ def indicator(intervals: IntervalSet) -> StepFunction:
     One walk over the merged intervals, which are sorted, disjoint and
     non-touching: each finite endpoint is one breakpoint whose point value
     its own interval decides.  The only shared breakpoint is where two open
-    ends meet, as in [0, 1) u (1, 2]: point value 0, right value 1.
+    ends meet, as in [0, 1) u (1, 2]: point value 0, right value 1.  Every
+    breakpoint so built differs from the value to its left, in its point
+    value or its right value, so the function is canonical as built.
     """
     ivs = intervals.intervals
     bps: list[Fraction] = []
     at: list[int] = []
     right: list[int] = []
     for iv in ivs:
-        lo, hi = iv.lo, iv.hi
+        lo, _, hi, _ = iv
         if lo is not None:
             if bps and bps[-1] == lo:  # open ends meet: (p, lo) u (lo, q)
                 right[-1] = 1
@@ -778,7 +812,10 @@ def parse_signal_literal(line: str) -> tuple[str, StepFunction]:
     """Parse one 'name: <0|1> @ t1, t2, ...' line into a named signal.
 
     Times are exact decimals or p/q fractions.  The '@' clause may be
-    omitted for a constant.
+    omitted for a constant.  A time of ASCII digits, or two such runs
+    around a '/', is read with ``int``, any other through
+    ``Fraction(tok)``; the order check compares the numerators and
+    denominators as integers.
     """
     if ":" not in line:
         raise ValueError(f"signal literal needs 'name: value', got {line!r}")
@@ -795,15 +832,27 @@ def parse_signal_literal(line: str) -> tuple[str, StepFunction]:
     if init_txt not in ("0", "1"):
         raise ValueError(f"initial value of {name!r} must be 0 or 1, got {init_txt!r}")
     toggles = []
+    increasing = True
+    prev_n, prev_d = None, 1
     for tok in times_txt.split(","):
         tok = tok.strip()
         if not tok:
             continue
+        num, slash, den = tok.partition("/")
         try:
-            toggles.append(Fraction(tok))
+            if tok.isascii() and num.isdigit() and (not slash or den.isdigit()):
+                n, d = int(num), int(den or 1)
+                t = Fraction(n, d) if slash else Fraction(n)
+            else:
+                t = Fraction(tok)
+                n, d = t.numerator, t.denominator
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad time {tok!r} in signal {name!r}: {exc}") from exc
-    if any(toggles[i] >= toggles[i + 1] for i in range(len(toggles) - 1)):
+        if prev_n is not None and n * prev_d <= prev_n * d:  # denominators > 0
+            increasing = False
+        prev_n, prev_d = n, d
+        toggles.append(t)
+    if not increasing:
         raise ValueError(f"toggle times of {name!r} must be strictly increasing")
     return name, StepFunction._from_toggles(int(init_txt), toggles)
 

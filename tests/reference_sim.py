@@ -58,6 +58,10 @@ def relax(n, inputs, horizon) -> WaveformSet:
     for name in n.inputs:
         if name not in inputs:
             raise ValidationError([f"no waveform for primary input {name!r}"])
+    extra = [f"waveform for {name!r}, which is not a primary input"
+             for name in inputs if name not in n.inputs]
+    if extra:
+        raise ValidationError(extra)
     diags = validate(n, inputs)
     if diags:
         raise ValidationError(diags)

@@ -57,6 +57,19 @@ def test_simulate_zero_loop_exits_2(netfile, capsys):
     assert "zero-lookback cycle" in capsys.readouterr().err
 
 
+def test_simulate_rejects_waveforms_for_nets_that_are_not_inputs(netfile, capsys):
+    net = netfile("loop.net", NOT_LOOP)
+    code = main(["simulate", "--netlist", net, "--until", "3",
+                 "--input", "x: 0 @ 1", "--input", "v: 1"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: waveform for 'x', which is not a primary input; "
+        "waveform for 'v', which is not a primary input\n")
+    code = main(["simulate", "--netlist", net, "--until", "3", "--input", "q: 0 @ 1"])
+    assert code == 2
+    assert "'q', which is not a primary input" in capsys.readouterr().err
+
+
 def test_simulate_event_budget_exits_3(netfile, capsys):
     tight = NOT_LOOP.replace("d=1", "d=1/64")
     code = main(["simulate", "--netlist", netfile("fast.net", tight),

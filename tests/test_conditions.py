@@ -663,6 +663,27 @@ def test_model_syntax_rejects(bad):
         sd.parse_model(bad)
 
 
+@pytest.mark.parametrize("spec, rule", [
+    ("bdc mr=-1 dr=2 mf=1 df=2", "need 0 <= m_r <= d_r and 0 <= m_f <= d_f"),
+    ("aic dr=1 df=-1/2", "inertia parameters must be >= 0"),
+    ("ric mur=3 deltar=2 muf=0 deltaf=0", "need 0 <= mu <= delta for both edges"),
+    ("fixed   d=-1", "fixed delay needs d >= 0"),
+])
+def test_model_range_errors_name_the_spec_text(spec, rule):
+    with pytest.raises(ValueError) as info:
+        sd.parse_model(spec)
+    assert str(info.value) == f"invalid parameters for {' '.join(spec.split())!r}: {rule}"
+    assert "Params(" not in str(info.value)
+
+
+def test_parameter_tuples_built_directly_name_themselves():
+    with pytest.raises(ValueError) as info:
+        sd.BdcParams(-1, 2, 1, 2)
+    assert str(info.value) == ("need 0 <= m_r <= d_r and 0 <= m_f <= d_f, got BdcParams("
+                               "m_r=Fraction(-1, 1), d_r=Fraction(2, 1), "
+                               "m_f=Fraction(1, 1), d_f=Fraction(2, 1))")
+
+
 # valid parameters: non-unit denominators, m <= d pairs, positive where needed
 _times = st.builds(F, st.integers(0, 60), st.integers(2, 9))
 _positive = _times.map(lambda t: t + F(1, 7))

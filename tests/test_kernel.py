@@ -105,12 +105,43 @@ def test_boolean_merge_matches_bisect_reference(op, f, g):
     assert f._zip(g, op) == bisect_zip(f, g, op)
 
 
-@settings(max_examples=200, deadline=None)
-@given(stepfns(), times)
-def test_trusted_results_equal_validated_ones(f, d):
-    for g in (~f, f.left_limit(), f.right_limit(), f.shift(d), f.truncate(d),
-              f.truncate_before(d, 0), f.truncate_before(d, 1)):
-        assert g == StepFunction(g.leading, g.bps, g.at, g.right)
+@st.composite
+def glitchy(draw, points=mixed):
+    """A step function whose breakpoints are often point glitches: a point
+    value apart from the equal values on both sides."""
+    bps = sorted(draw(st.sets(points, max_size=8)))
+    leading = v = draw(st.integers(0, 1))
+    at, right = [], []
+    for _ in bps:
+        if draw(st.booleans()):  # a glitch
+            at.append(1 - v)
+        else:  # a switch, attaining either value at its breakpoint
+            v = 1 - v
+            at.append(draw(st.integers(0, 1)))
+        right.append(v)
+    return StepFunction(leading, bps, at, right)
+
+
+def is_canonical(f: StepFunction) -> bool:
+    return (all(type(part) is tuple for part in (f.bps, f.at, f.right))
+            and f == StepFunction(f.leading, f.bps, f.at, f.right))
+
+
+any_stepfns = st.one_of(stepfns(), stepfns(mixed), glitchy())
+
+
+@settings(max_examples=400, deadline=None)
+@given(any_stepfns, any_stepfns, st.one_of(times, mixed), any_sets,
+       st.lists(mixed, unique=True, max_size=6).map(sorted), st.integers(0, 1))
+def test_trusted_results_equal_validated_ones(f, g, d, s, ts, v):
+    # every trusted producer returns a canonical function
+    k = stepfn.timebase(f.bps)
+    for h in (f & g, f | g, f ^ g, f.left_limit(), f.right_limit(),
+              f.truncate_before(d, v), ~f, f.shift(d), f.truncate(d), indicator(s),
+              StepFunction._from_toggles(v, ts), f._to_ticks(k),
+              f._to_ticks(k)._to_time(k), f.rises(), f.falls(), f.derivative()):
+        assert is_canonical(h), h
+    assert f._to_ticks(k)._to_time(k) == f
 
 
 @settings(max_examples=300, deadline=None)
@@ -175,6 +206,19 @@ def test_clipped_below_matches_sorting_reference(s, t):
     c = s.clipped_below(t)
     assert c == sorted_clipped_below(s, t)
     assert canonical(c)
+
+
+def test_interval_is_an_immutable_hashable_tuple():
+    i = Interval(F(0), True, None, False)
+    with pytest.raises(AttributeError):
+        i.lo = F(1)
+    assert hash(i) == hash(Interval(F(0), True, None, False))
+    assert {i: 1}[Interval(lo=F(0), lo_closed=True, hi=None, hi_closed=False)] == 1
+    assert repr(i) == "Interval(lo=Fraction(0, 1), lo_closed=True, hi=None, hi_closed=False)"
+    assert str(i) == "[0, +oo)" and str(Interval(None, False, F(1, 2), True)) == "(-oo, 1/2]"
+    assert i == (F(0), True, None, False)  # equal to the plain 4-tuple of its fields
+    assert Interval(F(1), True, F(1), True).contains(1)
+    assert Interval(F(1), False, F(1), True).is_empty()
 
 
 def iv(lo, lo_closed, hi, hi_closed):
@@ -292,6 +336,31 @@ def test_check_membership_sorts_no_interval_set(monkeypatch, spec):
         return merge(intervals)
     monkeypatch.setattr(stepfn, "_merge_intervals", counted)
     sd.check_membership(u, x, sd.parse_model(spec))
+    assert calls == 0
+
+
+@pytest.mark.parametrize("spec", [
+    "bdc mr=1 dr=3 mf=1 df=3",
+    "bridc mr=1 dr=3 mf=1 df=3 mur=0 deltar=2 muf=0 deltaf=2",
+    "dbridc mr=1 dr=3 mf=1 df=3",
+    "sdbridc d=2",
+    "aic dr=1 df=1",
+])
+def test_check_membership_canonicalizes_nothing(monkeypatch, spec):
+    # every kernel result is canonical as built, so the canonicalizing
+    # pass of the validating constructor never runs
+    u, x = long_pair()
+    model = sd.parse_model(spec)
+    calls = 0
+    init = StepFunction.__init__
+
+    def counted(self, *args):
+        nonlocal calls
+        calls += 1
+        init(self, *args)
+    monkeypatch.setattr(StepFunction, "__init__", counted)
+    sd.check_membership(u, x, model)
+    sd.check_membership(u, x.shift(F(1, 3)), model)
     assert calls == 0
 
 

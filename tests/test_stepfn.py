@@ -4,7 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import sigdelay as sd
 from sigdelay.stepfn import (
@@ -451,6 +451,90 @@ def test_parse_signal_literal():
 def test_parse_signal_literal_rejects(bad):
     with pytest.raises(ValueError):
         sd.parse_signal_literal(bad)
+
+
+def reference_parse(line: str):
+    """The parser with every time read by ``Fraction(tok)`` and ordered by
+    Fraction comparisons: the oracle of the integer fast path."""
+    name, _, rest = line.partition(":")
+    name, rest = name.strip(), rest.strip()
+    init_txt, _, times_txt = rest.partition("@")
+    toggles = []
+    for tok in times_txt.split(","):
+        tok = tok.strip()
+        if not tok:
+            continue
+        try:
+            toggles.append(F(tok))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"bad time {tok!r} in signal {name!r}: {exc}") from exc
+    if any(a >= b for a, b in zip(toggles, toggles[1:])):
+        raise ValueError(f"toggle times of {name!r} must be strictly increasing")
+    return name, StepFunction.from_toggles(int(init_txt.strip()), toggles)
+
+
+def outcome(parse, line):
+    try:
+        name, sig = parse(line)
+    except ValueError as exc:
+        return str(exc)
+    assert all(type(t) is F for t in sig.bps)
+    return name, sig
+
+
+_digits = st.integers(0, 10**6).map(str)
+_zeros = st.integers(0, 3).map(lambda n: "0" * n)
+time_tokens = st.one_of(
+    _digits,                                                   # ints
+    st.builds(lambda z, n: z + n, _zeros, _digits),            # leading zeros
+    st.builds(lambda p, z, q: f"{p}/{z}{q}", _digits, _zeros,  # p/q, 0/5, 3/0
+              st.one_of(st.just("0"), _digits)),
+    st.builds(lambda p, q: f"{p}/-{q}", _digits, _digits),     # 1/-2
+    st.builds(lambda s, n: s + n, st.sampled_from("+-"), _digits),
+    st.sampled_from(["1.5", ".5", "5.", "0.25", "1e3", "2E-1", "1.5e1", "1_000",
+                     "1__0", "_1", "1_", "1/1_0", "\u0663", "\u00b2", "\uff13",
+                     "1/\u0662", "\u0661/2", "1/2/3", "/2", "1/", "1 / 2", "0x1",
+                     "nan", "inf", "-0", "00/07"]),
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.lists(time_tokens, max_size=6), st.booleans())
+@example(["007", "0/5", "3/0"], False)
+@example(["0/5", "3", "1/-2"], False)
+@example(["1.5", "1e3", "1_000"], False)
+@example(["-1", "+2", "\u0663", "1/\u0662", "\uff13"], True)
+@example(["\u00b2"], False)
+def test_parser_fast_path_matches_fraction_parsing(tokens, ordered):
+    if ordered:  # the valid times in increasing order, to reach the signal
+        def value(tok):
+            try:
+                return F(tok)
+            except (ValueError, ZeroDivisionError):
+                return None
+        tokens = sorted((t for t in tokens if value(t) is not None), key=value)
+    line = "u: 0 @ " + ", ".join(tokens)
+    assert outcome(sd.parse_signal_literal, line) == outcome(reference_parse, line)
+
+
+def test_parsing_integer_and_fraction_times_compares_no_fractions(monkeypatch):
+    ints = "u: 0 @ " + ", ".join(str(3 * k + 1) for k in range(2000))
+    fracs = "u: 1 @ " + ", ".join(f"{2 * k * d + 1}/{d}"  # 2k + 1/d
+                                  for k, d in ((k, k % 5 + 1) for k in range(2000)))
+    calls = 0
+    richcmp = F._richcmp
+
+    def counted(self, other, op):
+        nonlocal calls
+        calls += 1
+        return richcmp(self, other, op)
+    monkeypatch.setattr(F, "_richcmp", counted)
+    _, u = sd.parse_signal_literal(ints)
+    _, x = sd.parse_signal_literal(fracs)
+    assert calls == 0
+    monkeypatch.undo()
+    assert len(u.bps) == 2000 and u.bps[-1] == 5998
+    assert x == reference_parse(fracs)[1]
 
 
 def test_signal_file_errors_name_the_line():
