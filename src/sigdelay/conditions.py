@@ -10,6 +10,13 @@ one, with a flag saying whether it is attained.  Each check runs on
 integer ticks over the timebase of its signals, parameters and horizon
 (``stepfn.timebase``) and reports its times as Fractions.
 
+Each model judges a trace in two stages: ``_input_side(u)`` builds what
+its clauses need from the input alone (window bounds, switch permits,
+the closed-form solution), and ``_judge(side, x)`` builds the clauses
+from that and the output.  ``check_membership`` keeps the input side of
+its last call, so a caller that checks many outputs against one input
+and one model (grid enumeration, the sampler) builds it once.
+
 Consistency predicates (cc_*) are the closed-form parameter
 inequalities equivalent to "a solution exists for every input".  A
 checker invoked with inconsistent parameters raises
@@ -22,7 +29,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain
 from operator import attrgetter
 from typing import Callable, ClassVar, Optional, Union, get_args
 
@@ -128,10 +135,14 @@ class _Model:
     ``events(leading)`` builds the element's event form (``_Events``);
     both are None for a model that does not determine its output.
 
-    ``clauses`` is built from up to three declared parts, in this order:
-    the ``sandwich`` lower <= x <= upper, the switch ``permits``, and the
-    hold windows on the ``AicParams`` field ``a`` when ``hold`` is set
-    (True: closed windows [t, t+delta]; False: half-open [t, t+delta)).
+    ``clauses(u, x)`` is ``_judge(_input_side(u), x)``: the input stage
+    builds everything that depends on u alone, the output stage the
+    clause list.  By default they are built from up to three declared
+    parts, in this order: the ``sandwich`` lower <= x <= upper, the switch
+    ``permits``, and the hold windows on the ``AicParams`` field ``a``
+    when ``hold`` is set (True: closed windows [t, t+delta]; False:
+    half-open [t, t+delta)).  A model whose clauses take another shape
+    overrides both stages.
     """
 
     keyword: ClassVar[str]
@@ -140,7 +151,7 @@ class _Model:
     hold: ClassVar[Optional[bool]] = None
     solve: ClassVar[Optional[Callable[[StepFunction], StepFunction]]] = None
     events: ClassVar[Optional[Callable[[int], "_Events"]]] = None
-    _groups: ClassVar[tuple] = ()   # per field: (parameter class or None, key count)
+    _groups: ClassVar[tuple] = ()   # per field: (name, parameter class or None, its field names)
     _getters: ClassVar[tuple] = ()  # per key: its value's attribute getter
 
     def consistency(self) -> Optional[tuple[str, bool, Optional[str]]]:
@@ -166,11 +177,18 @@ class _Model:
                 ) -> list[tuple[IntervalSet, str]]:
         """Violation set and name of every clause of the defining system,
         whether or not the parameters are consistent."""
+        return self._judge(self._input_side(u), x)
+
+    def _input_side(self, u: Optional[StepFunction]):
+        """What the clauses need from the input alone."""
+        return self.sandwich(u), self.permits(u)
+
+    def _judge(self, side, x: StepFunction) -> list[tuple[IntervalSet, str]]:
+        """The clauses of the output x, given the input side ``side``."""
+        bounds, permits = side
         out = []
-        bounds = self.sandwich(u)
         if bounds is not None:
             out += [_le(bounds[0], x, "lower-bound"), _le(x, bounds[1], "upper-bound")]
-        permits = self.permits(u)
         if permits is not None:
             out += [_le(x.rises(), permits[0], "rise-permit"),
                     _le(x.falls(), permits[1], "fall-permit")]
@@ -199,8 +217,11 @@ class _Formula(_Model):
         x = self.solve(u)
         return x, x
 
-    def clauses(self, u, x):
-        return [_eq(x, self.solve(u), self.clause)]
+    def _input_side(self, u):
+        return self.solve(u)
+
+    def _judge(self, side, x):
+        return [_eq(x, side, self.clause)]
 
 
 class _Driven(_Model):
@@ -319,10 +340,14 @@ class Sc(_Model):
 
     keyword = "sc"
 
-    def clauses(self, u, x):
-        if u.limit_at_infinity() == x.limit_at_infinity():
+    def _input_side(self, u):
+        return u.limit_at_infinity(), u.bps[-1:]  # the final value and the last switch
+
+    def _judge(self, side, x):
+        final, last = side
+        if final == x.limit_at_infinity():
             return [(IntervalSet(), "final-value")]
-        settle = max([Fraction(0), *u.bps[-1:], *x.bps[-1:]])
+        settle = max([Fraction(0), *last, *x.bps[-1:]])
         return [(IntervalSet([Interval(settle, True, None, False)]), "final-value")]
 
 
@@ -521,9 +546,12 @@ class Dbridc(_Bounded, _Driven):
         p = self.p  # not sandwich(u)[0], which would also build the unused upper window
         return window_inf(u, p.d_r, p.m_r), window_inf(~u, p.d_f, p.m_f)
 
-    def clauses(self, u, x):
+    def _input_side(self, u):
+        return self.permits(u)
+
+    def _judge(self, side, x):
         # equality form: a switch happens exactly when the shared window demands
-        a, b0 = self.permits(u)
+        a, b0 = side
         xl = x.left_limit()
         return [_eq(~xl & x, ~xl & a, "rise-equality"),
                 _eq(xl & ~x, xl & b0, "fall-equality")]
@@ -559,8 +587,12 @@ class SdbridcPrime(_Driven):
         return ~window(u.derivative(), "sup", -self.d, 0,
                        include_start=False, include_end=False)
 
-    def clauses(self, u, x):
-        rhs = (x.left_limit() ^ u.left_limit()) & self.quiet(u)
+    def _input_side(self, u):
+        return u.left_limit(), self.quiet(u)
+
+    def _judge(self, side, x):
+        u_left, quiet = side
+        rhs = (x.left_limit() ^ u_left) & quiet
         return [_eq(x.derivative(), rhs, "derivative-equation")]
 
     def events(self, leading):
@@ -574,17 +606,17 @@ MODELS: dict[str, type] = {}  # spec keyword -> model class
 
 
 def _register(cls) -> None:
-    """Map the spec keys onto the fields once, so that parsing and
-    formatting inspect nothing per call."""
+    """Map the spec keys onto the fields once, so that parsing, formatting
+    and building models in ticks inspect nothing per call."""
     groups, paths = [], []
     for f in fields(cls):
         params = globals().get(f.type)  # annotations are strings in this module
         if is_dataclass(params):
-            sub = [g.name for g in fields(params)]
-            groups.append((params, len(sub)))
+            sub = tuple(g.name for g in fields(params))
+            groups.append((f.name, params, sub))
             paths += [f"{f.name}.{s}" for s in sub]
         else:
-            groups.append((None, 1))
+            groups.append((f.name, None, ()))
             paths.append(f.name)
     if len(paths) != len(cls.keys) or cls.keyword in MODELS:
         raise TypeError(f"{cls.__name__}: keys do not match fields, or keyword taken")
@@ -598,18 +630,20 @@ for _cls in get_args(DelayModel):
 
 
 def _assemble(cls, nums, make):
-    """Model ``cls`` from its spec numbers in key order: ``make(c, values)``
-    builds each parameter tuple, then the model."""
-    return make(cls, [next(nums) if group is None else make(group, list(islice(nums, n)))
-                      for group, n in cls._groups])
+    """Model ``cls`` from its spec numbers in key order: ``make(c, items)``
+    builds each parameter tuple, then the model, from (field name, value)
+    pairs."""
+    return make(cls, [(name, next(nums) if group is None
+                       else make(group, [(s, next(nums)) for s in sub]))
+                      for name, group, sub in cls._groups])
 
 
-def _trusted(cls, values):
-    """A dataclass holding ``values`` as they are, without ``__post_init__``
-    (which would make ticks Fractions again)."""
+def _trusted(cls, items):
+    """A dataclass holding the values of ``items`` as they are, without
+    ``__post_init__`` (which would make ticks Fractions again)."""
     obj = object.__new__(cls)
-    for f, value in zip(fields(cls), values):
-        object.__setattr__(obj, f.name, value)
+    for name, value in items:
+        object.__setattr__(obj, name, value)
     return obj
 
 
@@ -858,6 +892,11 @@ def _form_report(u: StepFunction, x: StepFunction, model: Dbridc, form: str) -> 
     raise ValueError(f"unknown form {form!r}; expected one of a, b, e, f, g")
 
 
+# The input side of the last ``check_membership`` call:
+# (u, model, horizon, k, model in ticks, u in ticks, ``_input_side`` of u in ticks).
+_last_input: tuple = (None,) * 7
+
+
 def check_membership(u: Optional[StepFunction], x: StepFunction,
                      model: DelayModel,
                      horizon: Optional[RationalLike] = None) -> CheckReport:
@@ -871,18 +910,46 @@ def check_membership(u: Optional[StepFunction], x: StepFunction,
     and the horizon are scaled by their ``timebase`` k, and the
     violation time is scaled back to a Fraction.  Above the timebase
     bound the same clauses run on the Fractions themselves.
+
+    The call keeps its input side (the timebase, the model and u in
+    ticks, and the model's ``_input_side`` of u) in one entry, which the
+    next call reuses when it passes the same u object and the same model
+    object (an identity test, not equality), an equal horizon, and an x
+    whose breakpoints are whole ticks of that timebase (or, above the
+    bound, an x above it too).  Any other call misses, builds its own
+    input side and replaces the entry.  Hits and misses judge x the same
+    way, so the report never depends on the entry.  The entry holds
+    strong references to u and the model, so neither id can be reused
+    while it is kept; only a consistent model is ever kept, so an
+    inconsistent one raises on every call.  There is no option to turn it
+    off: it changes nothing but the work done.
     """
+    global _last_input
     h = None if horizon is None else _as_offset(horizon)
     as_signal(x)
     if model.needs_input:
         if u is None:
             raise ValueError(f"model {format_model(model)!r} needs an input signal")
         as_signal(u)
-    k = timebase(chain(x.bps, () if u is None else u.bps, model._parameters(),
-                       () if h is None else (h,)))
-    ticked = _in_ticks(model, k)
-    u = None if u is None else u._to_ticks(k)
-    return _in_time(_report(ticked.clauses(u, x._to_ticks(k)), _to_ticks(h, k)), k)
+    last_u, last_model, last_h, k, ticked, u_ticks, side = _last_input
+    if not (u is last_u and model is last_model and h == last_h
+            and _fits(x, k)):
+        k = timebase(chain(x.bps, () if u is None else u.bps, model._parameters(),
+                           () if h is None else (h,)))
+        ticked = _in_ticks(model, k)
+        u_ticks = None if u is None else u._to_ticks(k)
+        side = ticked._input_side(u_ticks)
+        _last_input = (u, model, h, k, ticked, u_ticks, side)
+    return _in_time(_report(ticked._judge(side, x._to_ticks(k)), _to_ticks(h, k)), k)
+
+
+def _fits(x: StepFunction, k: Optional[int]) -> bool:
+    """Can x be judged over the timebase k of another call: its own
+    timebase divides k, or both are above the bound?"""
+    if not x.bps:
+        return True
+    kx = timebase(x.bps)
+    return k is None if kx is None else k is not None and k % kx == 0
 
 
 # ---------------------------------------------------------------------------
@@ -920,7 +987,8 @@ def parse_model(text: str) -> DelayModel:
     if missing:
         raise ValueError(f"model {kind!r} is missing {', '.join(missing)}")
     try:
-        return _assemble(cls, iter([vals[k] for k in cls.keys]), lambda c, args: c(*args))
+        return _assemble(cls, iter([vals[k] for k in cls.keys]),
+                         lambda c, items: c(**dict(items)))
     except ValueError as exc:
         raise ValueError(f"invalid parameters for {' '.join(tokens)!r}: "
                          f"{getattr(exc, 'rule', exc)}") from exc

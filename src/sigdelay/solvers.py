@@ -191,9 +191,11 @@ def alternating_witness(u: StepFunction, model: DelayModel
     if permits is not None:
         permits = {"rise": permits[0].support(), "fall": permits[1].support()}
 
+    side = model._input_side(u)
+
     def member(x: StepFunction) -> bool:
         # clause by clause without the consistency gate: this judges one input
-        return not any(vset for vset, _ in model.clauses(u, x))
+        return not any(vset for vset, _ in model._judge(side, x))
 
     windows = forced_switch_windows(u, model.p)
     if not windows:
@@ -382,14 +384,18 @@ def enumerate_grid_solutions(u: Optional[StepFunction], model: DelayModel,
     are found (existence queries).  Raises BudgetExceededError when the
     candidate budget runs out.
     """
+    points = grid.points()
     if u is not None:
         as_signal(u)
-        if any(b not in set(grid.points()) and b <= grid.horizon for b in u.bps):
+        on_grid = set(points)
+        if any(b not in on_grid and b <= grid.horizon for b in u.bps):
             raise ValueError("input breakpoints must lie on the grid")
-    points = grid.points()
     x0_forced, cells, rise, fall = _oracle_constraints(u, model, points)
     if cells is None:
         return []
+    # may_switch[v][i]: may x switch to v at points[i]; None where no permit limits it
+    may_switch = [None if permit is None else [permit.value(g) for g in points]
+                  for permit in (fall, rise)]
 
     solutions = []
     budget = grid.max_candidates
@@ -409,7 +415,6 @@ def enumerate_grid_solutions(u: Optional[StepFunction], model: DelayModel,
         if i == len(points):
             check(x0, tuple(toggles))
             return
-        g = points[i]
         forced = cells[i]
         for nv in (v, 1 - v):
             if forced is not None and nv != forced:
@@ -417,10 +422,10 @@ def enumerate_grid_solutions(u: Optional[StepFunction], model: DelayModel,
             if nv != v:
                 if len(toggles) >= grid.max_toggles:
                     continue
-                permit = rise if nv == 1 else fall
-                if permit is not None and permit.value(g) == 0:
+                permit = may_switch[nv]
+                if permit is not None and permit[i] == 0:
                     continue
-                toggles.append(g)
+                toggles.append(points[i])
                 extend(i + 1, nv, x0, toggles)
                 toggles.pop()
             else:

@@ -56,6 +56,18 @@ def rng():
     return random.Random(20240811)
 
 
+def counted_calls(monkeypatch, owner, name) -> list:
+    """The argument tuples of every call of ``owner.name`` from here on."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 # ---------------------------------------------------------------------------
 # Acceptance summary: one line per criterion at the end of the run
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Solvers, sampler, switch-window propagation and the grid oracle."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction as F
@@ -7,6 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 import sigdelay as sd
+from sigdelay import conditions, solvers, stepfn
 from sigdelay.solvers import (
     BudgetExceededError,
     GridSpec,
@@ -22,7 +24,7 @@ from sigdelay.solvers import (
 )
 from sigdelay.stepfn import StepFunction, chi, window, window_inf, window_sup
 
-from conftest import brute_check, rand_bdc_params, rand_signal
+from conftest import brute_check, counted_calls, rand_bdc_params, rand_signal
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +279,20 @@ def test_sample_bridc_shared_params_is_solver(rng):
         assert x == solve_dbridc(u, p)
 
 
+def test_sample_bridc_builds_the_input_side_once(monkeypatch):
+    # every candidate fails until the switch-window witness, the sixth
+    sides = counted_calls(monkeypatch, conditions._Model, "_input_side")
+    misses = counted_calls(monkeypatch, conditions, "_in_ticks")
+    checks = counted_calls(monkeypatch, solvers, "check_membership")
+    p = sd.BdcParams(F(3, 2), 2, F(3, 2), 3)
+    r = sd.RicParams(F(3, 2), F(3, 2), F(3, 2), F(5, 2))
+    u = StepFunction.from_toggles(0, [F(3, 2), F(5, 2), F(7, 2), F(11, 2)])
+    x = sample_bridc(u, p, r, chi(1, None))
+    assert len(checks) == 6 and len(misses) == 1
+    assert len(sides) == 2  # the checks' in ticks, the witness's on the Fractions
+    assert brute_check(u, x, sd.Bridc(p, r))
+
+
 def test_sample_bridc_rejects_inconsistent():
     with pytest.raises(sd.InconsistentModelError):
         sample_bridc(chi(0, None), sd.BdcParams(1, 2, 1, 2),
@@ -338,6 +354,26 @@ def test_enumerate_requires_on_grid_input():
     with pytest.raises(ValueError):
         enumerate_grid_solutions(chi(F(1, 3), None), sd.Fixed(1),
                                  GridSpec(F(1, 2), 6, 6))
+
+
+@pytest.mark.parametrize("model, max_toggles", [(sd.Bdc(sd.BdcParams(1, 2, 1, 2)), (2, 4, 6)),
+                                                (sd.Ric(sd.RicParams(0, 1, F(1, 2), 1)), (1, 2, 3))])
+def test_enumeration_builds_the_input_side_once(monkeypatch, model, max_toggles):
+    # more candidates, the same windows: the pruning's on the Fractions
+    # and the checks' in ticks, each built once per enumeration
+    sides = counted_calls(monkeypatch, conditions._Model, "_input_side")
+    windows = counted_calls(monkeypatch, stepfn, "window")
+    checks = counted_calls(monkeypatch, solvers, "check_membership")
+    u = StepFunction.from_toggles(0, [F(1, 2), 2])
+    seen = []
+    for toggles in max_toggles:
+        before = len(sides), len(windows), len(checks)
+        enumerate_grid_solutions(u, dataclasses.replace(model),  # no entry left to hit
+                                 GridSpec(F(1, 2), 4, toggles))
+        seen.append((len(sides) - before[0], len(windows) - before[1], len(checks) - before[2]))
+    assert [s for s, _, _ in seen] == [1, 1, 1]
+    assert [w for _, w, _ in seen] == [4, 4, 4]
+    assert seen[0][2] < seen[1][2] < seen[2][2]
 
 
 def test_grid_spec_validation():

@@ -7,19 +7,25 @@ ints.  The same kernel run on the original Fractions is the oracle:
 pools that mix 1, 3 and 7 with large primes, some of which push the
 timebase past its bound, where the Fractions are kept.  The guards
 count Fraction comparisons instead of timing them, so they cannot flake.
+
+``check_membership`` keeps the input side of its last call; a repeated
+check must equal the same check on fresh copies of the input and the
+model, which cannot hit that entry.
 """
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import sigdelay as sd
+from sigdelay import conditions
 from sigdelay.circuit import EventBudgetError, builtin, check_trace_conformance, simulate
 from sigdelay.conditions import MODELS, _in_time, _le, _report, dbridc_form_report
-from sigdelay.stepfn import StepFunction, _to_ticks, format_time, timebase, window
+from sigdelay.stepfn import StepFunction, _to_ticks, chi, format_time, timebase, window
 
-from conftest import brute_check
+from conftest import brute_check, counted_calls
 
 F = Fraction
 M4423, M9689 = 2 ** 4423 - 1, 2 ** 9689 - 1  # Mersenne primes
@@ -80,6 +86,93 @@ def test_check_membership_in_ticks_matches_the_fraction_kernel(case):
     assert got == _report(model.clauses(u, x), h)
     v = got.first_violation
     assert v is None or v.time is None or type(v.time) is Fraction
+
+
+# ---------------------------------------------------------------------------
+# The input side of the last check
+# ---------------------------------------------------------------------------
+
+elevenths = st.integers(0, 90).map(lambda n: F(n, 11))
+
+
+@st.composite
+def repeated_checks(draw):
+    """One model and one input against 2 to 6 outputs.  Most outputs come
+    from the input's pool, the others from any pool, so some need a finer
+    timebase than the one before or one above the bound; most horizons
+    repeat the first, the others are none or in elevenths."""
+    pool = draw(st.sampled_from(POOLS))
+    model = draw(models_in(pool))
+    inputs = signals_in(pool)
+    u = draw(inputs if model.needs_input else st.one_of(st.none(), inputs))
+    first = draw(st.one_of(st.none(), times_in(pool), elevenths))
+    calls = [(draw(signals_in(draw(st.sampled_from([pool, pool, pool, *POOLS])))),
+              draw(st.sampled_from([first, first, first, None, draw(elevenths)])))
+             for _ in range(draw(st.integers(2, 6)))]
+    return model, u, calls
+
+
+_THIRDS = StepFunction.from_toggles(0, [F(1, 3), 2, F(9, 2)])
+_ABOVE = StepFunction.from_toggles(1, [F(1, M9689), F(5, 2)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(repeated_checks())
+@example((sd.Aic(sd.AicParams(1, F(1, 3))), None,  # no input
+          [(chi(0, 2), None), (chi(F(1, 3), 1), F(5, 11)), (chi(F(1, 7), 3), F(5, 11))]))
+@example((sd.Bdc(sd.BdcParams(0, 1, 0, 2)), _THIRDS,  # inconsistent: raises every time
+          [(_THIRDS, None), (_THIRDS.shift(1), None)]))
+@example((sd.Dbridc(sd.BdcParams(F(1, 3), F(3, 2), F(1, 3), F(3, 2))), _ABOVE,  # above the bound
+          [(_ABOVE.shift(F(3, 2)), None), (chi(F(1, 3), 2), None), (_ABOVE, F(40, 11))]))
+@example((sd.Ric(sd.RicParams(0, 1, F(1, 2), 1)), _THIRDS,  # x above the bound, then back
+          [(_THIRDS, 4), (_ABOVE, 4), (_THIRDS.shift(F(1, 7)), 4), (chi(1, 2), 4)]))
+def test_repeated_checks_match_fresh_ones(case):
+    model, u, calls = case
+    cc = model.consistency()
+    if cc is not None and not cc[1]:
+        for x, h in calls:
+            with pytest.raises(sd.InconsistentModelError):
+                sd.check_membership(u, x, model, horizon=h)
+        return
+    got = [sd.check_membership(u, x, model, horizon=h) for x, h in calls]
+    for (x, h), report in zip(calls, got):
+        fresh_u = None if u is None else StepFunction(u.leading, u.bps, u.at, u.right)
+        assert report == sd.check_membership(fresh_u, x, dataclasses.replace(model), horizon=h)
+        assert report == _report(model.clauses(u, x), h)
+
+
+def test_a_repeated_input_is_judged_once(monkeypatch):
+    misses = counted_calls(monkeypatch, conditions, "_in_ticks")
+    model = sd.Bdc(sd.BdcParams(1, 2, 1, 2))
+    u = _THIRDS
+    outputs = [u.shift(d) for d in (1, F(3, 2), F(4, 3), 2)]
+    for x in outputs:  # x in sixths: one timebase for all of them
+        sd.check_membership(u, x, model)
+    assert len(misses) == 1
+    sd.check_membership(u, u.shift(1), model, horizon=F(3, 11))  # another horizon
+    sd.check_membership(u, u.shift(1), model, horizon=F(3, 11))
+    assert len(misses) == 2
+    sd.check_membership(u, u.shift(F(1, 5)), model, horizon=F(3, 11))  # fifths
+    assert len(misses) == 3
+    equal = StepFunction(u.leading, u.bps, u.at, u.right)
+    assert equal == u and sd.check_membership(equal, u.shift(1), model) \
+        == sd.check_membership(u, u.shift(1), model)  # equal, not the same object
+    assert len(misses) == 5
+    sd.check_membership(u, u.shift(1), sd.Bdc(model.p))  # an equal model
+    assert len(misses) == 6
+    sd.check_membership(u, _ABOVE, model)  # x above the bound
+    sd.check_membership(u, _ABOVE.shift(1), model)
+    assert len(misses) == 7
+
+
+def test_checks_inspect_no_dataclass_fields(monkeypatch):
+    inspected = counted_calls(monkeypatch, conditions, "fields")
+    specs = ["bdc mr=1 dr=2 mf=1 df=2", "bridc mr=1 dr=2 mf=1 df=2 mur=0 deltar=1 muf=0 deltaf=1",
+             "aic dr=1 df=1", "baidc mr=1 dr=2 mf=1 df=2 deltar=1 deltaf=1", "fixed d=1/3"]
+    for i in range(100):
+        u = StepFunction.from_toggles(i % 2, [F(i, 3), F(i + 5, 2)])  # a fresh input each time
+        sd.check_membership(u, u.shift(F(i % 4, 2)), sd.parse_model(specs[i % len(specs)]))
+    assert inspected == []
 
 
 half = st.integers(0, 8).map(lambda n: F(n, 2))
