@@ -190,14 +190,15 @@ def validate(n: Netlist, inputs: Optional[dict[str, StepFunction]] = None
         if name in n.inits:
             diags.append(f"primary input {name!r} takes its initial value "
                          "from its waveform, not from an init override")
-    for net in n.nets():
+    nets = dict.fromkeys(n.nets())  # in order, with constant-time lookups
+    for net in nets:
         if net not in drivers and net not in n.inputs:
             diags.append(f"net {net!r} has no driver and is not an input")
     for name in n.outputs:
-        if name not in n.nets():
+        if name not in nets:
             diags.append(f"output {name!r} is not a net of the circuit")
     for name in n.inits:
-        if name not in n.nets():
+        if name not in nets:
             diags.append(f"init override on unknown net {name!r}")
 
     _, cycle = _eval_order(n)
@@ -209,7 +210,7 @@ def validate(n: Netlist, inputs: Optional[dict[str, StepFunction]] = None
     resolved, init_diags = _resolve_initials(n, inputs)
     diags.extend(init_diags)
     if inputs is not None and not diags:
-        missing = [name for name in n.nets() if name not in resolved]
+        missing = [name for name in nets if name not in resolved]
         if missing:
             diags.append("initial values cannot be resolved for "
                          + ", ".join(repr(m) for m in missing)
@@ -229,9 +230,7 @@ def _resolve_initials(n: Netlist, inputs: Optional[dict[str, StepFunction]]
     assignments are diagnostics.
     """
     diags: list[str] = []
-    known: dict[str, int] = {}
-    for name, bit in n.inits.items():
-        known[name] = bit
+    known: dict[str, int] = dict(n.inits)
     if inputs is not None:
         for name in n.inputs:
             if name in inputs:

@@ -812,36 +812,23 @@ def transmission_delay(u: StepFunction, x: StepFunction
     """
     if not check_sc(u, x).ok:
         raise ValueError("transmission delay needs the pair to satisfy stability")
-    du, dx = u.derivative().support(), x.derivative().support()
-    t1 = du.intervals[-1].hi if du else Fraction(0)
-    t2 = dx.intervals[-1].hi if dx else Fraction(0)
-    d = max(Fraction(0), t2 - t1)
+    t1 = u.bps[-1] if u.bps else Fraction(0)
+    t2 = x.bps[-1] if x.bps else Fraction(0)
     kind = "unclassified"
-    if du and dx:
-        u_rise = (~u.left_limit() & u).value(t1) == 1
-        x_rise = (~x.left_limit() & x).value(t2) == 1
-        u_fall = (u.left_limit() & ~u).value(t1) == 1
-        x_fall = (x.left_limit() & ~x).value(t2) == 1
-        if u_rise and x_rise:
-            kind = "rising"
-        elif u_fall and x_fall:
-            kind = "falling"
-    return d, kind
+    if u.bps and x.bps:
+        # stability: both last switches go to the one final value
+        kind = "rising" if x.right[-1] else "falling"
+    return max(Fraction(0), t2 - t1), kind
 
 
 def check_constancy(u: StepFunction, x: StepFunction,
                     d_r: RationalLike, d_f: RationalLike) -> CheckReport:
-    """x may rise at t only if u(t-d_r) = 1 and fall only if u(t-d_f) = 0."""
+    """x may rise at t only if u(t-d_r) = 1 and fall only if u(t-d_f) = 0:
+    relative inertia with both memories 0."""
     d_r, d_f = as_time(d_r), as_time(d_f)
     if d_r < 0 or d_f < 0:
         raise ValueError("constancy needs d_r >= 0 and d_f >= 0")
-    as_signal(u), as_signal(x)
-    k = timebase(chain(u.bps, x.bps, (d_r, d_f)))
-    u, x = u._to_ticks(k), x._to_ticks(k)
-    return _in_time(_report([
-        _le(x.rises(), u.shift(_to_ticks(d_r, k)), "rising-anticipation"),
-        _le(x.falls(), ~u.shift(_to_ticks(d_f, k)), "falling-anticipation"),
-    ]), k)
+    return check_membership(u, x, Ric(RicParams(0, d_r, 0, d_f)))
 
 
 # ---------------------------------------------------------------------------

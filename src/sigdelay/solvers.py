@@ -12,7 +12,8 @@ independently and keeps only those the checker accepts.
 ``probe_points`` / ``brute_*`` evaluate signals and sliding windows
 directly from toggle lists, with no interval machinery; the test suite
 uses them to cross-check every exact operation at a dense set of
-instants.
+instants.  Nothing in the library calls them.  They stay here because
+the benchmark's oracle (``bench/oracle.py``) reads them from this module.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .stepfn import (
     _as_offset,
     as_signal,
     as_time,
+    chi,
     window_inf,
 )
 from .conditions import (
@@ -312,59 +314,29 @@ class GridSpec:
         return [i * self.step for i in range(n + 1)]
 
 
-def _extremum_on(f: StepFunction, lo: Fraction, hi: Optional[Fraction],
-                 want_max: bool) -> int:
-    """Max (or min) of f over [lo, hi); hi None means +oo."""
-    probes = [lo]
-    inner = [b for b in f.bps if b > lo and (hi is None or b < hi)]
-    probes += inner
-    walls = [lo] + inner + ([hi] if hi is not None else [inner[-1] + 1 if inner else lo + 1])
-    for a, b in zip(walls, walls[1:]):
-        probes.append((a + b) / 2)
-    if hi is None:
-        probes.append(walls[-1] + 1)
-    vals = [f.value(t) for t in probes]
-    return max(vals) if want_max else min(vals)
+def _forced_cells(u: Optional[StepFunction], model: DelayModel,
+                  points: Sequence[Fraction]) -> Optional[list[Optional[int]]]:
+    """The value x must take on each cell (-oo, p0), [p0, p1), ..., [pn, +oo),
+    None where it is free; None for the list when no solution fits.
 
-
-def _forced_cells(points: Sequence[Fraction],
-                  lower: Optional[StepFunction],
-                  upper: Optional[StepFunction]) -> Optional[list[Optional[int]]]:
-    """Per-cell forced values from a sandwich; None when no solution fits."""
-    cells: list[Optional[int]] = []
-    for i, g in enumerate(points):
-        hi = points[i + 1] if i + 1 < len(points) else None
-        forced: Optional[int] = None
-        if lower is not None and _extremum_on(lower, g, hi, want_max=True) == 1:
-            forced = 1
-        if upper is not None and _extremum_on(upper, g, hi, want_max=False) == 0:
-            if forced == 1:
-                return None
-            forced = 0
-        cells.append(forced)
-    return cells
-
-
-def _oracle_constraints(u: Optional[StepFunction], model: DelayModel,
-                        points: Sequence[Fraction]):
-    """(x0_forced, cells, rise_permit, fall_permit); cells None = infeasible.
-
-    Only necessary conditions of membership prune: the model's sandwich
-    and switch permits.  They never come from solve_dbridc or
+    A cell is forced to 1 where the lower bound of the model's sandwich
+    reaches 1 in it, and to 0 where the upper bound reaches 0.  Only
+    necessary conditions of membership prune: this sandwich and the
+    model's switch permits.  They never come from solve_dbridc or
     solve_sdbridc, so grid uniqueness checks stay independent of them.
     """
-    lower, upper = model.sandwich(u) or (None, None)
-    rise, fall = model.permits(u) or (None, None)
-    x0: Optional[int] = None
-    if lower is not None:
-        if lower.leading == 1:
-            x0 = 1
-        if upper.leading == 0:
-            if x0 == 1:
-                return None, None, None, None
-            x0 = 0
-    cells = _forced_cells(points, lower, upper)
-    return x0, cells, rise, fall
+    bounds = model.sandwich(u)
+    if bounds is None:
+        return [None] * (len(points) + 1)
+    lower, not_upper = bounds[0], ~bounds[1]
+    cells: list[Optional[int]] = []
+    for lo, hi in zip([None, *points], [*points, None]):
+        cell = chi(lo, hi)
+        up, down = (lower & cell)._nonzero(), (cell & not_upper)._nonzero()
+        if up and down:
+            return None
+        cells.append(1 if up else 0 if down else None)
+    return cells
 
 
 class _Enough(Exception):
@@ -390,9 +362,10 @@ def enumerate_grid_solutions(u: Optional[StepFunction], model: DelayModel,
         on_grid = set(points)
         if any(b not in on_grid and b <= grid.horizon for b in u.bps):
             raise ValueError("input breakpoints must lie on the grid")
-    x0_forced, cells, rise, fall = _oracle_constraints(u, model, points)
+    cells = _forced_cells(u, model, points)
     if cells is None:
         return []
+    rise, fall = model.permits(u) or (None, None)
     # may_switch[v][i]: may x switch to v at points[i]; None where no permit limits it
     may_switch = [None if permit is None else [permit.value(g) for g in points]
                   for permit in (fall, rise)]
@@ -415,7 +388,7 @@ def enumerate_grid_solutions(u: Optional[StepFunction], model: DelayModel,
         if i == len(points):
             check(x0, tuple(toggles))
             return
-        forced = cells[i]
+        forced = cells[i + 1]  # cells[0] is (-oo, p0), which forces x0
         for nv in (v, 1 - v):
             if forced is not None and nv != forced:
                 continue
@@ -431,7 +404,7 @@ def enumerate_grid_solutions(u: Optional[StepFunction], model: DelayModel,
             else:
                 extend(i + 1, nv, x0, toggles)
 
-    starts = (x0_forced,) if x0_forced is not None else (0, 1)
+    starts = (cells[0],) if cells[0] is not None else (0, 1)
     try:
         for x0 in starts:
             extend(0, x0, x0, [])

@@ -646,9 +646,6 @@ class StepFunction:
             raise ValueError("toggles are defined for right-continuous functions only")
         return self.bps
 
-    def final_value(self) -> int:
-        return self.limit_at_infinity()
-
 
 # StepFunction refuses attribute assignment; its slots' own setters store
 # its data at half the cost of object.__setattr__

@@ -4,7 +4,9 @@ interval-set operations and the window sweeps of the two inertial delays.
 
 These are the straightforward, quadratic-time versions of
 ``stepfn.indicator``, ``StepFunction._zip``, ``solve_dbridc`` and
-``solve_sdbridc``.  They decide every value by evaluating whole step
+``solve_sdbridc``, followed by the direct formulas of constancy and of
+the transmission delay, which the library derives from relative inertia
+and from the last switches.  They decide every value by evaluating whole step
 functions at probe points (every interval's ``contains`` and
 ``StepFunction.value``/``left_value``/``right_value``), so they share no
 walking logic or event form with the library and serve as its
@@ -19,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from sigdelay.conditions import BdcParams, Dbridc, SdbridcPrime
+from sigdelay.conditions import BdcParams, CheckReport, Dbridc, SdbridcPrime, _le, _report
 from sigdelay.stepfn import Interval, IntervalSet, StepFunction
 
 
@@ -143,3 +145,31 @@ def sweep_sdbridc(u: StepFunction, d) -> StepFunction:
         if (v ^ u.right_value(t)) and quiet.right_value(t):
             raise RuntimeError(f"sweep_sdbridc left a pending switch after t={t}")
     return StepFunction.from_toggles(u.leading, toggles)
+
+
+def anticipation_constancy(u: StepFunction, x: StepFunction,
+                           d_r: Fraction, d_f: Fraction) -> CheckReport:
+    """Constancy by its own two clauses on the Fractions: a rise of x at t
+    needs u(t - d_r) = 1, a fall needs u(t - d_f) = 0."""
+    return _report([_le(x.rises(), u.shift(d_r), "rise-permit"),
+                    _le(x.falls(), ~u.shift(d_f), "fall-permit")])
+
+
+def derivative_transmission_delay(u: StepFunction, x: StepFunction
+                                  ) -> tuple[Fraction, str]:
+    """The transmission delay of a stable pair from the supports of both
+    derivatives, classified by the switch indicators at the last switches."""
+    du, dx = u.derivative().support(), x.derivative().support()
+    t1 = du.intervals[-1].hi if du else Fraction(0)
+    t2 = dx.intervals[-1].hi if dx else Fraction(0)
+    kind = "unclassified"
+    if du and dx:
+        u_rise = (~u.left_limit() & u).value(t1) == 1
+        x_rise = (~x.left_limit() & x).value(t2) == 1
+        u_fall = (u.left_limit() & ~u).value(t1) == 1
+        x_fall = (x.left_limit() & ~x).value(t2) == 1
+        if u_rise and x_rise:
+            kind = "rising"
+        elif u_fall and x_fall:
+            kind = "falling"
+    return max(Fraction(0), t2 - t1), kind

@@ -26,7 +26,7 @@ from sigdelay.cli import main
 from sigdelay.stepfn import StepFunction, chi, window_inf, window_sup
 from sigdelay.stepfn import window_inf_halfopen, window_sup_halfopen
 
-from conftest import rand_signal
+from conftest import counted_calls, rand_signal
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +80,20 @@ def test_deep_not_chain_validates_and_simulates():
     assert validate(n, {"u": u}) == []
     w = simulate(n, {"u": u}, 2)
     assert w.signals["g2999"] == u  # an even number of inversions
+
+
+def test_validate_net_listings_do_not_grow_with_outputs_or_inits(monkeypatch):
+    calls = counted_calls(monkeypatch, Netlist, "nets")
+    bare = not_chain(200, closed=False)
+    bare.outputs = []
+    assert validate(bare, {"u": StepFunction.const(1)}) == []
+    listings = len(calls)
+    named = not_chain(200, closed=False)
+    named.outputs = [f"g{i}" for i in range(200)]
+    named.inits = {f"g{i}": i % 2 for i in range(0, 200, 2)}
+    calls.clear()
+    assert validate(named, {"u": StepFunction.const(1)}) == []
+    assert len(calls) == listings
 
 
 def test_deep_not_ring_is_one_zero_lookback_cycle(tmp_path, capsys):

@@ -14,6 +14,12 @@ from sigdelay.conditions import MODELS, dbridc_form_report
 from sigdelay.stepfn import StepFunction, chi, chi_point, window, window_inf, window_sup
 
 from conftest import brute_check, rand_bdc_params, rand_signal, rand_stepfn
+from reference_kernel import anticipation_constancy, derivative_transmission_delay
+
+# times over denominators 1, 2, 3 and 7, whose points still coincide now and then
+times = st.builds(lambda n, d: F(n, d), st.integers(0, 20), st.sampled_from((1, 2, 3, 7)))
+signals = st.builds(lambda bit, ts: StepFunction.from_toggles(bit, sorted(ts)),
+                    st.integers(0, 1), st.sets(times, max_size=6))
 
 
 # ---------------------------------------------------------------------------
@@ -97,14 +103,46 @@ def test_transmission_delay_never_negative(rng):
         assert d >= 0
 
 
+@settings(max_examples=400, deadline=None)
+@given(signals, signals)
+def test_transmission_delay_matches_the_derivative_formula(u, x):
+    if u.limit_at_infinity() != x.limit_at_infinity():
+        with pytest.raises(ValueError):
+            sd.transmission_delay(u, x)
+        return
+    assert sd.transmission_delay(u, x) == derivative_transmission_delay(u, x)
+
+
 # ---------------------------------------------------------------------------
 # Constancy
 # ---------------------------------------------------------------------------
+
+@st.composite
+def constancy_cases(draw):
+    """(u, x, d_r, d_f); x is often a pure delay of u, which is constant."""
+    u, d_r = draw(signals), draw(times)
+    if draw(st.booleans()):
+        return u, u.shift(d_r), d_r, d_r
+    return u, draw(signals), d_r, draw(times)
+
+
+@settings(max_examples=400, deadline=None)
+@given(constancy_cases())
+def test_constancy_matches_the_anticipation_clauses(case):
+    u, x, d_r, d_f = case
+    # the verdict, and the first violation's time, attainment and clause
+    assert sd.check_constancy(u, x, d_r, d_f) == anticipation_constancy(u, x, d_r, d_f)
+
 
 def test_check_constancy_examples():
     assert sd.check_constancy(chi(0, None), chi(2, None), 2, 0).ok
     rep = sd.check_constancy(StepFunction.const(0), chi(1, 2), 1, 1)
     assert not rep.ok
+    assert rep.first_violation == sd.Violation(F(1), True, "rise-permit")
+    rep = sd.check_constancy(StepFunction.const(1), chi(None, 3), 0, 1)
+    assert rep.first_violation == sd.Violation(F(3), True, "fall-permit")
+    with pytest.raises(ValueError, match="constancy needs"):
+        sd.check_constancy(StepFunction.const(0), StepFunction.const(0), -1, 0)
 
 
 def test_pure_delay_is_constant(rng):

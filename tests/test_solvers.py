@@ -457,22 +457,42 @@ def test_composition_gap_with_degenerate_second_stage():
             assert sd.check_membership(u, z, sd.Bdc(combined)).ok
 
 
+# one consistent spec per registered model, for the unpruned reference
+_ENUM_SPECS = {
+    "sc": "sc",
+    "fixed": "fixed d=0",
+    "bdc": "bdc mr=1 dr=2 mf=1 df=2",
+    "bdcprime": "bdcprime dr=1 df=2",
+    "wand": "wand m=1 d=2",
+    "wor": "wor m=0 d=1",
+    "aic": "aic dr=1 df=2",
+    "aicprime": "aicprime dr=1 df=1",
+    "ric": "ric mur=0 deltar=1 muf=1 deltaf=2",
+    "ricprime": "ricprime mur=0 deltar=1 muf=0 deltaf=2",
+    "baidc": "baidc mr=1 dr=2 mf=1 df=2 deltar=1 deltaf=1",
+    "bridc": "bridc mr=2 dr=2 mf=2 df=2 mur=1 deltar=1 muf=1 deltaf=1",
+    "dbridc": "dbridc mr=1 dr=2 mf=1 df=2",
+    "sdbridc": "sdbridc d=1",
+}
+
+
 def test_enumerate_against_unpruned_reference(rng):
     # tiny instances: compare with a raw generate-and-test sweep
     grid = GridSpec(F(1), 3, 3)
-    pts = grid.points()
+    cases = []
     for _ in range(12):
         u = rand_signal(rng, n_max=2, denom=1, span=3)
-        p = rand_bdc_params(rng, denom=1, top=3)
-        model = sd.Bdc(p)
+        cases.append((u, sd.Bdc(rand_bdc_params(rng, denom=1, top=3))))
+    assert set(_ENUM_SPECS) == set(conditions.MODELS)
+    inputs = [StepFunction.from_toggles(u0, ts) for u0 in (0, 1)
+              for k in range(3) for ts in itertools.combinations((0, 1, 2), k)]
+    for spec in _ENUM_SPECS.values():
+        model = sd.parse_model(spec)
+        model.require_consistent()
+        cases += [(u, model) for u in inputs]
+    family = _grid_family(grid)
+    for u, model in cases:
         got = enumerate_grid_solutions(u, model, grid)
-        raw = []
-        import itertools
-        for x0 in (0, 1):
-            for k in range(0, grid.max_toggles + 1):
-                for combo in itertools.combinations(pts, k):
-                    x = StepFunction.from_toggles(x0, combo)
-                    if sd.check_membership(u, x, model).ok and x not in raw:
-                        raw.append(x)
-        assert set(got) == set(raw)
+        raw = {x for x in family if sd.check_membership(u, x, model).ok}
+        assert set(got) == raw, (sd.format_model(model), u)
         assert got == sorted(got, key=lambda s: (s.leading, s.bps))
