@@ -37,7 +37,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import reduce
 from itertools import chain
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Collection, NamedTuple, Optional
 
 from .stepfn import (RationalLike, StepFunction, _to_ticks, _to_time, as_time,
                      format_time, timebase)
@@ -201,13 +201,13 @@ def validate(n: Netlist, inputs: Optional[dict[str, StepFunction]] = None
         if name not in nets:
             diags.append(f"init override on unknown net {name!r}")
 
-    _, cycle = _eval_order(n)
+    _, cycle = _eval_order(n, nets)
     if cycle is not None:
         diags.append("zero-lookback cycle: " + " -> ".join(cycle))
 
     if diags:
         return diags
-    resolved, init_diags = _resolve_initials(n, inputs)
+    resolved, init_diags = _resolve_initials(n, inputs, nets)
     diags.extend(init_diags)
     if inputs is not None and not diags:
         missing = [name for name in nets if name not in resolved]
@@ -218,9 +218,9 @@ def validate(n: Netlist, inputs: Optional[dict[str, StepFunction]] = None
     return diags
 
 
-def _resolve_initials(n: Netlist, inputs: Optional[dict[str, StepFunction]]
-                      ) -> tuple[dict[str, int], list[str]]:
-    """Initial (t < 0) value of every net.
+def _resolve_initials(n: Netlist, inputs: Optional[dict[str, StepFunction]],
+                      nets: Collection[str]) -> tuple[dict[str, int], list[str]]:
+    """Initial (t < 0) value of every net of ``nets``, the nets of n.
 
     Gate outputs default to their function of the input initials and may
     be overridden freely; a delay output always equals its input's
@@ -267,7 +267,7 @@ def _resolve_initials(n: Netlist, inputs: Optional[dict[str, StepFunction]]
                     known[g.out] = val
                     changed = True
 
-    unknown = [net for net in n.nets() if net not in known]
+    unknown = [net for net in nets if net not in known]
     if inputs is None or not unknown:
         return known, diags
     if len(unknown) > 16:
@@ -313,10 +313,10 @@ def _clamped_gate(kind: str, ins: list[StepFunction], y0: int) -> StepFunction:
     return _gate_signal(kind, ins).truncate_before(0, y0)
 
 
-def _eval_order(n: Netlist) -> tuple[list[str], Optional[list[str]]]:
-    """Topological order of the zero-lookback graph (Kahn, first in first
-    out) and, when some nets cannot be ordered, one cycle through them."""
-    nets = n.nets()
+def _eval_order(n: Netlist, nets: Collection[str]) -> tuple[list[str], Optional[list[str]]]:
+    """Topological order of the zero-lookback graph on ``nets``, the nets of
+    n (Kahn, first in first out) and, when some nets cannot be ordered,
+    one cycle through them."""
     edges = [(src, g.out) for g in n.gates for src in g.ins]
     edges += [(d.src, d.out) for d in n.delays if d.model.zero_lookback()]
     preds: dict[str, list[str]] = {net: [] for net in nets}
@@ -379,13 +379,14 @@ def simulate(n: Netlist, inputs: dict[str, StepFunction],
     for name in n.inputs:
         if not inputs[name].is_signal():
             raise ValidationError([f"input waveform {name!r} is not a signal"])
-    init, _ = _resolve_initials(n, inputs)
+    nets = n.nets()
+    init, _ = _resolve_initials(n, inputs, nets)
     ins = {name: inputs[name].truncate(h) for name in n.inputs}
     k = timebase(chain([h], *(f.bps for f in ins.values()),
                        *(d.model._parameters() for d in n.delays)))
     ht = _to_ticks(h, k)
 
-    order = _eval_order(n)[0]
+    order = _eval_order(n, nets)[0]
     rank = {net: i for i, net in enumerate(order)}
     value = dict(init)
     switches: dict[str, list] = {net: [] for net in order}  # in ticks
@@ -441,7 +442,7 @@ def simulate(n: Netlist, inputs: dict[str, StepFunction],
                 if s is not None and s <= ht:
                     heapq.heappush(queue, (s, rank[out], out))
 
-    signals = {net: StepFunction._from_toggles(init[net], switches[net]) for net in n.nets()}
+    signals = {net: StepFunction._from_toggles(init[net], switches[net]) for net in nets}
     report = check_trace_conformance(n, models, WaveformSet(signals, ht))
     if not report.ok:
         raise RuntimeError(f"simulation fails self-check: {_in_time(report, k)}")

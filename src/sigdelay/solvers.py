@@ -2,11 +2,13 @@
 
 Deterministic conditions get direct solvers (a translation, a window
 evaluation, or an event form).  Nondeterministic conditions are
-represented three ways: exact extremal members, a constructive sampler
-built on the representation  x = lower or (free . upper),  and
-exhaustive enumeration of all grid-toggle candidates filtered through
-the membership checkers.  The enumeration doubles as the oracle for
-set-level claims (uniqueness, composition): it generates candidates
+represented four ways: exact extremal members, a constructive sampler
+built on the representation  x = lower or (free . upper),  the exact
+switch-window witness of the bounded family (its earliest schedule,
+with strict bounds counted as infinitesimals and realised in one pass),
+and exhaustive enumeration of all grid-toggle candidates filtered
+through the membership checkers.  The enumeration doubles as the oracle
+for set-level claims (uniqueness, composition): it generates candidates
 independently and keeps only those the checker accepts.
 
 ``probe_points`` / ``brute_*`` evaluate signals and sliding windows
@@ -30,7 +32,6 @@ from .stepfn import (
     as_signal,
     as_time,
     chi,
-    window_inf,
 )
 from .conditions import (
     Bdc,
@@ -151,23 +152,18 @@ def forced_switch_windows(u: StepFunction, p: BdcParams) -> list[SwitchWindow]:
     return windows
 
 
-def _earliest_in(sets: IntervalSet, bound: Fraction, bound_strict: bool
-                 ) -> Optional[tuple[Fraction, bool]]:
-    """Infimum of {t in sets : t >= bound (or > if strict)} as
-    (value, attained); None when that set is empty."""
+def _earliest_in(sets: IntervalSet, bound: tuple[Fraction, int]
+                 ) -> Optional[tuple[Fraction, int]]:
+    """The earliest time of ``sets`` at or after ``bound``; None when there is
+    none.  A time (v, k) stands for v + k*eps with an infinitesimal eps > 0,
+    so an open lower end lo gives (lo, 1)."""
+    v, k = bound
     for iv in sets.intervals:
-        if iv.lo is None or bound > iv.lo:
-            t, attained = bound, not bound_strict
-        elif bound == iv.lo:
-            t, attained = bound, not bound_strict and iv.lo_closed
-        else:
-            t, attained = iv.lo, iv.lo_closed
-        if iv.hi is not None:
-            if t > iv.hi:
-                continue
-            if t == iv.hi and not (attained and iv.hi_closed):
-                continue
-        return t, attained
+        t = bound
+        if iv.lo is not None and v <= iv.lo:
+            t = (iv.lo, (k if v == iv.lo else 0) or int(not iv.lo_closed))
+        if iv.hi is None or t[0] < iv.hi or (t == (iv.hi, 0) and iv.hi_closed):
+            return t
     return None
 
 
@@ -185,92 +181,63 @@ def alternating_witness(u: StepFunction, model: DelayModel
     switch inside the k-th window (and permit set), above the propagated
     bound -- the hold constraints apply to all later opposite switches,
     so intermediate extra switches cannot relax the chain.
+
+    The chain is the earliest schedule of the windows, each time kept as
+    v + k*eps for an infinitesimal eps > 0: a strict bound (t + gap, or
+    the next switch after t) adds 1 to k, and a bound raised to a
+    window's lower end resets k to 0.  It is realised once with
+    eps = delta / (n + 1), where delta is the least distance between the
+    distinct rationals the pass compared and n the chain length: since
+    k <= n, each time lies in [v, v + delta) and every comparison keeps
+    its outcome.  The member test then runs once on that realisation.
     """
     if not isinstance(model, _Bounded):
         raise TypeError(f"alternating_witness does not handle {format_model(model)!r}")
     gaps = {"rise": model.a.delta_r, "fall": model.a.delta_f} if model.hold else None
     permits = model.permits(u)
+    compared = {Fraction(0)}
     if permits is not None:
         permits = {"rise": permits[0].support(), "fall": permits[1].support()}
-
-    side = model._input_side(u)
-
-    def member(x: StepFunction) -> bool:
-        # clause by clause without the consistency gate: this judges one input
-        return not any(vset for vset, _ in model._judge(side, x))
-
-    windows = forced_switch_windows(u, model.p)
-    if not windows:
-        x = StepFunction.const(u.leading)
-        return x if member(x) else None
-
-    def propagate(realize_margin: Optional[Fraction]) -> Optional[list[Fraction]]:
-        """Infima chain; with a margin, also pick concrete times."""
-        times: list[Fraction] = []
-        bound, strict = Fraction(0), False
-        for w in windows:
-            if bound < w.lo:
-                bound, strict = w.lo, False
-            if permits is not None:
-                hit = _earliest_in(permits[w.kind], bound, strict)
-                if hit is None:
-                    return None
-                t, attained = hit
-            else:
-                t, attained = bound, not strict
-            if t > w.hi or (t == w.hi and not attained):
-                return None
-            if realize_margin is not None and not attained:
-                t = t + realize_margin
-                if t > w.hi:
-                    return None
-                if permits is not None and not permits[w.kind].contains(t):
-                    return None
-            times.append(t)
-            gap = gaps[w.kind] if gaps else Fraction(0)
-            bound, strict = t + gap, True
-        return times
-
-    if propagate(None) is None:
-        return None
-    # feasible: realize with a concrete margin at unattained infima
-    span = max(w.hi for w in windows) + 1
-    margin = span  # shrink geometrically until a verified pick exists
-    for _ in range(64):
-        margin = margin / 2
-        times = propagate(margin)
-        if times is None:
-            continue
-        x = StepFunction.from_toggles(u.leading, times)
-        if member(x):
-            return x
-    return None
+        compared.update(end for s in permits.values() for iv in s.intervals
+                        for end in (iv.lo, iv.hi) if end is not None)
+    chain: list[tuple[Fraction, int]] = []
+    bound = (Fraction(0), 0)
+    for w in forced_switch_windows(u, model.p):
+        compared.update((w.lo, w.hi, bound[0]))
+        if bound[0] < w.lo:
+            bound = (w.lo, 0)
+        t = bound if permits is None else _earliest_in(permits[w.kind], bound)
+        if t is None or t[0] > w.hi or (t[0] == w.hi and t[1]):
+            return None
+        chain.append(t)
+        compared.add(t[0])
+        bound = (t[0] + (gaps[w.kind] if gaps else 0), t[1] + 1)
+    ends = sorted(compared)
+    delta = min((b - a for a, b in zip(ends, ends[1:])), default=Fraction(1))
+    eps = delta / (len(chain) + 1)
+    x = StepFunction.from_toggles(u.leading, [v + k * eps for v, k in chain])
+    # clause by clause without the consistency gate: this judges one input
+    return None if any(vset for vset, _ in model._judge(model._input_side(u), x)) else x
 
 
 def sample_bridc(u: StepFunction, p: BdcParams, r: RicParams,
                  free: StepFunction, retries: int = 8) -> StepFunction:
     """A verified member of the bounded relative inertial delay.
 
-    Tries the deterministic sweep, then bounded-delay samples driven by
-    the free signal, then switch-window propagation; every candidate is
-    filtered through the checker, and exhaustion raises instead of
-    returning an unverified trace.
+    Tries three candidates, each filtered through the checker and each
+    counted against ``retries``: the deterministic sweep, the bounded-delay
+    sample driven by the free signal, then the exact switch-window witness.
+    Exhaustion raises instead of returning an unverified trace, and its
+    message says whether the budget ran out before the witness was tried
+    or the witness found no member.
     """
     model = Bridc(p, r)
     model.require_consistent()
     as_signal(u), as_signal(free)
 
-    def verified(x: Optional[StepFunction]) -> Optional[StepFunction]:
-        if x is None:
-            return None
-        return x if check_membership(u, x, model).ok else None
-
     candidates: list[Callable[[], Optional[StepFunction]]] = [
         lambda: solve_dbridc(u, p),
         lambda: sample_bdc(u, p, free),
-        lambda: sample_bdc(u, p, StepFunction.const(0)),
-        lambda: sample_bdc(u, p, StepFunction.const(1)),
-        lambda: sample_bdc(u, p, free & window_inf(u, r.delta_r, r.mu_r)),
         lambda: alternating_witness(u, model),
     ]
     tried = 0
@@ -279,13 +246,15 @@ def sample_bridc(u: StepFunction, p: BdcParams, r: RicParams,
             break
         tried += 1
         try:
-            x = verified(make())
+            x = make()
+            if x is not None and check_membership(u, x, model).ok:
+                return x
         except (ValueError, TypeError):
-            continue
-        if x is not None:
-            return x
+            pass
+    why = ("the switch-window witness found no member" if tried == len(candidates)
+           else "the attempt budget ran out before the switch-window witness was tried")
     raise SampleRetryError(
-        f"no verified member found in {tried} attempts for {format_model(model)!r}")
+        f"no verified member found in {tried} attempts for {format_model(model)!r}: {why}")
 
 
 # ---------------------------------------------------------------------------

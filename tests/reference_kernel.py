@@ -6,7 +6,9 @@ These are the straightforward, quadratic-time versions of
 ``stepfn.indicator``, ``StepFunction._zip``, ``solve_dbridc`` and
 ``solve_sdbridc``, followed by the direct formulas of constancy and of
 the transmission delay, which the library derives from relative inertia
-and from the last switches.  They decide every value by evaluating whole step
+and from the last switches, and by the switch-window witness that
+searches for a member by halving a margin where the library realises
+its chain once.  They decide every value by evaluating whole step
 functions at probe points (every interval's ``contains`` and
 ``StepFunction.value``/``left_value``/``right_value``), so they share no
 walking logic or event form with the library and serve as its
@@ -21,7 +23,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from sigdelay.conditions import BdcParams, CheckReport, Dbridc, SdbridcPrime, _le, _report
+from sigdelay.conditions import (BdcParams, CheckReport, Dbridc, DelayModel, SdbridcPrime,
+                                 _le, _report)
+from sigdelay.solvers import forced_switch_windows
 from sigdelay.stepfn import Interval, IntervalSet, StepFunction
 
 
@@ -173,3 +177,81 @@ def derivative_transmission_delay(u: StepFunction, x: StepFunction
         elif u_fall and x_fall:
             kind = "falling"
     return max(Fraction(0), t2 - t1), kind
+
+
+def flagged_earliest_in(sets: IntervalSet, bound: Fraction, bound_strict: bool
+                        ) -> Optional[tuple[Fraction, bool]]:
+    """Infimum of {t in sets : t >= bound (or > if strict)} as
+    (value, attained); None when that set is empty."""
+    for iv in sets.intervals:
+        if iv.lo is None or bound > iv.lo:
+            t, attained = bound, not bound_strict
+        elif bound == iv.lo:
+            t, attained = bound, not bound_strict and iv.lo_closed
+        else:
+            t, attained = iv.lo, iv.lo_closed
+        if iv.hi is not None:
+            if t > iv.hi:
+                continue
+            if t == iv.hi and not (attained and iv.hi_closed):
+                continue
+        return t, attained
+    return None
+
+
+def margin_witness(u: StepFunction, model: DelayModel) -> Optional[StepFunction]:
+    """The switch-window witness by search: propagate the chain of infima
+    with strictness flags, then realise it by adding a margin at every
+    unattained infimum, halving the margin up to 64 times until the pick
+    is a member by the model's clauses; None when none is found."""
+    gaps = {"rise": model.a.delta_r, "fall": model.a.delta_f} if model.hold else None
+    permits = model.permits(u)
+    if permits is not None:
+        permits = {"rise": permits[0].support(), "fall": permits[1].support()}
+
+    def member(x: StepFunction) -> bool:
+        return not any(vset for vset, _ in model.clauses(u, x))
+
+    windows = forced_switch_windows(u, model.p)
+    if not windows:
+        x = StepFunction.const(u.leading)
+        return x if member(x) else None
+
+    def propagate(realize_margin: Optional[Fraction]) -> Optional[list[Fraction]]:
+        times: list[Fraction] = []
+        bound, strict = Fraction(0), False
+        for w in windows:
+            if bound < w.lo:
+                bound, strict = w.lo, False
+            if permits is not None:
+                hit = flagged_earliest_in(permits[w.kind], bound, strict)
+                if hit is None:
+                    return None
+                t, attained = hit
+            else:
+                t, attained = bound, not strict
+            if t > w.hi or (t == w.hi and not attained):
+                return None
+            if realize_margin is not None and not attained:
+                t = t + realize_margin
+                if t > w.hi:
+                    return None
+                if permits is not None and not permits[w.kind].contains(t):
+                    return None
+            times.append(t)
+            gap = gaps[w.kind] if gaps else Fraction(0)
+            bound, strict = t + gap, True
+        return times
+
+    if propagate(None) is None:
+        return None
+    margin = max(w.hi for w in windows) + 1
+    for _ in range(64):
+        margin = margin / 2
+        times = propagate(margin)
+        if times is None:
+            continue
+        x = StepFunction.from_toggles(u.leading, times)
+        if member(x):
+            return x
+    return None

@@ -65,7 +65,8 @@ def relax(n, inputs, horizon) -> WaveformSet:
     diags = validate(n, inputs)
     if diags:
         raise ValidationError(diags)
-    init, _ = _resolve_initials(n, inputs)
+    nets = n.nets()
+    init, _ = _resolve_initials(n, inputs, nets)
 
     current: dict[str, StepFunction] = {}
     for name in n.inputs:
@@ -73,13 +74,13 @@ def relax(n, inputs, horizon) -> WaveformSet:
         if not sig.is_signal():
             raise ValidationError([f"input waveform {name!r} is not a signal"])
         current[name] = sig.truncate(h)
-    for net in n.nets():
+    for net in nets:
         if net not in current:
             current[net] = StepFunction.const(init[net])
 
     gate_by_out = {g.out: g for g in n.gates}
     delay_by_out = {d.out: d for d in n.delays}
-    order = [net for net in _eval_order(n)[0] if net not in n.inputs]
+    order = [net for net in _eval_order(n, nets)[0] if net not in n.inputs]
 
     for _ in range(MAX_ROUNDS):
         changed = False
@@ -100,7 +101,7 @@ def relax(n, inputs, horizon) -> WaveformSet:
         raise RuntimeError("reference relaxation did not converge")
 
     over = [(current[net].bps[n.event_budget], rank, net)
-            for rank, net in enumerate(_eval_order(n)[0])
+            for rank, net in enumerate(_eval_order(n, nets)[0])
             if net not in n.inputs and len(current[net].bps) > n.event_budget]
     if over:
         t, _, net = min(over)

@@ -96,6 +96,14 @@ def test_validate_net_listings_do_not_grow_with_outputs_or_inits(monkeypatch):
     assert len(calls) == listings
 
 
+def test_simulate_lists_the_nets_once_per_stage(monkeypatch):
+    # validate, simulate and the conformance self-check list them once each
+    calls = counted_calls(monkeypatch, Netlist, "nets")
+    u = StepFunction.from_toggles(0, [1, 3])
+    simulate(builtin("c-element"), {"u": u, "v": u}, 12)
+    assert len(calls) == 3
+
+
 def test_deep_not_ring_is_one_zero_lookback_cycle(tmp_path, capsys):
     n = not_chain(3000, closed=True)
     cycles = [d for d in validate(n) if "zero-lookback cycle" in d]

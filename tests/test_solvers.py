@@ -25,6 +25,7 @@ from sigdelay.solvers import (
 from sigdelay.stepfn import StepFunction, chi, window, window_inf, window_sup
 
 from conftest import brute_check, counted_calls, rand_bdc_params, rand_signal
+from reference_kernel import margin_witness
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +247,61 @@ def test_alternating_witness_decides_inconsistent_parameters(rng):
     assert True in outcomes and False in outcomes
 
 
+def _rand_bounded_model(rng, denom):
+    """Bdc, Baidc, Bridc or Dbridc on times over ``denom``, consistent or not."""
+    def t(top):
+        return F(rng.randrange(0, top * denom + 1), denom)
+    m_r, m_f = t(2), t(2)
+    p = sd.BdcParams(m_r, m_r + t(3), m_f, m_f + t(3))
+    kind = rng.randrange(4)
+    if kind == 1:
+        return sd.Baidc(p, sd.AicParams(t(2), t(2)))
+    if kind == 2:
+        mu_r, mu_f = t(2), t(2)
+        r = sd.RicParams(min(p.m_r, mu_r), p.d_r, min(p.m_f, mu_f), p.d_f) \
+            if rng.randrange(2) else sd.RicParams(mu_r, mu_r + t(2), mu_f, mu_f + t(2))
+        return sd.Bridc(p, r)
+    return sd.Dbridc(p) if kind == 3 else sd.Bdc(p)
+
+
+def test_alternating_witness_against_the_margin_search(monkeypatch):
+    """The one-pass witness decides as the margin search does, its members
+    pass both the clauses and the probes, and it judges at most once."""
+    judged = [counted_calls(monkeypatch, conditions._Model, "_judge"),
+              counted_calls(monkeypatch, conditions.Dbridc, "_judge")]
+    rng = random.Random(20261018)
+    found = consistent = 0
+    for _ in range(2000):
+        denom = rng.randint(1, 4)
+        model = _rand_bounded_model(rng, denom)
+        u = rand_signal(rng, n_max=4, denom=denom, span=6 * denom)
+        before = sum(map(len, judged))
+        witness = alternating_witness(u, model)
+        assert sum(map(len, judged)) - before <= 1
+        assert (witness is None) == (margin_witness(u, model) is None), (u, model)
+        if witness is not None:
+            assert _clause_member(u, witness, model), (u, model, witness)
+            assert brute_check(u, witness, model), (u, model, witness)
+            found += 1
+        consistent += model.consistency()[1]
+    assert 0 < found < 2000 and 0 < consistent < 2000
+
+
+def test_alternating_witness_realises_an_infinitesimal_chain():
+    # the hold gaps push each bound past its window's lower end, so the chain
+    # of earliest times is 2, 11/2 + eps, 17/2 + 2 eps
+    p, a = sd.BdcParams(1, 3, 1, 3), sd.AicParams(F(7, 2), 3)
+    u = StepFunction.from_toggles(0, [0, 3, 6])
+    model = sd.Baidc(p, a)
+    assert [(w.lo, w.hi) for w in forced_switch_windows(u, p)] == [(2, 3), (5, 6), (8, 9)]
+    x = alternating_witness(u, model)
+    chain = [F(2), F(11, 2), F(17, 2)]
+    delta = F(1, 2)  # the least distance between 0, 2, 3, 5, 11/2, 6, 8, 17/2 and 9
+    assert len(x.bps) == 3 and all(v <= t < v + delta for v, t in zip(chain, x.bps))
+    assert x.bps[0] == chain[0] and 0 < x.bps[1] - chain[1] < x.bps[2] - chain[2]
+    assert _clause_member(u, x, model) and brute_check(u, x, model)
+
+
 def test_alternating_witness_of_dbridc_is_its_solution(rng):
     for _ in range(40):
         p = rand_bdc_params(rng)
@@ -279,18 +335,56 @@ def test_sample_bridc_shared_params_is_solver(rng):
         assert x == solve_dbridc(u, p)
 
 
+# the sweep and the sample of the free signal chi(1, None) both fail here
+_HARD_P = sd.BdcParams(F(3, 2), 2, F(3, 2), 3)
+_HARD_R = sd.RicParams(F(3, 2), F(3, 2), F(3, 2), F(5, 2))
+_HARD_U = StepFunction.from_toggles(0, [F(3, 2), F(5, 2), F(7, 2), F(11, 2)])
+
+
 def test_sample_bridc_builds_the_input_side_once(monkeypatch):
-    # every candidate fails until the switch-window witness, the sixth
+    # both candidates fail until the switch-window witness, the third
     sides = counted_calls(monkeypatch, conditions._Model, "_input_side")
     misses = counted_calls(monkeypatch, conditions, "_in_ticks")
     checks = counted_calls(monkeypatch, solvers, "check_membership")
-    p = sd.BdcParams(F(3, 2), 2, F(3, 2), 3)
-    r = sd.RicParams(F(3, 2), F(3, 2), F(3, 2), F(5, 2))
-    u = StepFunction.from_toggles(0, [F(3, 2), F(5, 2), F(7, 2), F(11, 2)])
-    x = sample_bridc(u, p, r, chi(1, None))
-    assert len(checks) == 6 and len(misses) == 1
+    x = sample_bridc(_HARD_U, _HARD_P, _HARD_R, chi(1, None))
+    assert len(checks) == 3 and len(misses) == 1
     assert len(sides) == 2  # the checks' in ticks, the witness's on the Fractions
-    assert brute_check(u, x, sd.Bridc(p, r))
+    assert brute_check(_HARD_U, x, sd.Bridc(_HARD_P, _HARD_R))
+
+
+@pytest.mark.parametrize("retries, witness, why", [
+    (2, None, "the attempt budget ran out before the switch-window witness was tried"),
+    (8, lambda u, model: None, "the switch-window witness found no member")])
+def test_sample_bridc_exhaustion_says_why(monkeypatch, retries, witness, why):
+    if witness is not None:
+        monkeypatch.setattr(solvers, "alternating_witness", witness)
+    witnesses = counted_calls(monkeypatch, solvers, "alternating_witness")
+    with pytest.raises(SampleRetryError) as info:
+        sample_bridc(_HARD_U, _HARD_P, _HARD_R, chi(1, None), retries=retries)
+    assert str(info.value).endswith(why)
+    assert len(witnesses) == (retries > 2)
+
+
+def test_sample_bridc_never_exhausts_on_consistent_models(monkeypatch):
+    witnesses = counted_calls(monkeypatch, solvers, "alternating_witness")
+    rng = random.Random(20261018)
+    drawn = 0
+    while drawn < 300:
+        denom = rng.choice((1, 2, 3))
+        p = rand_bdc_params(rng, denom=denom)
+        mu_r, mu_f = (F(rng.randrange(0, 3), denom) for _ in range(2))
+        if rng.random() < 0.5:
+            r = sd.RicParams(mu_r, mu_r + F(rng.randrange(0, 5), denom),
+                             mu_f, mu_f + F(rng.randrange(0, 5), denom))
+        else:
+            r = sd.RicParams(min(p.m_r, mu_r), p.d_r, min(p.m_f, mu_f), p.d_f)
+        if not sd.cc_bridc(p, r)[0]:
+            continue
+        drawn += 1
+        u, free = rand_signal(rng, denom=denom), rand_signal(rng, denom=denom)
+        x = sample_bridc(u, p, r, free)  # raises SampleRetryError on exhaustion
+        assert sd.check_membership(u, x, sd.Bridc(p, r)).ok
+    assert witnesses  # some draws get past both other candidates
 
 
 def test_sample_bridc_rejects_inconsistent():
