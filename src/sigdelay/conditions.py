@@ -10,12 +10,13 @@ one, with a flag saying whether it is attained.  Each check runs on
 integer ticks over the timebase of its signals, parameters and horizon
 (``stepfn.timebase``) and reports its times as Fractions.
 
-Each model judges a trace in two stages: ``_input_side(u)`` builds what
-its clauses need from the input alone (window bounds, switch permits,
-the closed-form solution), and ``_judge(side, x)`` builds the clauses
-from that and the output.  ``check_membership`` keeps the input side of
-its last call, so a caller that checks many outputs against one input
-and one model (grid enumeration, the sampler) builds it once.
+Each model judges a trace in two stages: ``_input_side(u)`` builds the
+triple ``(sandwich, permits, own)`` from the input alone (the bounds
+lower <= x <= upper, the rise and fall permits, and whatever else its
+clauses need; None where it has none), and ``_judge(side, x)`` the
+clauses from that and the output.  Input windows are built there only:
+the checker, the grid pruning and the switch-window witness read them
+from a side, and ``_input_stage`` keeps the last one it built.
 
 Consistency predicates (cc_*) are the closed-form parameter
 inequalities equivalent to "a solution exists for every input".  A
@@ -31,7 +32,7 @@ from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from itertools import chain
 from operator import attrgetter
-from typing import Callable, ClassVar, Optional, Union, get_args
+from typing import Callable, ClassVar, Optional, Sequence, Union, get_args
 
 from .stepfn import (
     Interval,
@@ -43,7 +44,6 @@ from .stepfn import (
     _to_time,
     as_signal,
     as_time,
-    chi,
     format_time,
     timebase,
     window,
@@ -136,13 +136,13 @@ class _Model:
     both are None for a model that does not determine its output.
 
     ``clauses(u, x)`` is ``_judge(_input_side(u), x)``: the input stage
-    builds everything that depends on u alone, the output stage the
-    clause list.  By default they are built from up to three declared
-    parts, in this order: the ``sandwich`` lower <= x <= upper, the switch
-    ``permits``, and the hold windows on the ``AicParams`` field ``a``
-    when ``hold`` is set (True: closed windows [t, t+delta]; False:
-    half-open [t, t+delta)).  A model whose clauses take another shape
-    overrides both stages.
+    builds the triple ``(sandwich, permits, own)`` from u alone, the output
+    stage the clause list.  By default the side holds the declared
+    ``sandwich`` lower <= x <= upper and switch ``permits`` (own None), and
+    the clauses come from them, then from the hold windows on the
+    ``AicParams`` field ``a`` when ``hold`` is set (True: closed windows
+    [t, t+delta]; False: half-open [t, t+delta)).  A model whose clauses
+    take another shape overrides both stages, keeping what it has of both.
     """
 
     keyword: ClassVar[str]
@@ -180,12 +180,12 @@ class _Model:
         return self._judge(self._input_side(u), x)
 
     def _input_side(self, u: Optional[StepFunction]):
-        """What the clauses need from the input alone."""
-        return self.sandwich(u), self.permits(u)
+        """What the clauses need from the input alone: (sandwich, permits, own)."""
+        return self.sandwich(u), self.permits(u), None
 
     def _judge(self, side, x: StepFunction) -> list[tuple[IntervalSet, str]]:
         """The clauses of the output x, given the input side ``side``."""
-        bounds, permits = side
+        bounds, permits, _ = side
         out = []
         if bounds is not None:
             out += [_le(bounds[0], x, "lower-bound"), _le(x, bounds[1], "upper-bound")]
@@ -213,15 +213,12 @@ class _Formula(_Model):
 
     clause: ClassVar[str]
 
-    def sandwich(self, u):
-        x = self.solve(u)
-        return x, x
-
     def _input_side(self, u):
-        return self.solve(u)
+        x = self.solve(u)
+        return (x, x), None, None
 
     def _judge(self, side, x):
-        return [_eq(x, side, self.clause)]
+        return [_eq(x, side[0][0], self.clause)]
 
 
 class _Driven(_Model):
@@ -341,10 +338,10 @@ class Sc(_Model):
     keyword = "sc"
 
     def _input_side(self, u):
-        return u.limit_at_infinity(), u.bps[-1:]  # the final value and the last switch
+        return None, None, (u.limit_at_infinity(), u.bps[-1:])  # final value, last switch
 
     def _judge(self, side, x):
-        final, last = side
+        final, last = side[2]
         if final == x.limit_at_infinity():
             return [(IntervalSet(), "final-value")]
         settle = max([Fraction(0), *last, *x.bps[-1:]])
@@ -543,15 +540,16 @@ class Dbridc(_Bounded, _Driven):
     keys = ("mr", "dr", "mf", "df")
 
     def permits(self, u):
-        p = self.p  # not sandwich(u)[0], which would also build the unused upper window
-        return window_inf(u, p.d_r, p.m_r), window_inf(~u, p.d_f, p.m_f)
+        return self._input_side(u)[1]
 
     def _input_side(self, u):
-        return self.permits(u)
+        a, upper = self.sandwich(u)
+        # the fall permit: window_inf(~u, d_f, m_f) is ~window_sup(u, d_f, m_f)
+        return (a, upper), (a, ~upper), None
 
     def _judge(self, side, x):
         # equality form: a switch happens exactly when the shared window demands
-        a, b0 = side
+        a, b0 = side[1]
         xl = x.left_limit()
         return [_eq(~xl & x, ~xl & a, "rise-equality"),
                 _eq(xl & ~x, xl & b0, "fall-equality")]
@@ -579,8 +577,9 @@ class SdbridcPrime(_Driven):
             raise ValueError("SDBRIDC' needs d > 0")
 
     def sandwich(self, u):
-        before = chi(None, 0)  # before time 0 the output equals the input
-        return u & before, u | ~before
+        # before time 0 the output equals the input, and from 0 on it is free
+        held, flip = (StepFunction._from_toggles(u.leading, ts) for ts in ((), (0,)))
+        return (flip, held) if u.leading else (held, flip)
 
     def quiet(self, u: StepFunction) -> StepFunction:
         """Where the open lookback window (t-d, t) holds no input switch."""
@@ -588,10 +587,10 @@ class SdbridcPrime(_Driven):
                        include_start=False, include_end=False)
 
     def _input_side(self, u):
-        return u.left_limit(), self.quiet(u)
+        return self.sandwich(u), None, (u.left_limit(), self.quiet(u))
 
     def _judge(self, side, x):
-        u_left, quiet = side
+        u_left, quiet = side[2]
         rhs = (x.left_limit() ^ u_left) & quiet
         return [_eq(x.derivative(), rhs, "derivative-equation")]
 
@@ -879,9 +878,8 @@ def _form_report(u: StepFunction, x: StepFunction, model: Dbridc, form: str) -> 
     raise ValueError(f"unknown form {form!r}; expected one of a, b, e, f, g")
 
 
-# The input side of the last ``check_membership`` call:
-# (u, model, horizon, k, model in ticks, u in ticks, ``_input_side`` of u in ticks).
-_last_input: tuple = (None,) * 7
+# The last ``_input_stage``: (u, model, horizon, k, model in ticks, input side in ticks).
+_last_input: tuple = (None,) * 6
 
 
 def check_membership(u: Optional[StepFunction], x: StepFunction,
@@ -897,46 +895,49 @@ def check_membership(u: Optional[StepFunction], x: StepFunction,
     and the horizon are scaled by their ``timebase`` k, and the
     violation time is scaled back to a Fraction.  Above the timebase
     bound the same clauses run on the Fractions themselves.
-
-    The call keeps its input side (the timebase, the model and u in
-    ticks, and the model's ``_input_side`` of u) in one entry, which the
-    next call reuses when it passes the same u object and the same model
-    object (an identity test, not equality), an equal horizon, and an x
-    whose breakpoints are whole ticks of that timebase (or, above the
-    bound, an x above it too).  Any other call misses, builds its own
-    input side and replaces the entry.  Hits and misses judge x the same
-    way, so the report never depends on the entry.  The entry holds
-    strong references to u and the model, so neither id can be reused
-    while it is kept; only a consistent model is ever kept, so an
-    inconsistent one raises on every call.  There is no option to turn it
-    off: it changes nothing but the work done.
     """
-    global _last_input
     h = None if horizon is None else _as_offset(horizon)
     as_signal(x)
+    k, ticked, side = _input_stage(u, model, h, x.bps)
+    return _in_time(_report(ticked._judge(side, x._to_ticks(k)), _to_ticks(h, k)), k)
+
+
+def _input_stage(u: Optional[StepFunction], model: DelayModel, h,
+                 times: Sequence) -> tuple[Optional[int], DelayModel, tuple]:
+    """The timebase k, the model in ticks of 1/k and its ``_input_side``
+    of u in ticks, for outputs with breakpoints ``times``; raises as
+    ``check_membership`` does on a missing input or an inconsistent model.
+
+    It keeps its result in one entry, which the next call reuses when it
+    passes the same u object and the same model object (an identity
+    test, not equality), an equal horizon h, and times that are whole
+    ticks of that timebase (or, above the bound, times above it too);
+    any other call replaces the entry.  Hits and misses judge an output
+    alike, so no report depends on the entry.  It holds strong references
+    to u and the model, so neither id is reused while it is kept; only a
+    consistent model is ever kept, so an inconsistent one raises on every
+    call.  No option turns it off: it changes nothing but the work done.
+    """
+    global _last_input
     if model.needs_input:
         if u is None:
             raise ValueError(f"model {format_model(model)!r} needs an input signal")
         as_signal(u)
-    last_u, last_model, last_h, k, ticked, u_ticks, side = _last_input
-    if not (u is last_u and model is last_model and h == last_h
-            and _fits(x, k)):
-        k = timebase(chain(x.bps, () if u is None else u.bps, model._parameters(),
+    last_u, last_model, last_h, k, ticked, side = _last_input
+    if not (u is last_u and model is last_model and h == last_h and _fits(times, k)):
+        k = timebase(chain(times, () if u is None else u.bps, model._parameters(),
                            () if h is None else (h,)))
         ticked = _in_ticks(model, k)
-        u_ticks = None if u is None else u._to_ticks(k)
-        side = ticked._input_side(u_ticks)
-        _last_input = (u, model, h, k, ticked, u_ticks, side)
-    return _in_time(_report(ticked._judge(side, x._to_ticks(k)), _to_ticks(h, k)), k)
+        side = ticked._input_side(None if u is None else u._to_ticks(k))
+        _last_input = (u, model, h, k, ticked, side)
+    return k, ticked, side
 
 
-def _fits(x: StepFunction, k: Optional[int]) -> bool:
-    """Can x be judged over the timebase k of another call: its own
-    timebase divides k, or both are above the bound?"""
-    if not x.bps:
-        return True
-    kx = timebase(x.bps)
-    return k is None if kx is None else k is not None and k % kx == 0
+def _fits(times: Sequence, k: Optional[int]) -> bool:
+    """Can ``times`` be judged over the timebase k of another call: their
+    own timebase divides k, or both are above the bound?"""
+    kt = timebase(times)
+    return not times or (k is None if kt is None else k is not None and k % kt == 0)
 
 
 # ---------------------------------------------------------------------------

@@ -29,9 +29,9 @@ from .stepfn import (
     RationalLike,
     StepFunction,
     _as_offset,
+    _to_ticks,
     as_signal,
     as_time,
-    chi,
 )
 from .conditions import (
     Bdc,
@@ -42,6 +42,7 @@ from .conditions import (
     RicParams,
     SdbridcPrime,
     _Bounded,
+    _input_stage,
     check_membership,
     format_model,
 )
@@ -115,16 +116,15 @@ class SwitchWindow:
     hi: Fraction
 
 
-def forced_switch_windows(u: StepFunction, p: BdcParams) -> list[SwitchWindow]:
-    """Closed windows in which any solution of the bounded delay must place
-    its switches, assuming the forced-1 and forced-0 regions alternate.
-
-    Forced regions are supp(inf-window) and the zero set of the
-    sup-window; between consecutive opposite regions exactly one switch
-    must fall, anywhere in [end of one, start of the next].  The windows
-    are built whether or not the parameters are consistent.
+def forced_switch_windows(u: StepFunction, sandwich: tuple[StepFunction, StepFunction]
+                          ) -> list[SwitchWindow]:
+    """Closed windows in which any member with the bounds ``sandwich`` of
+    input u must place its switches, assuming the forced-1 and forced-0
+    regions alternate: the support of the lower bound and the zero set of
+    the upper bound.  Between consecutive opposite regions exactly one
+    switch must fall, anywhere in [end of one, start of the next].
     """
-    lower, upper = Bdc(p).sandwich(u)
+    lower, upper = sandwich
     regions = []
     for iv in lower.support():
         regions.append((iv, 1))
@@ -194,7 +194,8 @@ def alternating_witness(u: StepFunction, model: DelayModel
     if not isinstance(model, _Bounded):
         raise TypeError(f"alternating_witness does not handle {format_model(model)!r}")
     gaps = {"rise": model.a.delta_r, "fall": model.a.delta_f} if model.hold else None
-    permits = model.permits(u)
+    # on the Fractions and without the consistency gate: this judges one input
+    sandwich, permits, _ = side = model._input_side(as_signal(u))
     compared = {Fraction(0)}
     if permits is not None:
         permits = {"rise": permits[0].support(), "fall": permits[1].support()}
@@ -202,7 +203,7 @@ def alternating_witness(u: StepFunction, model: DelayModel
                         for end in (iv.lo, iv.hi) if end is not None)
     chain: list[tuple[Fraction, int]] = []
     bound = (Fraction(0), 0)
-    for w in forced_switch_windows(u, model.p):
+    for w in forced_switch_windows(u, sandwich):
         compared.update((w.lo, w.hi, bound[0]))
         if bound[0] < w.lo:
             bound = (w.lo, 0)
@@ -216,8 +217,7 @@ def alternating_witness(u: StepFunction, model: DelayModel
     delta = min((b - a for a, b in zip(ends, ends[1:])), default=Fraction(1))
     eps = delta / (len(chain) + 1)
     x = StepFunction.from_toggles(u.leading, [v + k * eps for v, k in chain])
-    # clause by clause without the consistency gate: this judges one input
-    return None if any(vset for vset, _ in model._judge(model._input_side(u), x)) else x
+    return None if any(vset for vset, _ in model._judge(side, x)) else x
 
 
 def sample_bridc(u: StepFunction, p: BdcParams, r: RicParams,
@@ -283,24 +283,23 @@ class GridSpec:
         return [i * self.step for i in range(n + 1)]
 
 
-def _forced_cells(u: Optional[StepFunction], model: DelayModel,
-                  points: Sequence[Fraction]) -> Optional[list[Optional[int]]]:
+def _forced_cells(bounds: Optional[tuple[StepFunction, StepFunction]],
+                  points: Sequence) -> Optional[list[Optional[int]]]:
     """The value x must take on each cell (-oo, p0), [p0, p1), ..., [pn, +oo),
     None where it is free; None for the list when no solution fits.
 
     A cell is forced to 1 where the lower bound of the model's sandwich
-    reaches 1 in it, and to 0 where the upper bound reaches 0.  Only
-    necessary conditions of membership prune: this sandwich and the
+    ``bounds`` reaches 1 in it, and to 0 where the upper bound reaches 0.
+    Only necessary conditions of membership prune: this sandwich and the
     model's switch permits.  They never come from solve_dbridc or
     solve_sdbridc, so grid uniqueness checks stay independent of them.
     """
-    bounds = model.sandwich(u)
     if bounds is None:
         return [None] * (len(points) + 1)
     lower, not_upper = bounds[0], ~bounds[1]
     cells: list[Optional[int]] = []
     for lo, hi in zip([None, *points], [*points, None]):
-        cell = chi(lo, hi)
+        cell = StepFunction._from_toggles(int(lo is None), [t for t in (lo, hi) if t is not None])
         up, down = (lower & cell)._nonzero(), (cell & not_upper)._nonzero()
         if up and down:
             return None
@@ -323,21 +322,21 @@ def enumerate_grid_solutions(u: Optional[StepFunction], model: DelayModel,
     the filtered family is exactly the accepted subset of the full grid
     family.  ``stop_after`` truncates the search once that many members
     are found (existence queries).  Raises BudgetExceededError when the
-    candidate budget runs out.
+    candidate budget runs out, and as the checker does on a missing input
+    or inconsistent parameters, whatever the input.
     """
     points = grid.points()
-    if u is not None:
-        as_signal(u)
-        on_grid = set(points)
-        if any(b not in on_grid and b <= grid.horizon for b in u.bps):
-            raise ValueError("input breakpoints must lie on the grid")
-    cells = _forced_cells(u, model, points)
+    # the checker's input side, in ticks: every candidate fits its timebase
+    k, _, (bounds, permits, _) = _input_stage(u, model, None, points)
+    if u is not None and not {b for b in as_signal(u).bps if b <= grid.horizon} <= set(points):
+        raise ValueError("input breakpoints must lie on the grid")
+    ticks = [_to_ticks(g, k) for g in points]
+    cells = _forced_cells(bounds, ticks)
     if cells is None:
         return []
-    rise, fall = model.permits(u) or (None, None)
-    # may_switch[v][i]: may x switch to v at points[i]; None where no permit limits it
-    may_switch = [None if permit is None else [permit.value(g) for g in points]
-                  for permit in (fall, rise)]
+    # may_switch[v][i]: may x switch to v at points[i]; the permits are (rise, fall)
+    may_switch = [None, None] if permits is None else \
+        [[permit.value(g) for g in ticks] for permit in reversed(permits)]
 
     solutions = []
     budget = grid.max_candidates

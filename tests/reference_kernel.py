@@ -23,8 +23,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from sigdelay.conditions import (BdcParams, CheckReport, Dbridc, DelayModel, SdbridcPrime,
-                                 _le, _report)
+from sigdelay.conditions import (Bdc, BdcParams, CheckReport, Dbridc, DelayModel,
+                                 SdbridcPrime, _le, _report)
 from sigdelay.solvers import forced_switch_windows
 from sigdelay.stepfn import Interval, IntervalSet, StepFunction
 
@@ -212,7 +212,7 @@ def margin_witness(u: StepFunction, model: DelayModel) -> Optional[StepFunction]
     def member(x: StepFunction) -> bool:
         return not any(vset for vset, _ in model.clauses(u, x))
 
-    windows = forced_switch_windows(u, model.p)
+    windows = forced_switch_windows(u, Bdc(model.p).sandwich(u))
     if not windows:
         x = StepFunction.const(u.leading)
         return x if member(x) else None

@@ -789,6 +789,52 @@ def test_no_model_dispatch_outside_conditions():
     assert found <= _ALLOWED_MODEL_DISPATCH, sorted(found - _ALLOWED_MODEL_DISPATCH)
 
 
+# The calls through which `solvers` may build input windows itself: the
+# public extremal members of the bounded delay, and the switch-window
+# witness's one input side on the Fractions.
+_ALLOWED_INPUT_WINDOW_CALLS = {("bdc_bounds", "sandwich"),
+                               ("alternating_witness", "_input_side")}
+
+
+def test_solvers_read_input_windows_from_the_input_side():
+    """Input windows are built in `conditions`: `solvers` reads them from a
+    model's input side instead of building its own."""
+    tree = ast.parse((pathlib.Path(sd.__file__).parent / "solvers.py")
+                     .read_text(encoding="utf-8"))
+    found = set()
+    for top in tree.body:
+        for call in ast.walk(top):
+            if (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                    and call.func.attr in ("sandwich", "permits", "_input_side")):
+                found.add((getattr(top, "name", "<module>"), call.func.attr))
+    assert found == _ALLOWED_INPUT_WINDOW_CALLS, sorted(found ^ _ALLOWED_INPUT_WINDOW_CALLS)
+
+
+# the input sides' sandwiches on half-unit times and on mixed denominators
+_halves = st.integers(0, 16).map(lambda n: F(n, 2))
+_half_signals = st.builds(lambda bit, ts: StepFunction.from_toggles(bit, sorted(ts)),
+                          st.integers(0, 1), st.sets(_halves, max_size=6))
+_half_bdc = st.builds(lambda mr, dr, mf, df: sd.BdcParams(mr, mr + dr, mf, mf + df),
+                      _halves, _halves, _halves, _halves)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.tuples(_half_signals, _half_bdc), st.tuples(signals, _bdc)))
+def test_dbridc_side_is_the_bounded_delays_sandwich_and_its_permits(case):
+    # the fall permit window_inf(~u, d_f, m_f) is built as ~window_sup(u, d_f, m_f)
+    u, p = case
+    sandwich, permits, _ = sd.Dbridc(p)._input_side(u)
+    assert sandwich == sd.Bdc(p).sandwich(u)
+    assert permits == (window_inf(u, p.d_r, p.m_r), window_inf(~u, p.d_f, p.m_f))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_half_signals, signals), st.one_of(_halves, _positive).filter(bool))
+def test_sdbridc_side_sandwich_holds_the_input_before_zero(u, d):
+    before = chi(None, 0)
+    assert sd.SdbridcPrime(d)._input_side(u)[0] == (u & before, u | ~before)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(*MODEL_STRATEGIES.values()))
 def test_hypothesis_model_syntax_round_trip(model):

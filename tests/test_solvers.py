@@ -179,7 +179,7 @@ def test_members_respect_onesided_limit_bounds(rng):
 def test_forced_switch_windows_single_step():
     u = chi(0, None)
     p = sd.BdcParams(1, 2, 1, 2)
-    wins = forced_switch_windows(u, p)
+    wins = forced_switch_windows(u, sd.Bdc(p).sandwich(u))
     assert len(wins) == 1
     w = wins[0]
     assert (w.kind, w.lo, w.hi) == ("rise", F(1), F(2))
@@ -293,13 +293,23 @@ def test_alternating_witness_realises_an_infinitesimal_chain():
     p, a = sd.BdcParams(1, 3, 1, 3), sd.AicParams(F(7, 2), 3)
     u = StepFunction.from_toggles(0, [0, 3, 6])
     model = sd.Baidc(p, a)
-    assert [(w.lo, w.hi) for w in forced_switch_windows(u, p)] == [(2, 3), (5, 6), (8, 9)]
+    windows = forced_switch_windows(u, sd.Bdc(p).sandwich(u))
+    assert [(w.lo, w.hi) for w in windows] == [(2, 3), (5, 6), (8, 9)]
     x = alternating_witness(u, model)
     chain = [F(2), F(11, 2), F(17, 2)]
     delta = F(1, 2)  # the least distance between 0, 2, 3, 5, 11/2, 6, 8, 17/2 and 9
     assert len(x.bps) == 3 and all(v <= t < v + delta for v, t in zip(chain, x.bps))
     assert x.bps[0] == chain[0] and 0 < x.bps[1] - chain[1] < x.bps[2] - chain[2]
     assert _clause_member(u, x, model) and brute_check(u, x, model)
+
+
+def test_alternating_witness_rejects_what_the_checker_rejects():
+    glitch = StepFunction(0, [1], [1], [0])  # a point: not right-continuous
+    model = sd.Bdc(sd.BdcParams(1, 2, 1, 2))
+    with pytest.raises(ValueError, match="not a signal"):
+        sd.check_membership(glitch, StepFunction.const(0), model)
+    with pytest.raises(ValueError, match="not a signal"):
+        alternating_witness(glitch, model)
 
 
 def test_alternating_witness_of_dbridc_is_its_solution(rng):
@@ -346,9 +356,19 @@ def test_sample_bridc_builds_the_input_side_once(monkeypatch):
     sides = counted_calls(monkeypatch, conditions._Model, "_input_side")
     misses = counted_calls(monkeypatch, conditions, "_in_ticks")
     checks = counted_calls(monkeypatch, solvers, "check_membership")
+    windows = counted_calls(monkeypatch, stepfn, "window")
+    witness, in_witness = solvers.alternating_witness, []
+
+    def counted_witness(u, model):
+        before = len(windows)
+        found = witness(u, model)
+        in_witness.append(len(windows) - before)
+        return found
+    monkeypatch.setattr(solvers, "alternating_witness", counted_witness)
     x = sample_bridc(_HARD_U, _HARD_P, _HARD_R, chi(1, None))
     assert len(checks) == 3 and len(misses) == 1
     assert len(sides) == 2  # the checks' in ticks, the witness's on the Fractions
+    assert in_witness == [4]  # its sandwich and its permits, each window built once
     assert brute_check(_HARD_U, x, sd.Bridc(_HARD_P, _HARD_R))
 
 
@@ -453,8 +473,8 @@ def test_enumerate_requires_on_grid_input():
 @pytest.mark.parametrize("model, max_toggles", [(sd.Bdc(sd.BdcParams(1, 2, 1, 2)), (2, 4, 6)),
                                                 (sd.Ric(sd.RicParams(0, 1, F(1, 2), 1)), (1, 2, 3))])
 def test_enumeration_builds_the_input_side_once(monkeypatch, model, max_toggles):
-    # more candidates, the same windows: the pruning's on the Fractions
-    # and the checks' in ticks, each built once per enumeration
+    # more candidates, the same windows: the pruning and the checks read
+    # one input side in ticks, built once per enumeration
     sides = counted_calls(monkeypatch, conditions._Model, "_input_side")
     windows = counted_calls(monkeypatch, stepfn, "window")
     checks = counted_calls(monkeypatch, solvers, "check_membership")
@@ -466,8 +486,42 @@ def test_enumeration_builds_the_input_side_once(monkeypatch, model, max_toggles)
                                  GridSpec(F(1, 2), 4, toggles))
         seen.append((len(sides) - before[0], len(windows) - before[1], len(checks) - before[2]))
     assert [s for s, _, _ in seen] == [1, 1, 1]
-    assert [w for _, w, _ in seen] == [4, 4, 4]
+    assert [w for _, w, _ in seen] == [2, 2, 2]
     assert seen[0][2] < seen[1][2] < seen[2][2]
+
+
+_NEEDS_INPUT = {"sc": "sc", "fixed": "fixed d=1", "bdc": "bdc mr=1 dr=2 mf=1 df=2",
+                "bdcprime": "bdcprime dr=1 df=1", "wand": "wand m=1 d=2", "wor": "wor m=1 d=2",
+                "ric": "ric mur=0 deltar=1 muf=0 deltaf=1",
+                "ricprime": "ricprime mur=0 deltar=1 muf=0 deltaf=1",
+                "baidc": "baidc mr=1 dr=2 mf=1 df=2 deltar=1 deltaf=1",
+                "bridc": "bridc mr=1 dr=2 mf=1 df=2 mur=0 deltar=1 muf=0 deltaf=1",
+                "dbridc": "dbridc mr=1 dr=2 mf=1 df=2", "sdbridc": "sdbridc d=1"}
+
+
+@pytest.mark.parametrize("keyword", sorted(k for k, cls in conditions.MODELS.items()
+                                           if cls.needs_input))
+def test_enumeration_without_input_raises_as_the_checker(keyword):
+    model = sd.parse_model(_NEEDS_INPUT[keyword])
+    with pytest.raises(ValueError) as checked:
+        sd.check_membership(None, StepFunction.const(0), model)
+    with pytest.raises(ValueError) as enumerated:
+        enumerate_grid_solutions(None, model, GridSpec(F(1, 2), 2, 2))
+    assert type(enumerated.value) is ValueError
+    assert str(enumerated.value) == str(checked.value) \
+        == f"model {sd.format_model(model)!r} needs an input signal"
+
+
+def test_enumeration_rejects_inconsistent_parameters_on_every_input():
+    # a malformed model never reads as "no trace", even where the pruning
+    # alone would leave no candidate to check
+    rng = random.Random(20261018)
+    grid = GridSpec(F(1, 2), 4, 3)
+    for _ in range(100):
+        p = _rand_inconsistent_bdc_params(rng)
+        u = rand_signal(rng, n_max=3, span=8)
+        with pytest.raises(sd.InconsistentModelError):
+            enumerate_grid_solutions(u, sd.Bdc(p), grid)
 
 
 def test_grid_spec_validation():
