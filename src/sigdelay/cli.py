@@ -8,6 +8,11 @@ error (a failed self-check or invariant; a bug, reported in one line).
 Waveform output formats: ascii (one lane per net, switch marks carrying
 the direction of the attained value, exact switch times listed), vcd,
 and json-report.
+
+``check`` reads its signals into integer numerators and denominators
+(``stepfn._read_signal_literal``) and builds them straight in ticks of
+their common timebase, so it makes Fractions only for its report;
+``simulate`` and ``sample`` parse Fractions.
 """
 
 from __future__ import annotations
@@ -22,6 +27,11 @@ from typing import Optional
 
 from .stepfn import (
     StepFunction,
+    _lcm_within_bound,
+    _read_signal_file,
+    _read_signal_literal,
+    _signal_of,
+    _to_ticks,
     as_time,
     format_signal_literal,
     format_time,
@@ -32,7 +42,10 @@ from .conditions import (
     Bdc,
     Bridc,
     CheckReport,
+    DelayModel,
     InconsistentModelError,
+    _in_ticks,
+    _in_time,
     check_membership,
     format_model,
     compose_bdc,
@@ -114,17 +127,41 @@ def report_json(report: CheckReport, parameters: str) -> str:
 # Helpers
 # ---------------------------------------------------------------------------
 
-def _load_signal(arg: str, what: str) -> tuple[str, StepFunction]:
-    """A signal argument is either a file or an inline literal."""
+def _load_signal(arg: str, what: str) -> tuple[str, tuple]:
+    """A signal argument is either a file or an inline literal: its name and
+    its ``_read_signal_literal`` reading."""
     if os.path.exists(arg):
         with open(arg, "r", encoding="utf-8") as fh:
-            named = parse_signal_file(fh.read())
+            named = _read_signal_file(fh.read())
         if len(named) != 1:
             raise ValueError(f"{what} file {arg!r} must define exactly one signal")
         return next(iter(named.items()))
     if ":" in arg:
-        return parse_signal_literal(arg)
+        return _read_signal_literal(arg)
     raise ValueError(f"{what} {arg!r} is neither a file nor a 'name: v @ times' literal")
+
+
+def _check_readings(u, x, model: DelayModel, horizon: Optional[Fraction]) -> CheckReport:
+    """``check_membership`` of the ``_read_signal_literal`` readings of x
+    and u (None: no input), their signals built straight in integer ticks
+    of 1/k, k the lcm of the denominators of their times, the model's
+    parameters and the horizon: only the report's time becomes a Fraction.
+    Above the timebase bound, and where the checker rejects the trace (a
+    missing input, a time below 0), the signals are Fractions, so that
+    its messages quote the times as typed."""
+    readings = (x,) if u is None else (x, u)
+    dens = set().union(*[reading[2] for reading in readings],
+                       [t.denominator for t in model._parameters()])
+    if horizon is not None:
+        dens.add(horizon.denominator)
+    k = _lcm_within_bound(dens)
+    if (u is None and model.needs_input) or any(
+            nums and nums[0] < 0 for _, nums, _ in readings):
+        k = None
+    report = check_membership(None if u is None else _signal_of(u, k), _signal_of(x, k),
+                              model if k is None else _in_ticks(model, k),
+                              horizon=_to_ticks(horizon, k))
+    return _in_time(report, k)
 
 
 def _write(text: str, out: Optional[str]) -> None:
@@ -181,12 +218,12 @@ def cmd_simulate(args) -> int:
 
 def cmd_check(args) -> int:
     model = parse_model(args.model)
-    _, state = _load_signal(args.state, "--state")
+    _, x = _load_signal(args.state, "--state")
     u = None
     if args.input:
         _, u = _load_signal(args.input, "--input")
     horizon = as_time(args.until) if args.until else None
-    report = check_membership(u, state, model, horizon=horizon)
+    report = _check_readings(u, x, model, horizon)
     if args.format == "json-report":
         _write(report_json(report, args.model), args.out)
     elif report.ok:
@@ -225,7 +262,7 @@ def cmd_sample(args) -> int:
     if args.retries < 0:
         raise ValueError(f"retries must be >= 0, got {args.retries}")
     model = parse_model(args.model)
-    name, u = _load_signal(args.input, "--input")
+    u = _signal_of(_load_signal(args.input, "--input")[1], None)
     rng = random.Random(args.seed)
     span = (u.bps[-1] if u.bps else Fraction(0)) + 8
     if isinstance(model, Bdc):

@@ -40,6 +40,12 @@ returns back to Fractions; ints count as ticks already.  Offsets and
 bounds (``shift``, ``truncate``, the windows) keep an int argument an
 int for that reason; ``as_time`` and everything that inserts a new
 breakpoint still make Fractions.
+
+The signal literal format has one tokenizer, ``_read_signal_literal``,
+which reads a line into its initial bit and the integer numerators and
+denominators of its times.  ``parse_signal_literal`` builds Fractions
+from them; the CLI's ``check`` builds its signals from them straight in
+ticks, so it makes Fractions only for its report.
 """
 
 from __future__ import annotations
@@ -93,7 +99,12 @@ def timebase(times: Iterable) -> Optional[int]:
     """The lcm k of the denominators of the Fractions among ``times``, so
     that each time is a whole number of ticks 1/k.  None when the times are
     best left as they are: all ints already (ticks), or k above the bound."""
-    dens = {t.denominator for t in times if type(t) is not int}
+    return _lcm_within_bound({t.denominator for t in times if type(t) is not int})
+
+
+def _lcm_within_bound(dens: set) -> Optional[int]:
+    """The lcm of the denominators ``dens``; None when there are none or it
+    is above the timebase bound."""
     if not dens:
         return None
     k = 1
@@ -805,13 +816,20 @@ def pulses(f: StepFunction) -> list[Pulse]:
 # Signal literal format:  name: <0|1> @ t1, t2, ...
 # ---------------------------------------------------------------------------
 
-def parse_signal_literal(line: str) -> tuple[str, StepFunction]:
-    """Parse one 'name: <0|1> @ t1, t2, ...' line into a named signal.
+# a literal's reading: its initial bit and the numerators and denominators of its times
+_Reading = tuple[int, list[int], list[int]]
+
+
+def _read_signal_literal(line: str) -> tuple[str, _Reading]:
+    """Tokenize one 'name: <0|1> @ t1, t2, ...' line into its name and its
+    reading: the initial bit, and the numerators and the (positive)
+    denominators of its times, checked to increase strictly.
 
     Times are exact decimals or p/q fractions.  The '@' clause may be
     omitted for a constant.  A time of ASCII digits, or two such runs
-    around a '/', is read with ``int``, any other through
-    ``Fraction(tok)``; the order check compares the numerators and
+    around a '/', is read with ``int`` and makes no Fraction, and p/q is
+    kept as written, not reduced; any other time is read through
+    ``Fraction(tok)``.  The order check compares the numerators and
     denominators as integers.
     """
     if ":" not in line:
@@ -828,7 +846,8 @@ def parse_signal_literal(line: str) -> tuple[str, StepFunction]:
     init_txt = init_txt.strip()
     if init_txt not in ("0", "1"):
         raise ValueError(f"initial value of {name!r} must be 0 or 1, got {init_txt!r}")
-    toggles = []
+    nums: list[int] = []
+    dens: list[int] = []
     increasing = True
     prev_n, prev_d = None, 1
     for tok in times_txt.split(","):
@@ -839,7 +858,8 @@ def parse_signal_literal(line: str) -> tuple[str, StepFunction]:
         try:
             if tok.isascii() and num.isdigit() and (not slash or den.isdigit()):
                 n, d = int(num), int(den or 1)
-                t = Fraction(n, d) if slash else Fraction(n)
+                if not d:
+                    raise ZeroDivisionError(f"Fraction({n}, 0)")
             else:
                 t = Fraction(tok)
                 n, d = t.numerator, t.denominator
@@ -848,25 +868,52 @@ def parse_signal_literal(line: str) -> tuple[str, StepFunction]:
         if prev_n is not None and n * prev_d <= prev_n * d:  # denominators > 0
             increasing = False
         prev_n, prev_d = n, d
-        toggles.append(t)
+        nums.append(n)
+        dens.append(d)
     if not increasing:
         raise ValueError(f"toggle times of {name!r} must be strictly increasing")
-    return name, StepFunction._from_toggles(int(init_txt), toggles)
+    return name, (int(init_txt), nums, dens)
+
+
+def _signal_of(reading: _Reading, k: Optional[int]) -> StepFunction:
+    """The signal of a ``_read_signal_literal`` reading, its times as
+    Fractions (k None) or as ticks of 1/k, for a k that every denominator
+    divides."""
+    initial, nums, dens = reading
+    if k is None:
+        times = [Fraction(n, d) for n, d in zip(nums, dens)]
+    else:
+        times = [n * (k // d) for n, d in zip(nums, dens)]
+    return StepFunction._from_toggles(initial, times)
+
+
+def parse_signal_literal(line: str) -> tuple[str, StepFunction]:
+    """Parse one 'name: <0|1> @ t1, t2, ...' line into a named signal whose
+    times are Fractions (see ``_read_signal_literal`` for the syntax)."""
+    name, reading = _read_signal_literal(line)
+    return name, _signal_of(reading, None)
 
 
 def parse_signal_file(text: str) -> dict[str, StepFunction]:
-    out: dict[str, StepFunction] = {}
+    return {name: _signal_of(reading, None)
+            for name, reading in _read_signal_file(text).items()}
+
+
+def _read_signal_file(text: str) -> dict[str, _Reading]:
+    """The ``_read_signal_literal`` reading of each signal line of ``text``,
+    keyed by its name; '#' starts a comment."""
+    out: dict[str, _Reading] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         try:
-            name, sig = parse_signal_literal(line)
+            name, reading = _read_signal_literal(line)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
         if name in out:
             raise ValueError(f"line {lineno}: duplicate signal {name!r}")
-        out[name] = sig
+        out[name] = reading
     return out
 
 

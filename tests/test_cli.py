@@ -10,9 +10,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import sigdelay as sd
-from sigdelay.cli import _random_free, main
+from sigdelay import cli
+from sigdelay.cli import _random_free, main, report_json
 from sigdelay.circuit import WaveformSet, builtin, format_netlist, simulate
-from sigdelay.stepfn import StepFunction, chi
+from sigdelay.stepfn import StepFunction, chi, format_time
 from sigdelay.vcd import export_vcd, import_vcd
 
 from conftest import rand_signal
@@ -296,21 +297,195 @@ def test_compose_output(capsys):
 
 
 _BAD_BDC = "mr=0 dr=1 mf=0 df=2"  # d_f - m_f = 2 > d_r = 1: CC_BDC fails
+_BAD_HALVES = "mr=0 dr=1/2 mf=0 df=1"  # the same in halves, so checks run on ticks of 1/2
 
 
-@pytest.mark.parametrize("command", ["simulate", "sample", "compose"])
+@pytest.mark.parametrize("command", ["simulate", "sample", "compose", "check"])
 def test_inconsistent_model_exits_2_naming_its_spec(netfile, capsys, command):
     argv = {
         "simulate": ["simulate", "--until", "4", "--netlist", netfile(
             "bad.net", NOT_LOOP.replace("delay y x fixed d=1", f"delay y x dbridc {_BAD_BDC}"))],
         "sample": ["sample", "--model", f"bdc {_BAD_BDC}", "--input", "u: 0 @ 1"],
         "compose": ["compose", "--a", "bdc mr=1 dr=2 mf=1 df=2", "--b", f"bdc {_BAD_BDC}"],
+        "check": ["check", "--model", f"bdc {_BAD_HALVES}", "--input", "u: 0 @ 1/3",
+                  "--state", "x: 0 @ 5/6"],
     }[command]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    spec = f"dbridc {_BAD_BDC}" if command == "simulate" else f"bdc {_BAD_BDC}"
+    spec = {"simulate": f"dbridc {_BAD_BDC}",
+            "check": f"bdc {_BAD_HALVES}"}.get(command, f"bdc {_BAD_BDC}")
     assert err == f"error: CC_BDC fails for {spec!r}\n"
     assert "BdcParams(" not in err
+
+
+# ---------------------------------------------------------------------------
+# check reads its signals into integer ticks
+# ---------------------------------------------------------------------------
+
+def run(argv):
+    """(exit code, stdout, stderr) of one in-process CLI run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def library_check(spec, state, input_, until, fmt):
+    """What ``check`` must print, from ``check_membership`` on the output of
+    ``parse_signal_literal``: (exit code, stdout, stderr)."""
+    try:
+        model = sd.parse_model(spec)
+        x = sd.parse_signal_literal(state)[1]
+        u = None if input_ is None else sd.parse_signal_literal(input_)[1]
+        report = sd.check_membership(u, x, model,
+                                     horizon=None if until is None else sd.as_time(until))
+    except ValueError as exc:
+        return 2, "", f"error: {exc}\n"
+    if fmt == "json-report":
+        text = report_json(report, spec)
+    elif report.ok:
+        text = "ok\n"
+    else:
+        v = report.first_violation
+        when = "t<0" if v.time is None else f"t={format_time(v.time)}"
+        edge = "" if v.attained else " (approached, not attained)"
+        text = f"violation at {when}{edge}: {v.clause}\n"
+    return int(not report.ok), text, ""
+
+
+CHECK_SPECS = [
+    "bdc mr=1/2 dr=3 mf=1/3 df=3", "dbridc mr=1 dr=3/2 mf=1 df=3/2", "sdbridc d=2/3",
+    "aic dr=1/7 df=1/3", "sc", "fixed d=3/7", "wand m=1/2 d=2", "wor m=1/3 d=1",
+    "ric mur=1/2 deltar=2/3 muf=1/2 deltaf=2/3",
+    "bridc mr=1/2 dr=3 mf=1/2 df=3 mur=0 deltar=5/2 muf=0 deltaf=5/2",
+    "bridc mr=1 dr=3 mf=1 df=3 mur=0 deltar=2 muf=0 deltaf=2/3",  # fails CC_BRIDC
+]
+
+
+def time_token(t: F, style: str) -> str:
+    """t as a reduced p/q, as p/q times two (not reduced), or as a decimal
+    when its denominator is 1 or 2."""
+    if style == "unreduced":
+        return f"{2 * t.numerator}/{2 * t.denominator}"
+    if style == "decimal" and t.denominator in (1, 2):
+        tenths = t.numerator * 10 // t.denominator
+        return f"{tenths // 10}.{tenths % 10}"
+    return format_time(t)
+
+
+signal_readings = st.tuples(
+    st.integers(0, 1),
+    st.lists(st.tuples(st.builds(F, st.integers(0, 40), st.sampled_from([1, 2, 3, 7, 21])),
+                       st.sampled_from(["pq", "unreduced", "decimal"])),
+             max_size=10, unique_by=lambda pair: pair[0]).map(sorted))
+
+
+def signal_text(name, reading):
+    bit, times = reading
+    if not times:
+        return f"{name}: {bit}"
+    return f"{name}: {bit} @ " + ", ".join(time_token(t, style) for t, style in times)
+
+
+# the lcm of the denominators of a time over it is above the 8,192-bit timebase bound
+_HUGE = 2 ** 8200 + 1
+
+
+@pytest.fixture(scope="module")
+def signal_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("check")
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=st.sampled_from(CHECK_SPECS), state=signal_readings,
+       input_=st.one_of(st.none(), signal_readings),
+       until=st.one_of(st.none(), st.builds(F, st.integers(0, 60), st.sampled_from([1, 2, 5, 7]))),
+       fmt=st.sampled_from(["text", "json-report"]), in_files=st.booleans())
+@example(spec="bdc mr=1/2 dr=3 mf=1/3 df=3",
+         state=(0, [(F(1, _HUGE), "pq"), (F(7, 2), "decimal")]),
+         input_=(0, [(F(1, 3), "unreduced")]), until=None, fmt="text", in_files=True)
+@example(spec="fixed d=3/7", state=(1, [(F(3, 2), "unreduced"), (F(20, 7), "pq")]),
+         input_=(1, [(F(1, 21), "pq")]), until=F(5, 2), fmt="json-report", in_files=False)
+@example(spec="sdbridc d=2/3", state=(1, [(F(2), "pq"), (F(6), "pq"), (F(7), "pq"), (F(12), "pq")]),
+         input_=(1, []), until=F(38, 7), fmt="text", in_files=False)  # sevenths only in --until
+def test_check_agrees_with_the_library_on_fractions(signal_dir, spec, state, input_,
+                                                   until, fmt, in_files):
+    x_text = signal_text("x", state)
+    u_text = None if input_ is None else signal_text("u", input_)
+    until_text = None if until is None else format_time(until)
+    argv = ["check", "--model", spec, "--format", fmt]
+    for flag, text in (("--state", x_text), ("--input", u_text)):
+        if text is not None and in_files:
+            path = signal_dir / f"{flag[2:]}.sig"
+            path.write_text(f"# {flag}\n{text}\n")
+            text = str(path)
+        if text is not None:
+            argv += [flag, text]
+    if until_text is not None:
+        argv += ["--until", until_text]
+    assert run(argv) == library_check(spec, x_text, u_text, until_text, fmt)
+
+
+def test_check_falls_back_to_fractions_above_the_timebase_bound(monkeypatch):
+    seen = []
+
+    def spy(u, x, model, horizon=None):
+        seen.append(type(x.bps[0]))
+        return sd.check_membership(u, x, model, horizon=horizon)
+    monkeypatch.setattr(cli, "check_membership", spy)
+    for state in ("x: 0 @ 5/6", f"x: 0 @ 1/{_HUGE}, 5/6"):
+        assert run(["check", "--model", "fixed d=1/2", "--input", "u: 0 @ 1/3",
+                    "--state", state]) == library_check("fixed d=1/2", state,
+                                                        "u: 0 @ 1/3", None, "text")
+    assert seen == [int, F]
+
+
+def test_check_errors_quote_the_times_as_typed(tmp_path):
+    two = tmp_path / "two.sig"
+    two.write_text("x: 0 @ 1/2\ny: 1\n")
+    halves = "bdc mr=1/2 dr=3/2 mf=1/2 df=3/2"
+    cases = [
+        (["--model", halves, "--state", "x: 0 @ 1/3"],
+         f"model {halves!r} needs an input signal"),
+        (["--model", halves, "--input", "u: 0 @ 1/3", "--state", "x: 0 @ -1/2, 5/6"],
+         "not a signal (right-continuous with switches >= 0): "
+         "<0|(-oo,-1/2) 1@-1/2 1|(-1/2,5/6) 0@5/6 0|(5/6,oo)>"),
+        (["--model", halves, "--input", "u: 1 @ -2/3", "--state", "x: 0 @ 5/6"],
+         "not a signal (right-continuous with switches >= 0): "
+         "<1|(-oo,-2/3) 0@-2/3 0|(-2/3,oo)>"),
+        (["--model", halves, "--input", "u: 0 @ 1/3", "--state", "x: 0 @ 2/3, 1/2"],
+         "toggle times of 'x' must be strictly increasing"),
+        (["--model", halves, "--input", "u: 0 @ 1/0", "--state", "x: 0 @ 1/2"],
+         "bad time '1/0' in signal 'u': Fraction(1, 0)"),
+        (["--model", halves, "--input", "u: 0 @ 1/3", "--state", str(two)],
+         f"--state file {str(two)!r} must define exactly one signal"),
+    ]
+    for args, message in cases:
+        assert run(["check", *args]) == (2, "", f"error: {message}\n")
+
+
+def test_check_makes_no_fraction_per_toggle(monkeypatch):
+    def fractions_made(n):
+        us = [F(3 * k + 1, 7) for k in range(n)]
+        glitch = us[-1] + 10
+        xs = [t + F(20, 7) for t in us] + [glitch, glitch + F(1, 7)]
+        argv = ["check", "--model", "bdc mr=1 dr=3 mf=1 df=3",
+                "--input", sd.format_signal_literal("u", StepFunction.from_toggles(0, us)),
+                "--state", sd.format_signal_literal("x", StepFunction.from_toggles(0, xs))]
+        made = 0
+        new = F.__new__
+
+        def counted(cls, *args, **kwargs):
+            nonlocal made
+            made += 1
+            return new(cls, *args, **kwargs)
+        monkeypatch.setattr(F, "__new__", staticmethod(counted))
+        answer = run(argv)
+        monkeypatch.undo()
+        assert answer == (1, f"violation at t={format_time(glitch)}: upper-bound\n", "")
+        return made
+
+    assert fractions_made(2000) <= fractions_made(100)
 
 
 def test_sample_is_seed_deterministic(tmp_path):

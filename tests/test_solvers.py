@@ -303,6 +303,29 @@ def test_alternating_witness_realises_an_infinitesimal_chain():
     assert _clause_member(u, x, model) and brute_check(u, x, model)
 
 
+def _intervals(*ivs):
+    return stepfn.IntervalSet([stepfn.Interval(*iv) for iv in ivs])
+
+
+def test_earliest_in_reads_an_open_lower_end_as_unattained():
+    # the checker's permits start closed, so only hand-built sets reach this
+    opened = _intervals((2, False, 5, False), (7, True, 9, True))
+    assert solvers._earliest_in(opened, (F(1), 0)) == (2, 1)
+    assert solvers._earliest_in(opened, (F(2), 0)) == (2, 1)
+    closed = _intervals((2, True, 5, False))
+    assert solvers._earliest_in(closed, (F(1), 0)) == (2, 0)
+    assert solvers._earliest_in(closed, (F(3), 2)) == (3, 2)
+
+
+def test_earliest_in_keeps_the_infinitesimals_of_a_bound_at_an_open_lower_end():
+    opened = _intervals((2, False, 5, False), (7, True, 9, True))
+    assert solvers._earliest_in(opened, (F(2), 3)) == (2, 3)
+    assert solvers._earliest_in(_intervals((2, True, 5, False)), (F(2), 3)) == (2, 3)
+    # past an open upper end the next component gives its own closed start
+    assert solvers._earliest_in(opened, (F(5), 0)) == (7, 0)
+    assert solvers._earliest_in(opened, (F(9), 1)) is None
+
+
 def test_alternating_witness_rejects_what_the_checker_rejects():
     glitch = StepFunction(0, [1], [1], [0])  # a point: not right-continuous
     model = sd.Bdc(sd.BdcParams(1, 2, 1, 2))
