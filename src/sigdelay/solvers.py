@@ -9,7 +9,10 @@ with strict bounds counted as infinitesimals and realised in one pass),
 and exhaustive enumeration of all grid-toggle candidates filtered
 through the membership checkers.  The enumeration doubles as the oracle
 for set-level claims (uniqueness, composition): it generates candidates
-independently and keeps only those the checker accepts.
+independently and keeps only those the checker accepts.  It steps from
+switch to switch and skips only candidates that break a necessary
+condition of membership: a cell forced by the model's sandwich, a
+switch permit, or the hold gap of absolute inertia after a switch.
 
 ``probe_points`` / ``brute_*`` evaluate signals and sliding windows
 directly from toggle lists, with no interval machinery; the test suite
@@ -20,6 +23,7 @@ the benchmark's oracle (``bench/oracle.py``) reads them from this module.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -290,8 +294,9 @@ def _forced_cells(bounds: Optional[tuple[StepFunction, StepFunction]],
 
     A cell is forced to 1 where the lower bound of the model's sandwich
     ``bounds`` reaches 1 in it, and to 0 where the upper bound reaches 0.
-    Only necessary conditions of membership prune: this sandwich and the
-    model's switch permits.  They never come from solve_dbridc or
+    This sandwich is one of the three necessary conditions of membership
+    the enumeration prunes by; the model's switch permits and its hold
+    gaps are the others.  None of them comes from solve_dbridc or
     solve_sdbridc, so grid uniqueness checks stay independent of them.
     """
     if bounds is None:
@@ -307,77 +312,81 @@ def _forced_cells(bounds: Optional[tuple[StepFunction, StepFunction]],
     return cells
 
 
-class _Enough(Exception):
-    pass
-
-
 def enumerate_grid_solutions(u: Optional[StepFunction], model: DelayModel,
                              grid: GridSpec,
                              stop_after: Optional[int] = None) -> list[StepFunction]:
     """All signals with toggles on the grid in [0, horizon] (final value
     extended to +oo) that the membership checker accepts.
 
-    Candidate generation prunes only by conditions that are necessary
-    for membership (forced sandwich cells, switch-permit instants), so
-    the filtered family is exactly the accepted subset of the full grid
-    family.  ``stop_after`` truncates the search once that many members
-    are found (existence queries).  Raises BudgetExceededError when the
-    candidate budget runs out, and as the checker does on a missing input
-    or inconsistent parameters, whatever the input.
+    The search steps from switch to switch: from the cell where x took
+    the value v it checks the candidate with no further switch, when no
+    later cell is forced to 1 - v, and then tries each next switch up to
+    the last cell where x may still hold v.  A next switch must be
+    allowed by the model's switch permit at its point and, for a model
+    with hold windows, lie beyond the hold gap after the previous switch
+    (delta_r after a rise, delta_f after a fall; more than delta for
+    closed windows, at least delta for half-open ones).  The forced
+    sandwich cells, the permits and the hold gaps are necessary
+    conditions of membership and the checker judges every candidate left,
+    so the result is exactly the accepted subset of the full grid family.
+    ``stop_after`` truncates the search once that many members are found
+    (existence queries).  ``max_candidates`` charges only the candidates
+    checked; BudgetExceededError is raised when it runs out.  Raises as
+    the checker does on a missing input or inconsistent parameters,
+    whatever the input.
     """
     points = grid.points()
     # the checker's input side, in ticks: every candidate fits its timebase
-    k, _, (bounds, permits, _) = _input_stage(u, model, None, points)
+    k, ticked, (bounds, permits, _) = _input_stage(u, model, None, points)
     if u is not None and not {b for b in as_signal(u).bps if b <= grid.horizon} <= set(points):
         raise ValueError("input breakpoints must lie on the grid")
     ticks = [_to_ticks(g, k) for g in points]
     cells = _forced_cells(bounds, ticks)
     if cells is None:
         return []
+    n = len(points)
+    # first[w][c]: the first cell at or after c forced to w (n + 1: none)
+    first = [[n + 1] * (n + 2), [n + 1] * (n + 2)]
+    for c in reversed(range(n + 1)):
+        for w in (0, 1):
+            first[w][c] = c if cells[c] == w else first[w][c + 1]
     # may_switch[v][i]: may x switch to v at points[i]; the permits are (rise, fall)
     may_switch = [None, None] if permits is None else \
         [[permit.value(g) for g in ticks] for permit in reversed(permits)]
+    # gap[v]: how long x holds v after switching to it (closed windows: a
+    # next switch lies past the gap; half-open: at its end or past it)
+    gap = None if model.hold is None else (ticked.a.delta_f, ticked.a.delta_r)
+    past = bisect_right if model.hold else bisect_left
 
+    # depth first, one stack entry per switch: (first cell of the current
+    # value, that value, x0, the switch indices so far); a next switch at
+    # points[i] makes cell i + 1 the first of the opposite value.  Children
+    # are pushed by rising i: of two candidates, the one that stays at the
+    # first point where they differ is checked first.
     solutions = []
     budget = grid.max_candidates
-
-    def check(x0: int, toggles: tuple[Fraction, ...]) -> None:
-        nonlocal budget
-        budget -= 1
-        if budget < 0:
-            raise BudgetExceededError("grid enumeration budget exceeded")
-        x = StepFunction._from_toggles(x0, toggles)
-        if check_membership(u, x, model).ok:
-            solutions.append(x)
-            if stop_after is not None and len(solutions) >= stop_after:
-                raise _Enough
-
-    def extend(i: int, v: int, x0: int, toggles: list[Fraction]) -> None:
-        if i == len(points):
-            check(x0, tuple(toggles))
-            return
-        forced = cells[i + 1]  # cells[0] is (-oo, p0), which forces x0
-        for nv in (v, 1 - v):
-            if forced is not None and nv != forced:
-                continue
-            if nv != v:
-                if len(toggles) >= grid.max_toggles:
-                    continue
-                permit = may_switch[nv]
-                if permit is not None and permit[i] == 0:
-                    continue
-                toggles.append(points[i])
-                extend(i + 1, nv, x0, toggles)
-                toggles.pop()
-            else:
-                extend(i + 1, nv, x0, toggles)
-
-    starts = (cells[0],) if cells[0] is not None else (0, 1)
-    try:
-        for x0 in starts:
-            extend(0, x0, x0, [])
-    except _Enough:
-        pass
+    stack = [(0, x0, x0, ()) for x0 in (1, 0)]
+    while stack:
+        c, v, x0, toggles = stack.pop()
+        end = first[1 - v][c]
+        if end > n:
+            budget -= 1
+            if budget < 0:
+                raise BudgetExceededError("grid enumeration budget exceeded")
+            x = StepFunction._from_toggles(x0, [points[i] for i in toggles])
+            if check_membership(u, x, model).ok:
+                solutions.append(x)
+                if stop_after is not None and len(solutions) >= stop_after:
+                    break
+        if len(toggles) >= grid.max_toggles:
+            continue
+        lo = c
+        if gap is not None and toggles:
+            lo = max(c, past(ticks, ticks[toggles[-1]] + gap[v]))
+        permit = may_switch[1 - v]
+        for i in range(lo, min(end, n)):
+            if cells[i + 1] != v and (permit is None or permit[i]):
+                stack.append((i + 1, 1 - v, x0, toggles + (i,)))
     solutions.sort(key=lambda x: (x.leading, x.bps))
     return solutions
 

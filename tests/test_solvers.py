@@ -667,3 +667,48 @@ def test_enumerate_against_unpruned_reference(rng):
         raw = {x for x in family if sd.check_membership(u, x, model).ok}
         assert set(got) == raw, (sd.format_model(model), u)
         assert got == sorted(got, key=lambda s: (s.leading, s.bps))
+
+
+# absolute inertia with asymmetric gaps: on a grid point, between two, and 0
+_HOLD_SPECS = ("aic dr=1 df=2", "aicprime dr=2 df=1", "aic dr=0 df=1/2",
+               "baidc mr=1 dr=2 mf=1 df=2 deltar=1/2 deltaf=3/2")
+
+
+@pytest.mark.parametrize("step", [F(1, 2), F(1, 3)])
+@pytest.mark.parametrize("spec", _HOLD_SPECS)
+def test_enumerate_hold_gaps_against_unpruned_reference(spec, step):
+    # the hold-gap pruning reads delta_r after a rise and delta_f after a
+    # fall, strictly past a closed window and at the end of a half-open one
+    grid = GridSpec(step, 3, 3)
+    model = sd.parse_model(spec)
+    model.require_consistent()
+    inputs = [StepFunction.from_toggles(0, [1]), StepFunction.from_toggles(1, [0, 2]),
+              StepFunction.from_toggles(0, [0, 1])]
+    if not model.needs_input:
+        inputs.append(None)
+    family = _grid_family(grid)
+    for u in inputs:
+        got = enumerate_grid_solutions(u, model, grid)
+        raw = {x for x in family if sd.check_membership(u, x, model).ok}
+        assert set(got) == raw, (spec, step, u)
+        assert got == sorted(got, key=lambda s: (s.leading, s.bps))
+
+
+def test_enumerate_checks_only_members_of_absolute_inertia(monkeypatch):
+    # every candidate the hold gaps leave is a member: 118 checks, not 352
+    checks = counted_calls(monkeypatch, solvers, "check_membership")
+    sols = enumerate_grid_solutions(None, sd.parse_model("aic dr=1 df=1"),
+                                    GridSpec(F(1, 2), F(9, 2), 3))
+    assert len(sols) == 118
+    assert len(checks) == 118
+
+
+def test_enumerate_long_grids_and_long_switch_chains():
+    # the search takes no frame per grid point, nor one per switch
+    model = sd.parse_model("aic dr=1 df=1")
+    grid = GridSpec(F(1, 100), 15, 1)
+    sols = enumerate_grid_solutions(None, model, grid)
+    assert len(sols) == 3004
+    assert enumerate_grid_solutions(None, model, grid, stop_after=1) == [StepFunction.const(0)]
+    u = StepFunction.from_toggles(0, [F(i, 100) for i in range(1200)])
+    assert enumerate_grid_solutions(u, sd.Fixed(0), GridSpec(F(1, 100), 12, 1300)) == [u]
