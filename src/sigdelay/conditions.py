@@ -834,50 +834,6 @@ def check_constancy(u: StepFunction, x: StepFunction,
 # Membership
 # ---------------------------------------------------------------------------
 
-def dbridc_form_report(u: StepFunction, x: StepFunction, p: BdcParams,
-                       form: str) -> CheckReport:
-    """Membership under one of the equivalent shapes of the deterministic
-    bounded relative inertial delay: 'a' the sandwich plus switch
-    permits, 'b' the switch equalities, 'e' the closed recursion,
-    'f' the derivative equation, 'g' the single tautology.
-
-    The forms are provably equivalent; independent implementations
-    cross-check each other on random traces.
-    """
-    model = Dbridc(p)
-    k = timebase(chain(u.bps, x.bps, model._parameters()))
-    model = _in_ticks(model, k)
-    as_signal(u), as_signal(x)
-    return _in_time(_form_report(u._to_ticks(k), x._to_ticks(k), model, form), k)
-
-
-def _form_report(u: StepFunction, x: StepFunction, model: Dbridc, form: str) -> CheckReport:
-    p = model.p
-    a = window_inf(u, p.d_r, p.m_r)
-    b0 = window_inf(~u, p.d_f, p.m_f)
-    upper = window_sup(u, p.d_f, p.m_f)
-    xl = x.left_limit()
-    if form == "a":
-        return _report([
-            _le(a, x, "lower-bound"),
-            _le(x, upper, "upper-bound"),
-            _le(~xl & x, a, "rise-permit"),
-            _le(xl & ~x, b0, "fall-permit"),
-        ])
-    if form == "b":
-        return _report(model.clauses(u, x))
-    if form == "e":
-        return _report([_eq(x, a | (xl & upper), "recursion")])
-    if form == "f":
-        return _report([_eq(x.derivative(), (~xl & a) | (xl & b0),
-                            "derivative-equation")])
-    if form == "g":
-        big = ((~xl & x & a) | (xl & ~x & b0)
-               | (~xl & ~x & ~a) | (xl & x & ~b0))
-        return _report([_eq(big, StepFunction.const(1), "tautology")])
-    raise ValueError(f"unknown form {form!r}; expected one of a, b, e, f, g")
-
-
 # The last ``_input_stage``: (u, model, horizon, k, model in ticks, input side in ticks).
 _last_input: tuple = (None,) * 6
 

@@ -14,11 +14,11 @@ switch to switch and skips only candidates that break a necessary
 condition of membership: a cell forced by the model's sandwich, a
 switch permit, or the hold gap of absolute inertia after a switch.
 
-``probe_points`` / ``brute_*`` evaluate signals and sliding windows
-directly from toggle lists, with no interval machinery; the test suite
-uses them to cross-check every exact operation at a dense set of
-instants.  Nothing in the library calls them.  They stay here because
-the benchmark's oracle (``bench/oracle.py``) reads them from this module.
+``brute_*`` evaluate signals and sliding windows directly from toggle
+lists, with no interval machinery; the test suite uses them to
+cross-check every exact operation at a dense set of instants.  Nothing
+in the library calls them.  They stay here because the benchmark's
+oracle (``bench/oracle.py``) reads them from this module.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .stepfn import (
+    Interval,
     IntervalSet,
     RationalLike,
     StepFunction,
@@ -120,6 +121,15 @@ class SwitchWindow:
     hi: Fraction
 
 
+def _forced_regions(lower: StepFunction, upper: StepFunction) -> list[tuple[Interval, int]]:
+    """Where the sandwich lower <= x <= upper forces x: each interval of
+    the lower bound's support labelled 1 and each interval of the upper
+    bound's zero set labelled 0, sorted by lower end with -oo first."""
+    regions = [(iv, 1) for iv in lower.support()] + [(iv, 0) for iv in upper.zero_set()]
+    regions.sort(key=lambda r: (1, r[0].lo) if r[0].lo is not None else (0, 0))
+    return regions
+
+
 def forced_switch_windows(u: StepFunction, sandwich: tuple[StepFunction, StepFunction]
                           ) -> list[SwitchWindow]:
     """Closed windows in which any member with the bounds ``sandwich`` of
@@ -128,17 +138,10 @@ def forced_switch_windows(u: StepFunction, sandwich: tuple[StepFunction, StepFun
     the upper bound.  Between consecutive opposite regions exactly one
     switch must fall, anywhere in [end of one, start of the next].
     """
-    lower, upper = sandwich
-    regions = []
-    for iv in lower.support():
-        regions.append((iv, 1))
-    for iv in upper.zero_set():
-        regions.append((iv, 0))
-    regions.sort(key=lambda r: (1, r[0].lo) if r[0].lo is not None else (0, Fraction(0)))
     v = u.leading
     windows: list[SwitchWindow] = []
     prev_end: Optional[Fraction] = None
-    for iv, bit in regions:
+    for iv, bit in _forced_regions(*sandwich):
         if bit == v:
             # same-value region: no switch needed, it only pins the floor
             prev_end = iv.hi
@@ -233,7 +236,8 @@ def sample_bridc(u: StepFunction, p: BdcParams, r: RicParams,
     sample driven by the free signal, then the exact switch-window witness.
     Exhaustion raises instead of returning an unverified trace, and its
     message says whether the budget ran out before the witness was tried
-    or the witness found no member.
+    or the witness found no member.  No candidate raises on a consistent
+    model, so an error from one propagates instead of reading as "no member".
     """
     model = Bridc(p, r)
     model.require_consistent()
@@ -249,12 +253,9 @@ def sample_bridc(u: StepFunction, p: BdcParams, r: RicParams,
         if tried >= retries:
             break
         tried += 1
-        try:
-            x = make()
-            if x is not None and check_membership(u, x, model).ok:
-                return x
-        except (ValueError, TypeError):
-            pass
+        x = make()
+        if x is not None and check_membership(u, x, model).ok:
+            return x
     why = ("the switch-window witness found no member" if tried == len(candidates)
            else "the attempt budget ran out before the switch-window witness was tried")
     raise SampleRetryError(
@@ -292,23 +293,26 @@ def _forced_cells(bounds: Optional[tuple[StepFunction, StepFunction]],
     """The value x must take on each cell (-oo, p0), [p0, p1), ..., [pn, +oo),
     None where it is free; None for the list when no solution fits.
 
-    A cell is forced to 1 where the lower bound of the model's sandwich
-    ``bounds`` reaches 1 in it, and to 0 where the upper bound reaches 0.
-    This sandwich is one of the three necessary conditions of membership
-    the enumeration prunes by; the model's switch permits and its hold
-    gaps are the others.  None of them comes from solve_dbridc or
-    solve_sdbridc, so grid uniqueness checks stay independent of them.
+    One pass over the forced regions of the model's sandwich ``bounds``
+    (``_forced_regions``): a region forces its value on every cell it
+    meets, from the cell holding its lower end (or just right of it) to
+    the one holding its upper end (or just left of it, when that end is
+    open).  This sandwich is one of the three necessary conditions of
+    membership the enumeration prunes by; the model's switch permits and
+    its hold gaps are the others.  None of them comes from solve_dbridc
+    or solve_sdbridc, so grid uniqueness checks stay independent of them.
     """
+    cells: list[Optional[int]] = [None] * (len(points) + 1)
     if bounds is None:
-        return [None] * (len(points) + 1)
-    lower, not_upper = bounds[0], ~bounds[1]
-    cells: list[Optional[int]] = []
-    for lo, hi in zip([None, *points], [*points, None]):
-        cell = StepFunction._from_toggles(int(lo is None), [t for t in (lo, hi) if t is not None])
-        up, down = (lower & cell)._nonzero(), (cell & not_upper)._nonzero()
-        if up and down:
-            return None
-        cells.append(1 if up else 0 if down else None)
+        return cells
+    for iv, bit in _forced_regions(*bounds):
+        first = 0 if iv.lo is None else bisect_right(points, iv.lo)
+        last = len(points) if iv.hi is None else \
+            (bisect_right if iv.hi_closed else bisect_left)(points, iv.hi)
+        for c in range(first, last + 1):
+            if cells[c] == 1 - bit:
+                return None
+            cells[c] = bit
     return cells
 
 
@@ -363,7 +367,7 @@ def enumerate_grid_solutions(u: Optional[StepFunction], model: DelayModel,
     # points[i] makes cell i + 1 the first of the opposite value.  Children
     # are pushed by rising i: of two candidates, the one that stays at the
     # first point where they differ is checked first.
-    solutions = []
+    found = []
     budget = grid.max_candidates
     stack = [(0, x0, x0, ()) for x0 in (1, 0)]
     while stack:
@@ -375,8 +379,8 @@ def enumerate_grid_solutions(u: Optional[StepFunction], model: DelayModel,
                 raise BudgetExceededError("grid enumeration budget exceeded")
             x = StepFunction._from_toggles(x0, [points[i] for i in toggles])
             if check_membership(u, x, model).ok:
-                solutions.append(x)
-                if stop_after is not None and len(solutions) >= stop_after:
+                found.append((x0, toggles, x))
+                if stop_after is not None and len(found) >= stop_after:
                     break
         if len(toggles) >= grid.max_toggles:
             continue
@@ -387,8 +391,8 @@ def enumerate_grid_solutions(u: Optional[StepFunction], model: DelayModel,
         for i in range(lo, min(end, n)):
             if cells[i + 1] != v and (permit is None or permit[i]):
                 stack.append((i + 1, 1 - v, x0, toggles + (i,)))
-    solutions.sort(key=lambda x: (x.leading, x.bps))
-    return solutions
+    found.sort(key=lambda f: f[:2])  # on grid indices: the points rise with them
+    return [x for _, _, x in found]
 
 
 # ---------------------------------------------------------------------------
@@ -427,17 +431,3 @@ def brute_window(initial: int, toggles: Sequence[Fraction], op: str,
         vals.append(brute_value(initial, toggles, hi) if include_hi
                     else brute_left_value(initial, toggles, hi))
     return min(vals) if op == "inf" else max(vals)
-
-
-def probe_points(fns: Sequence[StepFunction],
-                 offsets: Sequence[RationalLike] = (0,)) -> list[Fraction]:
-    """A probe set dense enough to distinguish any two step functions whose
-    breakpoints come from the given ones shifted by the given offsets:
-    every shifted breakpoint, every midpoint between consecutive ones,
-    and a point on each unbounded side."""
-    base = sorted({b + as_time(o) for f in fns for b in f.bps for o in offsets}
-                  | {Fraction(0)})
-    pts = list(base)
-    pts += [(a + b) / 2 for a, b in zip(base, base[1:])]
-    pts += [base[0] - 1, base[-1] + 1]
-    return sorted(set(pts))

@@ -106,6 +106,14 @@ def _probes(reprs, offsets, horizon=None):
     return sorted(set(pts))
 
 
+def probe_points(fns, offsets=(0,)):
+    """A probe set dense enough to distinguish any two step functions whose
+    breakpoints come from the given ones shifted by the given offsets:
+    every shifted breakpoint, every midpoint between consecutive ones,
+    and a point on each unbounded side."""
+    return _probes([(f.leading, f.bps) for f in fns], offsets)
+
+
 def _rise(xr, t):
     return (1 - brute_left_value(*xr, t)) & brute_value(*xr, t)
 

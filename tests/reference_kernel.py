@@ -16,17 +16,26 @@ independent oracle.  The interval-set operations emit loose pieces and
 leave sorting, dropping empties and merging to the public
 ``IntervalSet(...)`` constructor, where the library builds its results
 canonical in one walk.
+
+Two routes at the end build on the kernel's Boolean operations and
+windows instead: the grid's forced cells taken one cell at a time,
+where the library walks the sandwich's forced regions once, and the
+paper's alternative forms of the deterministic bounded relative
+inertial delay (section 9.5), which cross-check each other and the
+checker's form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
+from itertools import chain
+from typing import Optional, Sequence
 
 from sigdelay.conditions import (Bdc, BdcParams, CheckReport, Dbridc, DelayModel,
-                                 SdbridcPrime, _le, _report)
+                                 SdbridcPrime, _eq, _in_ticks, _in_time, _le, _report)
 from sigdelay.solvers import forced_switch_windows
-from sigdelay.stepfn import Interval, IntervalSet, StepFunction
+from sigdelay.stepfn import (Interval, IntervalSet, StepFunction, as_signal, timebase,
+                             window_inf, window_sup)
 
 
 def sorted_level_set(f: StepFunction, bit: int) -> IntervalSet:
@@ -255,3 +264,66 @@ def margin_witness(u: StepFunction, model: DelayModel) -> Optional[StepFunction]
         if member(x):
             return x
     return None
+
+
+def boolean_forced_cells(bounds: Optional[tuple[StepFunction, StepFunction]],
+                         points: Sequence) -> Optional[list[Optional[int]]]:
+    """The grid's forced cells by Boolean operations, one cell at a time:
+    cell (-oo, p0), [p0, p1), ..., [pn, +oo) is forced to 1 where
+    lower & cell is nonzero and to 0 where cell & ~upper is; None for the
+    list when some cell is forced both ways."""
+    if bounds is None:
+        return [None] * (len(points) + 1)
+    lower, not_upper = bounds[0], ~bounds[1]
+    cells: list[Optional[int]] = []
+    for lo, hi in zip([None, *points], [*points, None]):
+        cell = StepFunction._from_toggles(int(lo is None), [t for t in (lo, hi) if t is not None])
+        up, down = (lower & cell)._nonzero(), (cell & not_upper)._nonzero()
+        if up and down:
+            return None
+        cells.append(1 if up else 0 if down else None)
+    return cells
+
+
+def dbridc_form_report(u: StepFunction, x: StepFunction, p: BdcParams,
+                       form: str) -> CheckReport:
+    """Membership under one of the equivalent shapes of the deterministic
+    bounded relative inertial delay: 'a' the sandwich plus switch
+    permits, 'b' the switch equalities, 'e' the closed recursion,
+    'f' the derivative equation, 'g' the single tautology.
+
+    The forms are provably equivalent; independent implementations
+    cross-check each other on random traces.
+    """
+    model = Dbridc(p)
+    k = timebase(chain(u.bps, x.bps, model._parameters()))
+    model = _in_ticks(model, k)
+    as_signal(u), as_signal(x)
+    return _in_time(_form_report(u._to_ticks(k), x._to_ticks(k), model, form), k)
+
+
+def _form_report(u: StepFunction, x: StepFunction, model: Dbridc, form: str) -> CheckReport:
+    p = model.p
+    a = window_inf(u, p.d_r, p.m_r)
+    b0 = window_inf(~u, p.d_f, p.m_f)
+    upper = window_sup(u, p.d_f, p.m_f)
+    xl = x.left_limit()
+    if form == "a":
+        return _report([
+            _le(a, x, "lower-bound"),
+            _le(x, upper, "upper-bound"),
+            _le(~xl & x, a, "rise-permit"),
+            _le(xl & ~x, b0, "fall-permit"),
+        ])
+    if form == "b":
+        return _report(model.clauses(u, x))
+    if form == "e":
+        return _report([_eq(x, a | (xl & upper), "recursion")])
+    if form == "f":
+        return _report([_eq(x.derivative(), (~xl & a) | (xl & b0),
+                            "derivative-equation")])
+    if form == "g":
+        big = ((~xl & x & a) | (xl & ~x & b0)
+               | (~xl & ~x & ~a) | (xl & x & ~b0))
+        return _report([_eq(big, StepFunction.const(1), "tautology")])
+    raise ValueError(f"unknown form {form!r}; expected one of a, b, e, f, g")

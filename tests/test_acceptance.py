@@ -16,7 +16,6 @@ import pytest
 import sigdelay as sd
 from sigdelay.cli import main
 from sigdelay.circuit import WaveformSet, builtin, format_netlist, simulate
-from sigdelay.conditions import dbridc_form_report
 from sigdelay.solvers import (
     GridSpec,
     alternating_witness,
@@ -25,7 +24,6 @@ from sigdelay.solvers import (
     brute_left_value,
     brute_value,
     brute_window,
-    probe_points,
 )
 from sigdelay.stepfn import (
     StepFunction,
@@ -38,7 +36,8 @@ from sigdelay.stepfn import (
 )
 from sigdelay.vcd import export_vcd, import_vcd
 
-from conftest import rand_bdc_params, rand_signal, rand_stepfn, record_acceptance
+from conftest import probe_points, rand_bdc_params, rand_signal, rand_stepfn, record_acceptance
+from reference_kernel import dbridc_form_report
 
 
 def train(initial, pulse, gap, n, start=F(0)):

@@ -10,11 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sigdelay as sd
-from sigdelay.conditions import MODELS, dbridc_form_report
+from sigdelay.conditions import MODELS
 from sigdelay.stepfn import StepFunction, chi, chi_point, window, window_inf, window_sup
 
 from conftest import brute_check, rand_bdc_params, rand_signal, rand_stepfn
-from reference_kernel import anticipation_constancy, derivative_transmission_delay
+from reference_kernel import (anticipation_constancy, dbridc_form_report,
+                              derivative_transmission_delay)
 
 # times over denominators 1, 2, 3 and 7, whose points still coincide now and then
 times = st.builds(lambda n, d: F(n, d), st.integers(0, 20), st.sampled_from((1, 2, 3, 7)))

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import sigdelay as sd
 from sigdelay import conditions, solvers, stepfn
@@ -25,7 +26,7 @@ from sigdelay.solvers import (
 from sigdelay.stepfn import StepFunction, chi, window, window_inf, window_sup
 
 from conftest import brute_check, counted_calls, rand_bdc_params, rand_signal
-from reference_kernel import margin_witness
+from reference_kernel import boolean_forced_cells, margin_witness
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +428,10 @@ def test_sample_bridc_never_exhausts_on_consistent_models(monkeypatch):
         u, free = rand_signal(rng, denom=denom), rand_signal(rng, denom=denom)
         x = sample_bridc(u, p, r, free)  # raises SampleRetryError on exhaustion
         assert sd.check_membership(u, x, sd.Bridc(p, r)).ok
+        # the sampler lets errors through: no candidate may raise on a consistent model
+        solve_dbridc(u, p)
+        sample_bdc(u, p, free)
+        alternating_witness(u, sd.Bridc(p, r))
     assert witnesses  # some draws get past both other candidates
 
 
@@ -712,3 +717,49 @@ def test_enumerate_long_grids_and_long_switch_chains():
     assert enumerate_grid_solutions(None, model, grid, stop_after=1) == [StepFunction.const(0)]
     u = StepFunction.from_toggles(0, [F(i, 100) for i in range(1200)])
     assert enumerate_grid_solutions(u, sd.Fixed(0), GridSpec(F(1, 100), 12, 1300)) == [u]
+
+
+# times over denominators 1, 3 and 7, on both sides of 0
+_cell_times = st.builds(F, st.integers(-30, 30), st.sampled_from((1, 3, 7)))
+
+
+@st.composite
+def _any_stepfns(draw):
+    """Arbitrary step functions, point glitches included (as the half-open
+    windows of bdcprime make them)."""
+    bps = sorted(draw(st.sets(_cell_times, max_size=6)))
+    bits = st.lists(st.integers(0, 1), min_size=len(bps), max_size=len(bps))
+    return StepFunction(draw(st.integers(0, 1)), bps, draw(bits), draw(bits))
+
+
+@settings(max_examples=400, deadline=None)
+@given(lower=_any_stepfns(), upper=_any_stepfns(),
+       points=st.sets(_cell_times, max_size=8),
+       shift=st.sampled_from((-70, 0, 70)), ticks=st.booleans(), nested=st.booleans())
+@example(lower=StepFunction(0, [1], [1], [0]), upper=StepFunction(1, [2], [0], [1]),
+         points=set(), shift=0, ticks=False, nested=False)
+def test_forced_cells_against_the_boolean_route(lower, upper, points, shift, ticks, nested):
+    # shift moves the grid before or after every breakpoint; ticks run in
+    # 1/21; nested bounds (lower <= upper) are the sandwiches models build
+    if nested:
+        upper = upper | lower
+    points = sorted(t + shift for t in points)
+    if ticks:
+        lower, upper = lower._to_ticks(21), upper._to_ticks(21)
+        points = [stepfn._to_ticks(t, 21) for t in points]
+    bounds = (lower, upper)
+    assert solvers._forced_cells(bounds, points) == boolean_forced_cells(bounds, points)
+    assert solvers._forced_cells(None, points) == [None] * (len(points) + 1)
+
+
+def test_grid_set_up_walks_the_bounds_once(monkeypatch):
+    # no Boolean merge per grid cell: as many merges at 800 points as at 200
+    zips = counted_calls(monkeypatch, StepFunction, "_zip")
+    seen = []
+    for n in (200, 800):
+        u = StepFunction.from_toggles(0, [F(i, 100) for i in range(n)])
+        before = len(zips)
+        grid = GridSpec(F(1, 100), F(n, 100), n + 100)
+        assert enumerate_grid_solutions(u, sd.Fixed(0), grid) == [u]
+        seen.append(len(zips) - before)
+    assert seen[0] == seen[1]

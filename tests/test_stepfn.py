@@ -18,9 +18,9 @@ from sigdelay.stepfn import (
     window_sup,
     window_sup_halfopen,
 )
-from sigdelay.solvers import brute_left_value, brute_value, brute_window, probe_points
+from sigdelay.solvers import brute_left_value, brute_value, brute_window
 
-from conftest import rand_signal, rand_stepfn
+from conftest import probe_points, rand_signal, rand_stepfn
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,11 @@ from hypothesis import assume, example, given, settings, strategies as st
 import sigdelay as sd
 from sigdelay import conditions
 from sigdelay.circuit import EventBudgetError, builtin, check_trace_conformance, simulate
-from sigdelay.conditions import MODELS, _in_time, _le, _report, dbridc_form_report
+from sigdelay.conditions import MODELS, _in_time, _le, _report
 from sigdelay.stepfn import StepFunction, _to_ticks, chi, format_time, timebase, window
 
 from conftest import brute_check, counted_calls
+from reference_kernel import dbridc_form_report
 
 F = Fraction
 M4423, M9689 = 2 ** 4423 - 1, 2 ** 9689 - 1  # Mersenne primes
