@@ -164,6 +164,14 @@ def validate(n: Netlist, inputs: Optional[dict[str, StepFunction]] = None
     With input waveforms provided, initial values are fully resolved and
     checked; without them, only definite contradictions are reported.
     """
+    return _analyse(n, inputs)[0]
+
+
+def _analyse(n: Netlist, inputs: Optional[dict[str, StepFunction]]
+             ) -> tuple[list[str], dict[str, None], list[str], Optional[dict[str, int]]]:
+    """``validate``'s diagnostics, with what it finds on the way: the nets
+    in order, their evaluation order and their initial values (None when
+    the structure is unsound)."""
     diags: list[str] = []
     drivers: dict[str, str] = {}
     for g in n.gates:
@@ -201,12 +209,12 @@ def validate(n: Netlist, inputs: Optional[dict[str, StepFunction]] = None
         if name not in nets:
             diags.append(f"init override on unknown net {name!r}")
 
-    _, cycle = _eval_order(n, nets)
+    order, cycle = _eval_order(n, nets)
     if cycle is not None:
         diags.append("zero-lookback cycle: " + " -> ".join(cycle))
 
     if diags:
-        return diags
+        return diags, nets, order, None
     resolved, init_diags = _resolve_initials(n, inputs, nets)
     diags.extend(init_diags)
     if inputs is not None and not diags:
@@ -215,7 +223,7 @@ def validate(n: Netlist, inputs: Optional[dict[str, StepFunction]] = None
             diags.append("initial values cannot be resolved for "
                          + ", ".join(repr(m) for m in missing)
                          + " (add init overrides)")
-    return diags
+    return diags, nets, order, resolved
 
 
 def _resolve_initials(n: Netlist, inputs: Optional[dict[str, StepFunction]],
@@ -373,20 +381,17 @@ def simulate(n: Netlist, inputs: dict[str, StepFunction],
              for name in inputs if name not in n.inputs]
     if extra:
         raise ValidationError(extra)
-    diags = validate(n, inputs)
+    diags, nets, order, init = _analyse(n, inputs)
     if diags:
         raise ValidationError(diags)
     for name in n.inputs:
         if not inputs[name].is_signal():
             raise ValidationError([f"input waveform {name!r} is not a signal"])
-    nets = n.nets()
-    init, _ = _resolve_initials(n, inputs, nets)
     ins = {name: inputs[name].truncate(h) for name in n.inputs}
     k = timebase(chain([h], *(f.bps for f in ins.values()),
                        *(d.model._parameters() for d in n.delays)))
     ht = _to_ticks(h, k)
 
-    order = _eval_order(n, nets)[0]
     rank = {net: i for i, net in enumerate(order)}
     value = dict(init)
     switches: dict[str, list] = {net: [] for net in order}  # in ticks

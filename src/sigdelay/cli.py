@@ -73,7 +73,10 @@ EXIT_INTERNAL = 5
 # ASCII waveforms
 # ---------------------------------------------------------------------------
 
-def render_ascii(w: WaveformSet, width: int = 64) -> str:
+_ASCII_WIDTH = 64  # columns per lane
+
+
+def render_ascii(w: WaveformSet) -> str:
     """One lane per net: '_' low, '^' high, '/' and '\\' at switches.
 
     The switch mark leans toward the attained value; exact switch times
@@ -82,12 +85,12 @@ def render_ascii(w: WaveformSet, width: int = 64) -> str:
     names = list(w.signals)
     pad = max((len(n) for n in names), default=0)
     h = w.horizon if w.horizon > 0 else Fraction(1)
-    dt = Fraction(h, width)
+    dt = Fraction(h, _ASCII_WIDTH)
     lines = []
     for name in names:
         sig = w.signals[name]
         cells = []
-        for k in range(width):
+        for k in range(_ASCII_WIDTH):
             lo, hi = k * dt, (k + 1) * dt
             switches = [b for b in sig.bps if lo <= b < hi]
             if switches:
@@ -96,7 +99,7 @@ def render_ascii(w: WaveformSet, width: int = 64) -> str:
                 cells.append("^" if sig.value((lo + hi) / 2) == 1 else "_")
         times = ", ".join(format_time(b) for b in sig.bps) or "none"
         lines.append(f"{name.ljust(pad)} {''.join(cells)}  switches: {times}")
-    lines.append(f"{' ' * pad} 0{' ' * (width - len(str(h)) - 1)}{h}")
+    lines.append(f"{' ' * pad} 0{' ' * (_ASCII_WIDTH - len(str(h)) - 1)}{h}")
     return "\n".join(lines) + "\n"
 
 

@@ -71,8 +71,25 @@ class _RangeError(ValueError):
         self.rule = rule
 
 
+class _Times:
+    """A frozen dataclass whose fields are all times.  Each value that is
+    not already a Fraction is made one by ``as_time``; then ``rule``, what
+    the values need and a test of them, must hold."""
+
+    rule: ClassVar[tuple[str, Callable[..., bool]]]
+
+    def __post_init__(self):
+        for name in self.__match_args__:
+            value = getattr(self, name)
+            if not isinstance(value, Fraction):
+                object.__setattr__(self, name, as_time(value))
+        need, holds = self.rule
+        if not holds(self):
+            raise _RangeError(need, self)
+
+
 @dataclass(frozen=True)
-class BdcParams:
+class BdcParams(_Times):
     """Memories (thresholds for cancellation) and upper delay bounds.
 
     The lower bounds d_f - m_f (rising) and d_r - m_r (falling) are
@@ -83,30 +100,21 @@ class BdcParams:
     d_r: Fraction
     m_f: Fraction
     d_f: Fraction
-
-    def __post_init__(self):
-        for name in ("m_r", "d_r", "m_f", "d_f"):
-            object.__setattr__(self, name, as_time(getattr(self, name)))
-        if not (0 <= self.m_r <= self.d_r and 0 <= self.m_f <= self.d_f):
-            raise _RangeError("need 0 <= m_r <= d_r and 0 <= m_f <= d_f", self)
+    rule = ("need 0 <= m_r <= d_r and 0 <= m_f <= d_f",
+            lambda p: 0 <= p.m_r <= p.d_r and 0 <= p.m_f <= p.d_f)
 
 
 @dataclass(frozen=True)
-class AicParams:
+class AicParams(_Times):
     """Absolute inertia: minimum hold times after a rise / a fall."""
 
     delta_r: Fraction
     delta_f: Fraction
-
-    def __post_init__(self):
-        for name in ("delta_r", "delta_f"):
-            object.__setattr__(self, name, as_time(getattr(self, name)))
-        if self.delta_r < 0 or self.delta_f < 0:
-            raise _RangeError("inertia parameters must be >= 0", self)
+    rule = ("inertia parameters must be >= 0", lambda a: a.delta_r >= 0 and a.delta_f >= 0)
 
 
 @dataclass(frozen=True)
-class RicParams:
+class RicParams(_Times):
     """Relative inertia: a switch at t needs the input held over the
     window [t-delta, t-delta+mu]."""
 
@@ -114,12 +122,8 @@ class RicParams:
     delta_r: Fraction
     mu_f: Fraction
     delta_f: Fraction
-
-    def __post_init__(self):
-        for name in ("mu_r", "delta_r", "mu_f", "delta_f"):
-            object.__setattr__(self, name, as_time(getattr(self, name)))
-        if not (0 <= self.mu_r <= self.delta_r and 0 <= self.mu_f <= self.delta_f):
-            raise _RangeError("need 0 <= mu <= delta for both edges", self)
+    rule = ("need 0 <= mu <= delta for both edges",
+            lambda r: 0 <= r.mu_r <= r.delta_r and 0 <= r.mu_f <= r.delta_f)
 
 
 # ---------------------------------------------------------------------------
@@ -260,22 +264,12 @@ class _Events:
             self.value ^= 1
 
 
-class _Transport(_Events):
-    """fixed: every input switch at s reappears at s + d."""
-
-    def __init__(self, leading: int, d: Fraction):
-        super().__init__(leading)
-        self.d = d
-
-    def feed(self, s, bit):
-        return self._add(s + self.d)
-
-
 class _WindowEdges(_Events):
     """wand/wor: a switch to the dominant value (0 for wand, 1 for wor) at s
     reaches the output with the first window that sees it, at s + d - m,
     and merges with any later pending switch; a switch away from it
-    reaches the output once the whole window has passed it, at s + d."""
+    reaches the output once the whole window has passed it, at s + d.
+    fixed is the window [t-d, t-d]: at m = 0 every switch reappears at s + d."""
 
     def __init__(self, leading: int, m: Fraction, d: Fraction, dominant: int):
         super().__init__(leading)
@@ -349,25 +343,21 @@ class Sc(_Model):
 
 
 @dataclass(frozen=True)
-class Fixed(_Formula):
+class Fixed(_Times, _Formula):
     """The pure delay x(t) = u(t-d)."""
 
     d: Fraction
     keyword = "fixed"
     keys = ("d",)
     clause = "fixed"
-
-    def __post_init__(self):
-        object.__setattr__(self, "d", as_time(self.d))
-        if self.d < 0:
-            raise ValueError("fixed delay needs d >= 0")
+    rule = ("fixed delay needs d >= 0", lambda f: f.d >= 0)
 
     def solve(self, u):
         from . import solvers  # solvers imports this module
         return solvers.solve_fixed(u, self.d)
 
     def events(self, leading):
-        return _Transport(leading, self.d)
+        return _WindowEdges(leading, 0, self.d, 0)
 
     def zero_lookback(self):
         return self.d == 0
@@ -392,32 +382,37 @@ class Bdc(_Bounded):
 
 
 @dataclass(frozen=True)
-class BdcPrime(_Model):
+class BdcPrime(_Times, _Model):
     """Upper bounded, lower unbounded delays: windows [t-d, t)."""
 
     d_r: Fraction
     d_f: Fraction
     keyword = "bdcprime"
     keys = ("dr", "df")
-
-    def __post_init__(self):
-        object.__setattr__(self, "d_r", as_time(self.d_r))
-        object.__setattr__(self, "d_f", as_time(self.d_f))
-        if self.d_r <= 0 or self.d_f <= 0:
-            raise ValueError("BDC' needs d_r > 0 and d_f > 0")
+    rule = ("BDC' needs d_r > 0 and d_f > 0", lambda p: p.d_r > 0 and p.d_f > 0)
 
     def sandwich(self, u):
         return window_inf_halfopen(u, self.d_r), window_sup_halfopen(u, self.d_f)
 
 
-class _Window(_Formula):
-    """The window delays: u over [t-d, t-d+m], 0 <= m <= d."""
+@dataclass(frozen=True)
+class _Window(_Times, _Formula):
+    """The window delays: the ``op`` ("inf" or "sup") of u over
+    [t-d, t-d+m], 0 <= m <= d; ``dominant`` is the value that decides it
+    (0 for inf, 1 for sup)."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "m", as_time(self.m))
-        object.__setattr__(self, "d", as_time(self.d))
-        if not 0 <= self.m <= self.d:
-            raise ValueError("window delay needs 0 <= m <= d")
+    m: Fraction
+    d: Fraction
+    keys = ("m", "d")
+    rule = ("window delay needs 0 <= m <= d", lambda w: 0 <= w.m <= w.d)
+    op: ClassVar[str]
+    dominant: ClassVar[int]
+
+    def solve(self, u):
+        return window(u, self.op, -self.d, -self.d + self.m)
+
+    def events(self, leading):
+        return _WindowEdges(leading, self.m, self.d, self.dominant)
 
     def zero_lookback(self):
         return self.d == self.m
@@ -427,34 +422,20 @@ class _Window(_Formula):
 class WindowAnd(_Window):
     """Deterministic delay x(t) = inf of u over [t-d, t-d+m]."""
 
-    m: Fraction
-    d: Fraction
     keyword = "wand"
-    keys = ("m", "d")
     clause = "window-and"
-
-    def solve(self, u):
-        return window_inf(u, self.d, self.m)
-
-    def events(self, leading):
-        return _WindowEdges(leading, self.m, self.d, 0)
+    op = "inf"
+    dominant = 0
 
 
 @dataclass(frozen=True)
 class WindowOr(_Window):
     """Deterministic delay x(t) = sup of u over [t-d, t-d+m]."""
 
-    m: Fraction
-    d: Fraction
     keyword = "wor"
-    keys = ("m", "d")
     clause = "window-or"
-
-    def solve(self, u):
-        return window_sup(u, self.d, self.m)
-
-    def events(self, leading):
-        return _WindowEdges(leading, self.m, self.d, 1)
+    op = "sup"
+    dominant = 1
 
 
 @dataclass(frozen=True)
@@ -563,18 +544,14 @@ class Dbridc(_Bounded, _Driven):
 
 
 @dataclass(frozen=True)
-class SdbridcPrime(_Driven):
+class SdbridcPrime(_Times, _Driven):
     """Symmetric deterministic variant written as a single left-derivative
     equation with an open lookback window free of input switches."""
 
     d: Fraction
     keyword = "sdbridc"
     keys = ("d",)
-
-    def __post_init__(self):
-        object.__setattr__(self, "d", as_time(self.d))
-        if self.d <= 0:
-            raise ValueError("SDBRIDC' needs d > 0")
+    rule = ("SDBRIDC' needs d > 0", lambda s: s.d > 0)
 
     def sandwich(self, u):
         # before time 0 the output equals the input, and from 0 on it is free

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .stepfn import StepFunction, as_signal
+from .stepfn import StepFunction, _to_ticks, as_signal
 from .circuit import WaveformSet
 
 _ID_CHARS = [chr(c) for c in range(33, 127)]
@@ -38,7 +38,7 @@ def export_vcd(w: WaveformSet) -> str:
                              "(not right-continuous or switches before 0)")
     denoms = [b.denominator for sig in w.signals.values() for b in sig.bps]
     denoms.append(w.horizon.denominator)
-    scale = lcm(*denoms) if denoms else 1
+    scale = lcm(*denoms)
     names = list(w.signals)
     ids = {name: _ident(i) for i, name in enumerate(names)}
     lines = [
@@ -59,7 +59,7 @@ def export_vcd(w: WaveformSet) -> str:
     for name in names:
         sig = w.signals[name]
         for t, v in zip(sig.bps, sig.at):
-            events.setdefault(int(t * scale), []).append(f"{v}{ids[name]}")
+            events.setdefault(_to_ticks(t, scale), []).append(f"{v}{ids[name]}")
     for stamp in sorted(events):
         lines.append(f"#{stamp}")
         lines.extend(events[stamp])

@@ -68,6 +68,21 @@ def counted_calls(monkeypatch, owner, name) -> list:
     return calls
 
 
+def fractions_made(monkeypatch, call) -> tuple:
+    """``call()``'s result and the number of Fractions it constructs."""
+    made = 0
+    new = F.__new__
+
+    def counted(cls, *args, **kwargs):
+        nonlocal made
+        made += 1
+        return new(cls, *args, **kwargs)
+    with monkeypatch.context() as patch:
+        patch.setattr(F, "__new__", staticmethod(counted))
+        result = call()
+    return result, made
+
+
 # ---------------------------------------------------------------------------
 # Acceptance summary: one line per criterion at the end of the run
 # ---------------------------------------------------------------------------

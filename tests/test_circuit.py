@@ -97,11 +97,14 @@ def test_validate_net_listings_do_not_grow_with_outputs_or_inits(monkeypatch):
 
 
 def test_simulate_lists_the_nets_once_per_stage(monkeypatch):
-    # validate, simulate and the conformance self-check list them once each
-    calls = counted_calls(monkeypatch, Netlist, "nets")
+    # the netlist analysis and the conformance self-check list the nets once
+    # each, and only the analysis orders them and resolves their initials
+    stages = [counted_calls(monkeypatch, owner, name) for owner, name in
+              [(Netlist, "nets"), (sd.circuit, "_eval_order"),
+               (sd.circuit, "_resolve_initials")]]
     u = StepFunction.from_toggles(0, [1, 3])
     simulate(builtin("c-element"), {"u": u, "v": u}, 12)
-    assert len(calls) == 3
+    assert [len(calls) for calls in stages] == [2, 1, 1]
 
 
 def test_deep_not_ring_is_one_zero_lookback_cycle(tmp_path, capsys):

@@ -16,7 +16,7 @@ from sigdelay.circuit import WaveformSet, builtin, format_netlist, simulate
 from sigdelay.stepfn import StepFunction, chi, format_time
 from sigdelay.vcd import export_vcd, import_vcd
 
-from conftest import rand_signal
+from conftest import fractions_made, rand_signal
 
 
 NOT_LOOP = """\
@@ -465,27 +465,18 @@ def test_check_errors_quote_the_times_as_typed(tmp_path):
 
 
 def test_check_makes_no_fraction_per_toggle(monkeypatch):
-    def fractions_made(n):
+    def made_by_check(n):
         us = [F(3 * k + 1, 7) for k in range(n)]
         glitch = us[-1] + 10
         xs = [t + F(20, 7) for t in us] + [glitch, glitch + F(1, 7)]
         argv = ["check", "--model", "bdc mr=1 dr=3 mf=1 df=3",
                 "--input", sd.format_signal_literal("u", StepFunction.from_toggles(0, us)),
                 "--state", sd.format_signal_literal("x", StepFunction.from_toggles(0, xs))]
-        made = 0
-        new = F.__new__
-
-        def counted(cls, *args, **kwargs):
-            nonlocal made
-            made += 1
-            return new(cls, *args, **kwargs)
-        monkeypatch.setattr(F, "__new__", staticmethod(counted))
-        answer = run(argv)
-        monkeypatch.undo()
+        answer, made = fractions_made(monkeypatch, lambda: run(argv))
         assert answer == (1, f"violation at t={format_time(glitch)}: upper-bound\n", "")
         return made
 
-    assert fractions_made(2000) <= fractions_made(100)
+    assert made_by_check(2000) <= made_by_check(100)
 
 
 def test_sample_is_seed_deterministic(tmp_path):

@@ -13,7 +13,7 @@ import sigdelay as sd
 from sigdelay.conditions import MODELS
 from sigdelay.stepfn import StepFunction, chi, chi_point, window, window_inf, window_sup
 
-from conftest import brute_check, rand_bdc_params, rand_signal, rand_stepfn
+from conftest import brute_check, fractions_made, rand_bdc_params, rand_signal, rand_stepfn
 from reference_kernel import (anticipation_constancy, dbridc_form_report,
                               derivative_transmission_delay)
 
@@ -707,6 +707,9 @@ def test_model_syntax_rejects(bad):
     ("aic dr=1 df=-1/2", "inertia parameters must be >= 0"),
     ("ric mur=3 deltar=2 muf=0 deltaf=0", "need 0 <= mu <= delta for both edges"),
     ("fixed   d=-1", "fixed delay needs d >= 0"),
+    ("wand m=2 d=1", "window delay needs 0 <= m <= d"),
+    ("bdcprime dr=0 df=1", "BDC' needs d_r > 0 and d_f > 0"),
+    ("sdbridc d=0", "SDBRIDC' needs d > 0"),
 ])
 def test_model_range_errors_name_the_spec_text(spec, rule):
     with pytest.raises(ValueError) as info:
@@ -721,6 +724,26 @@ def test_parameter_tuples_built_directly_name_themselves():
     assert str(info.value) == ("need 0 <= m_r <= d_r and 0 <= m_f <= d_f, got BdcParams("
                                "m_r=Fraction(-1, 1), d_r=Fraction(2, 1), "
                                "m_f=Fraction(1, 1), d_f=Fraction(2, 1))")
+    for build, message in [
+        (lambda: sd.Fixed(-1), "fixed delay needs d >= 0, got Fixed(d=Fraction(-1, 1))"),
+        (lambda: sd.WindowAnd(2, 1), "window delay needs 0 <= m <= d, got "
+                                     "WindowAnd(m=Fraction(2, 1), d=Fraction(1, 1))"),
+        (lambda: sd.BdcPrime(0, 1), "BDC' needs d_r > 0 and d_f > 0, got "
+                                    "BdcPrime(d_r=Fraction(0, 1), d_f=Fraction(1, 1))"),
+        (lambda: sd.SdbridcPrime(0), "SDBRIDC' needs d > 0, got SdbridcPrime(d=Fraction(0, 1))"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("spec, made", [
+    ("bdc mr=1 dr=2 mf=1 df=2", 4),
+    ("bridc mr=1 dr=2 mf=1 df=2 mur=0 deltar=1 muf=0 deltaf=1", 8),
+    ("fixed d=1/2", 1),
+])
+def test_parse_model_makes_one_fraction_per_number(monkeypatch, spec, made):
+    assert fractions_made(monkeypatch, lambda: sd.parse_model(spec))[1] == made
 
 
 # valid parameters: non-unit denominators, m <= d pairs, positive where needed
@@ -788,6 +811,20 @@ def test_no_model_dispatch_outside_conditions():
                     if name in model_names:
                         found.add((path.name, func.name, name))
     assert found <= _ALLOWED_MODEL_DISPATCH, sorted(found - _ALLOWED_MODEL_DISPATCH)
+
+
+def test_time_fields_are_checked_in_one_place():
+    """In `conditions`, only `_Times` coerces and checks time fields, and
+    the window delays declare their constants on the one `_Window` body."""
+    tree = ast.parse((pathlib.Path(sd.__file__).parent / "conditions.py")
+                     .read_text(encoding="utf-8"))
+    classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+    post_inits = {name for name, cls in classes.items() for node in cls.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "__post_init__"}
+    assert post_inits == {"_Times"}
+    for name in ("WindowAnd", "WindowOr"):
+        assert not [node.name for node in classes[name].body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))], name
 
 
 # The calls through which `solvers` may build input windows itself: the
