@@ -23,9 +23,13 @@ inputs' values at that instant; a positive-lookback delay decides from
 its input before that instant.  Work grows with the switches made, not
 with the horizon, and an event budget bounds the switches of every net,
 so runaway oscillation ends in an explicit error instead of a hang.
-Simulation and conformance checks run on integer ticks over the
-timebase of their inputs, parameters and horizon (``stepfn.timebase``);
-every time they return is a Fraction.
+Simulation runs on integer ticks over the timebase of its inputs,
+parameters and horizon (``stepfn.timebase``); a conformance check
+judges the times it is given and leaves the ticks to each element's
+``check_membership``.  Every time they return is a Fraction.
+
+The worked circuits (``builtin``) are netlist text, read by
+``parse_netlist`` like any other netlist.
 """
 
 from __future__ import annotations
@@ -42,11 +46,9 @@ from typing import Callable, Collection, NamedTuple, Optional
 from .stepfn import (RationalLike, StepFunction, _to_ticks, _to_time, as_time,
                      format_time, timebase)
 from .conditions import (
+    MODELS,
     CheckReport,
     DelayModel,
-    Dbridc,
-    Fixed,
-    BdcParams,
     _eq,
     _in_ticks,
     _in_time,
@@ -205,9 +207,11 @@ def _analyse(n: Netlist, inputs: Optional[dict[str, StepFunction]]
     for name in n.outputs:
         if name not in nets:
             diags.append(f"output {name!r} is not a net of the circuit")
-    for name in n.inits:
+    for name, bit in n.inits.items():
         if name not in nets:
             diags.append(f"init override on unknown net {name!r}")
+        if bit not in (0, 1):
+            diags.append(f"init override {name!r} = {bit!r} is not a bit")
 
     order, cycle = _eval_order(n, nets)
     if cycle is not None:
@@ -462,126 +466,92 @@ def check_trace_conformance(n: Netlist,
     nondet_models (keyed by delay output net) overriding per element.
 
     Violations after the waveform horizon are ignored; the signals make
-    no claim there.  Like ``simulate``, it judges in integer ticks and
-    reports the violation time as a Fraction.
+    no claim there.  Gate equations are judged on the times given; each
+    delay element's ``check_membership`` scales its own check to integer
+    ticks and reports its violation time as a Fraction.
     """
     nets = n.nets()
     missing = [net for net in nets if net not in w.signals]
     if missing:
         raise ValueError("waveform set lacks signals for "
                          + ", ".join(repr(m) for m in missing))
-    models = {d.out: nondet_models.get(d.out, d.model) for d in n.delays}
-    k = timebase(chain([w.horizon], *(w.signals[net].bps for net in nets),
-                       *(m._parameters() for m in models.values())))
-    models = {out: _in_ticks(m, k) for out, m in models.items()}
-    signals = {net: w.signals[net]._to_ticks(k) for net in nets}
-    h = _to_ticks(w.horizon, k)
+    h = w.horizon
+    signals = {net: w.signals[net].truncate(h) for net in nets}
     reports = []
     for g in n.gates:
-        out = signals[g.out].truncate(h)
-        expect = _clamped_gate(g.kind, [signals[i].truncate(h) for i in g.ins],
-                               out.leading)
+        out = signals[g.out]
+        expect = _clamped_gate(g.kind, [signals[i] for i in g.ins], out.leading)
         reports.append((g.out, _report([_eq(out, expect, "gate-equation")], h)))
     for d in n.delays:
-        reports.append((d.out, check_membership(signals[d.src].truncate(h),
-                                                signals[d.out].truncate(h),
-                                                models[d.out], horizon=h)))
+        reports.append((d.out, check_membership(signals[d.src], signals[d.out],
+                                                nondet_models.get(d.out, d.model),
+                                                horizon=h)))
     worst = min((replace(r.first_violation, net=net) for net, r in reports if not r.ok),
                 key=_violation_key, default=None)
-    return _in_time(CheckReport(worst is None, worst), k)
+    return CheckReport(worst is None, worst)
 
 
 # ---------------------------------------------------------------------------
 # Built-in circuits
 # ---------------------------------------------------------------------------
 
+# The worked circuits as netlist text, each with the defaults of its
+# ``{key}`` fields, as text too.  The delay line's elements m1..m6 take
+# ``model`` or ``models``.
+_D1 = "fixed d=1"
+_BUILTINS: dict[str, tuple[str, dict]] = {
+    "delay-buffer": ("input u\ndelay x u {model}\noutput x\n", {"model": _D1}),
+    "delay-feedback": ("delay x x {model}\ninit x {x0}\noutput x\n",
+                       {"model": _D1, "x0": "0"}),
+    "not-gate-wire": ("input u\ngate NOT x v\ndelay v u {m1}\ndelay y x {m2}\noutput y\n",
+                      {"m1": _D1, "m2": _D1}),
+    "not-feedback": ("gate NOT x v\ndelay y x {m1}\ndelay v y {m2}\ninit x {x0}\n"
+                     "output x\noutput y\noutput v\n", {"m1": _D1, "m2": _D1, "x0": "0"}),
+    "delay-line-falling": ("input u\ngate NOT y1 u\ngate NOT y2 x1\ngate NOT y3 x2\n"
+                           "gate NAND y4 x3 x1\ngate NOT y5 x4\ngate NAND z x5 x1\n"
+                           "delay x1 y1 {m1}\ndelay x2 y2 {m2}\ndelay x3 y3 {m3}\n"
+                           "delay x4 y4 {m4}\ndelay x5 y5 {m5}\ndelay w z {m6}\noutput w\n",
+                           {"model": _D1, "models": None}),
+    "transient-oscillator": ("input u\ngate NOT v u\ngate NAND x u y z\n"
+                             "delay y v fixed d={d}\ndelay z x fixed d={dprime}\n"
+                             "init v {v0}\ninit x {x0}\noutput x\noutput z\n",
+                             {"d": "3", "dprime": "1", "v0": "1", "x0": "1"}),
+    "c-element": ("input u\ninput v\ngate AND ystar u v\ngate AND zstar u x\n"
+                  "gate AND wstar v x\ngate OR xstar y z w\ndelay y ystar {layer}\n"
+                  "delay z zstar {layer}\ndelay w wstar {layer}\ndelay x xstar {out}\n"
+                  "output x\n", {"layer": "dbridc mr=1 dr=2 mf=1 df=2",
+                                   "out": "dbridc mr=1 dr=2 mf=1 df=2"}),
+}
+
+
 def builtin(name: str, **params) -> Netlist:
-    """Construct one of the worked circuits by name.
+    """Construct one of the worked circuits by name, from its netlist text.
 
     Names: delay-buffer, delay-feedback, not-gate-wire, not-feedback,
     delay-line-falling, transient-oscillator, c-element.  Keyword
     parameters override the default delay models and initial values.
     """
-    if name == "delay-buffer":
-        model = params.pop("model", Fixed(Fraction(1)))
-        _no_extras(name, params)
-        return Netlist(inputs=["u"], delays=[DelayElement("x", "u", model)],
-                       outputs=["x"])
-    if name == "delay-feedback":
-        model = params.pop("model", Fixed(Fraction(1)))
-        x0 = params.pop("x0", 0)
-        _no_extras(name, params)
-        return Netlist(delays=[DelayElement("x", "x", model)],
-                       inits={"x": x0}, outputs=["x"])
-    if name == "not-gate-wire":
-        m1 = params.pop("m1", Fixed(Fraction(1)))
-        m2 = params.pop("m2", Fixed(Fraction(1)))
-        _no_extras(name, params)
-        return Netlist(inputs=["u"],
-                       gates=[Gate("NOT", "x", ("v",))],
-                       delays=[DelayElement("v", "u", m1),
-                               DelayElement("y", "x", m2)],
-                       outputs=["y"])
-    if name == "not-feedback":
-        m1 = params.pop("m1", Fixed(Fraction(1)))
-        m2 = params.pop("m2", Fixed(Fraction(1)))
-        x0 = params.pop("x0", 0)
-        _no_extras(name, params)
-        return Netlist(gates=[Gate("NOT", "x", ("v",))],
-                       delays=[DelayElement("y", "x", m1),
-                               DelayElement("v", "y", m2)],
-                       inits={"x": x0},
-                       outputs=["x", "y", "v"])
+    if name not in _BUILTINS:
+        raise ValueError(f"unknown builtin circuit {name!r}")
+    text, defaults = _BUILTINS[name]
+    extra = sorted(params.keys() - defaults.keys())
+    if extra:
+        raise ValueError(f"builtin {name!r} does not take {extra}")
+    models = params.pop("models", None)
+    fields = {**defaults, **{key: _field(v) for key, v in params.items()}}
     if name == "delay-line-falling":
-        model = params.pop("model", Fixed(Fraction(1)))
-        models = params.pop("models", None)
-        _no_extras(name, params)
-        if models is None:
-            models = [model] * 6
-        if len(models) != 6:
+        specs = [fields["model"]] * 6 if models is None else [_field(m) for m in models]
+        if len(specs) != 6:
             raise ValueError("delay-line-falling takes six per-element models")
-        gates = [Gate("NOT", "y1", ("u",)),
-                 Gate("NOT", "y2", ("x1",)),
-                 Gate("NOT", "y3", ("x2",)),
-                 Gate("NAND", "y4", ("x3", "x1")),
-                 Gate("NOT", "y5", ("x4",)),
-                 Gate("NAND", "z", ("x5", "x1"))]
-        delays = [DelayElement(f"x{i}", f"y{i}", models[i - 1]) for i in range(1, 6)]
-        delays.append(DelayElement("w", "z", models[5]))
-        return Netlist(inputs=["u"], gates=gates, delays=delays, outputs=["w"])
-    if name == "transient-oscillator":
-        d = as_time(params.pop("d", 3))
-        dprime = as_time(params.pop("dprime", 1))
-        v0 = params.pop("v0", 1)
-        x0 = params.pop("x0", 1)
-        _no_extras(name, params)
-        return Netlist(inputs=["u"],
-                       gates=[Gate("NOT", "v", ("u",)),
-                              Gate("NAND", "x", ("u", "y", "z"))],
-                       delays=[DelayElement("y", "v", Fixed(d)),
-                               DelayElement("z", "x", Fixed(dprime))],
-                       inits={"v": v0, "x": x0},
-                       outputs=["x", "z"])
-    if name == "c-element":
-        layer = params.pop("layer", Dbridc(BdcParams(1, 2, 1, 2)))
-        out = params.pop("out", Dbridc(BdcParams(1, 2, 1, 2)))
-        _no_extras(name, params)
-        return Netlist(inputs=["u", "v"],
-                       gates=[Gate("AND", "ystar", ("u", "v")),
-                              Gate("AND", "zstar", ("u", "x")),
-                              Gate("AND", "wstar", ("v", "x")),
-                              Gate("OR", "xstar", ("y", "z", "w"))],
-                       delays=[DelayElement("y", "ystar", layer),
-                               DelayElement("z", "zstar", layer),
-                               DelayElement("w", "wstar", layer),
-                               DelayElement("x", "xstar", out)],
-                       outputs=["x"])
-    raise ValueError(f"unknown builtin circuit {name!r}")
+        fields = {f"m{i}": spec for i, spec in enumerate(specs, 1)}
+    return parse_netlist(text.format_map(fields))
 
 
-def _no_extras(name: str, params: dict):
-    if params:
-        raise ValueError(f"builtin {name!r} does not take {sorted(params)}")
+def _field(value) -> str:
+    """A parameter of ``builtin`` as netlist text: a model as its spec,
+    anything else as a time."""
+    return format_model(value) if type(value) in MODELS.values() \
+        else format_time(as_time(value))
 
 
 # ---------------------------------------------------------------------------

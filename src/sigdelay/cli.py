@@ -22,6 +22,7 @@ import json
 import os
 import random
 import sys
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Optional
 
@@ -92,11 +93,11 @@ def render_ascii(w: WaveformSet) -> str:
         cells = []
         for k in range(_ASCII_WIDTH):
             lo, hi = k * dt, (k + 1) * dt
-            switches = [b for b in sig.bps if lo <= b < hi]
-            if switches:
-                cells.append("/" if sig.value(switches[-1]) == 1 else "\\")
+            j = bisect_left(sig.bps, hi)  # the breakpoints before the column's end
+            if j and sig.bps[j - 1] >= lo:  # the last switch in the column
+                cells.append("/" if sig.at[j - 1] == 1 else "\\")
             else:
-                cells.append("^" if sig.value((lo + hi) / 2) == 1 else "_")
+                cells.append("^" if (sig.right[j - 1] if j else sig.leading) == 1 else "_")
         times = ", ".join(format_time(b) for b in sig.bps) or "none"
         lines.append(f"{name.ljust(pad)} {''.join(cells)}  switches: {times}")
     lines.append(f"{' ' * pad} 0{' ' * (_ASCII_WIDTH - len(str(h)) - 1)}{h}")

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,7 +27,9 @@ from sigdelay.cli import main
 from sigdelay.stepfn import StepFunction, chi, window_inf, window_sup
 from sigdelay.stepfn import window_inf_halfopen, window_sup_halfopen
 
-from conftest import counted_calls, rand_signal
+from sigdelay.conditions import _in_ticks, _in_time
+from sigdelay.stepfn import _to_ticks, timebase
+from conftest import counted_calls, rand_bdc_params, rand_signal
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +171,16 @@ def test_delay_initial_override_must_match_input():
     diags = validate(n, {"u": u})
     assert any("initial value" in d for d in diags)
     assert validate(n, {"u": chi(0, None)}) == []
+
+
+def test_init_override_must_be_a_bit():
+    n = Netlist(delays=[DelayElement("x", "x", sd.Fixed(1))], inits={"x": 2},
+                outputs=["x"])
+    assert validate(n) == ["init override 'x' = 2 is not a bit"]
+    with pytest.raises(ValidationError, match="is not a bit"):
+        simulate(n, {}, 5)
+    with pytest.raises(ValueError, match="0 or 1"):
+        builtin("delay-feedback", x0=2)
 
 
 def test_multiple_drivers_rejected():
@@ -347,6 +360,80 @@ def test_conformance_ranks_attained_first_at_equal_times():
     assert (v.net, v.time, v.attained) == ("x", F(3, 2), True)
 
 
+def _conformance_in_ticks(n, nondet, w):
+    """The oracle: conformance judged over one timebase k of all nets,
+    models and horizon, every element in ticks, the report scaled back."""
+    models = {d.out: nondet.get(d.out, d.model) for d in n.delays}
+    k = timebase(chain([w.horizon], *(f.bps for f in w.signals.values()),
+                       *(m._parameters() for m in models.values())))
+    ticked = WaveformSet({net: f._to_ticks(k) for net, f in w.signals.items()},
+                         _to_ticks(w.horizon, k))
+    return _in_time(check_trace_conformance(
+        n, {out: _in_ticks(m, k) for out, m in models.items()}, ticked), k)
+
+
+def _random_builtin_run(rng, denom):
+    """A worked circuit with random delays of denominator ``denom``, its
+    inputs and a horizon."""
+    def model():
+        return rng.choice((sd.Fixed, sd.SdbridcPrime))(F(rng.randrange(1, 3 * denom), denom))
+
+    def signal():
+        return rand_signal(rng, n_max=6, denom=denom, span=10 * denom)
+    name = rng.choice(("delay-buffer", "delay-feedback", "not-gate-wire", "not-feedback",
+                       "delay-line-falling", "transient-oscillator", "c-element"))
+    params = {"delay-buffer": {"model": model()},
+              "delay-feedback": {"model": model(), "x0": rng.randrange(2)},
+              "not-gate-wire": {"m1": model(), "m2": model()},
+              "not-feedback": {"m1": model(), "m2": model(), "x0": rng.randrange(2)},
+              "delay-line-falling": {"models": [model() for _ in range(6)]},
+              "transient-oscillator": {"d": model().d, "dprime": model().d},
+              "c-element": {}}[name]
+    n = builtin(name, **params)
+    u = signal()
+    if name != "c-element":
+        return n, {net: u for net in n.inputs}
+    # equal initial inputs, else the C-element's initial value is ambiguous
+    return n, {"u": u, "v": StepFunction.from_toggles(u.leading, signal().toggles())}
+
+
+def test_conformance_in_given_times_matches_one_timebase():
+    """Each element scaling its own check gives the report that one
+    timebase for the whole circuit gave."""
+    rng = random.Random(18)
+    seen = set()
+    for _ in range(150):
+        n, inputs = _random_builtin_run(rng, rng.choice((1, 3, 7)))
+        w = simulate(n, inputs, 12)
+        signals = dict(w.signals)
+        net = rng.choice(sorted(signals))
+        ts = list(signals[net].toggles())
+        if ts and rng.randrange(2):  # move one toggle by 1/7
+            i = rng.randrange(len(ts))
+            ts[i] += rng.choice((-1, 1)) * F(1, 7)
+        else:  # or insert one
+            ts.append(F(rng.randrange(0, 12 * 7), 7))
+        if len(set(ts)) == len(ts) and min(ts) >= 0:
+            signals[net] = StepFunction.from_toggles(signals[net].leading, sorted(ts))
+        nondet = {}
+        if rng.randrange(3) == 0:
+            d = rng.choice(n.delays)
+            nondet[d.out] = sd.Bdc(rand_bdc_params(rng, denom=rng.choice((1, 3, 7))))
+        w = WaveformSet(signals, w.horizon)
+        got = check_trace_conformance(n, nondet, w)
+        want = _conformance_in_ticks(n, nondet, w)
+        assert got.ok == want.ok
+        if not got.ok:
+            g, x = got.first_violation, want.first_violation
+            assert (g.net, g.clause, g.time, g.attained) == \
+                (x.net, x.clause, x.time, x.attained)
+            assert g.time is None or type(g.time) is F
+            seen.add("gate" if g.clause == "gate-equation" else "delay")
+            if g.net in nondet:
+                seen.add("nondet")
+    assert seen == {"gate", "delay", "nondet"}
+
+
 def test_conformance_rejects_missing_nets():
     n = builtin("delay-buffer")
     with pytest.raises(ValueError):
@@ -406,6 +493,71 @@ def test_builtin_names():
         builtin("mystery-box")
     with pytest.raises(ValueError):
         builtin("delay-buffer", oops=1)
+
+
+_NOT_FEEDBACK = ("gate NOT x v\ndelay y x {}\ndelay v y {}\ninit x {}\n"
+                 "output x\noutput y\noutput v\n")
+_DELAY_LINE = ("input u\ngate NOT y1 u\ngate NOT y2 x1\ngate NOT y3 x2\n"
+               "gate NAND y4 x3 x1\ngate NOT y5 x4\ngate NAND z x5 x1\n"
+               "delay x1 y1 {}\ndelay x2 y2 {}\ndelay x3 y3 {}\ndelay x4 y4 {}\n"
+               "delay x5 y5 {}\ndelay w z {}\noutput w\n")
+_OSCILLATOR = ("input u\ngate NOT v u\ngate NAND x u y z\ndelay y v fixed d={}\n"
+               "delay z x fixed d={}\ninit v 1\ninit x 1\noutput x\noutput z\n")
+_C_ELEMENT = ("input u\ninput v\ngate AND ystar u v\ngate AND zstar u x\n"
+              "gate AND wstar v x\ngate OR xstar y z w\ndelay y ystar {0}\n"
+              "delay z zstar {0}\ndelay w wstar {0}\ndelay x xstar {1}\noutput x\n")
+_DBRIDC = "dbridc mr=1 dr=2 mf=1 df=2"
+
+_BUILTIN_TEXT = [
+    ("delay-buffer", {}, "input u\ndelay x u fixed d=1\noutput x\n"),
+    ("delay-feedback", {}, "delay x x fixed d=1\ninit x 0\noutput x\n"),
+    ("not-gate-wire", {}, "input u\ngate NOT x v\ndelay v u fixed d=1\n"
+                          "delay y x fixed d=1\noutput y\n"),
+    ("not-feedback", {}, _NOT_FEEDBACK.format("fixed d=1", "fixed d=1", 0)),
+    ("delay-line-falling", {}, _DELAY_LINE.format(*["fixed d=1"] * 6)),
+    ("transient-oscillator", {}, _OSCILLATOR.format(3, 1)),
+    ("c-element", {}, _C_ELEMENT.format(_DBRIDC, _DBRIDC)),
+    ("not-feedback", {"m1": sd.SdbridcPrime(F(3, 2)), "m2": sd.SdbridcPrime(F(5, 4)),
+                      "x0": 1},
+     _NOT_FEEDBACK.format("sdbridc d=3/2", "sdbridc d=5/4", 1)),
+    ("not-feedback", {"m1": sd.Fixed(F(7, 5)), "m2": sd.Fixed(2), "x0": 0},
+     _NOT_FEEDBACK.format("fixed d=7/5", "fixed d=2", 0)),
+    ("delay-line-falling",
+     {"models": [sd.Fixed(F(1, 3)) if i % 2 else sd.SdbridcPrime(F(i + 1, 7))
+                 for i in range(6)]},
+     _DELAY_LINE.format("sdbridc d=1/7", "fixed d=1/3", "sdbridc d=3/7", "fixed d=1/3",
+                        "sdbridc d=5/7", "fixed d=1/3")),
+    ("delay-line-falling", {"model": sd.SdbridcPrime(F(1, 2))},
+     _DELAY_LINE.format(*["sdbridc d=1/2"] * 6)),
+    ("transient-oscillator", {"d": 2, "dprime": 1}, _OSCILLATOR.format(2, 1)),
+    ("transient-oscillator", {"d": "1/2", "dprime": F(4, 3)}, _OSCILLATOR.format("1/2", "4/3")),
+    ("c-element", {"layer": sd.Dbridc(sd.BdcParams(1, 2, 1, 2)),
+                   "out": sd.Dbridc(sd.BdcParams(F(1, 2), 1, F(1, 2), 1))},
+     _C_ELEMENT.format(_DBRIDC, "dbridc mr=1/2 dr=1 mf=1/2 df=1")),
+]
+
+
+@pytest.mark.parametrize("name,params,text", _BUILTIN_TEXT)
+def test_builtin_netlist_text_is_pinned(name, params, text):
+    n = builtin(name, **params)
+    assert format_netlist(n) == text
+    assert n == parse_netlist(text)
+
+
+@pytest.mark.parametrize("name,params,error,msg", [
+    ("transient-oscillator", {"d": 1.5}, TypeError, "float"),
+    ("delay-line-falling", {"models": [sd.Fixed(1)] * 5}, ValueError,
+     "delay-line-falling takes six per-element models"),
+    ("not-feedback", {"x0": 2}, ValueError, "0 or 1"),
+    ("mystery-box", {}, ValueError, "unknown builtin circuit 'mystery-box'"),
+    ("delay-buffer", {"oops": 1}, ValueError,
+     r"builtin 'delay-buffer' does not take \['oops'\]"),
+    ("delay-line-falling", {"m1": sd.Fixed(1)}, ValueError,
+     r"builtin 'delay-line-falling' does not take \['m1'\]"),
+])
+def test_builtin_errors(name, params, error, msg):
+    with pytest.raises(error, match=msg):
+        builtin(name, **params)
 
 
 def test_builtin_shapes():

@@ -16,7 +16,7 @@ from sigdelay.circuit import WaveformSet, builtin, format_netlist, simulate
 from sigdelay.stepfn import StepFunction, chi, format_time
 from sigdelay.vcd import export_vcd, import_vcd
 
-from conftest import fractions_made, rand_signal
+from conftest import fractions_made, rand_signal, rand_stepfn
 
 
 NOT_LOOP = """\
@@ -576,3 +576,45 @@ def test_vcd_conformance_round_trip(rng):
     w = simulate(n, {"u": u}, 14)
     back = import_vcd(export_vcd(w))
     assert sd.check_trace_conformance(n, {}, back).ok
+
+
+def _render_ascii_by_scan(w: WaveformSet) -> str:
+    """The oracle for ``cli.render_ascii``: every column scans all
+    breakpoints and reads an empty column at its midpoint."""
+    names = list(w.signals)
+    pad = max((len(n) for n in names), default=0)
+    h = w.horizon if w.horizon > 0 else F(1)
+    dt = F(h, cli._ASCII_WIDTH)
+    lines = []
+    for name in names:
+        sig = w.signals[name]
+        cells = []
+        for k in range(cli._ASCII_WIDTH):
+            lo, hi = k * dt, (k + 1) * dt
+            switches = [b for b in sig.bps if lo <= b < hi]
+            if switches:
+                cells.append("/" if sig.value(switches[-1]) == 1 else "\\")
+            else:
+                cells.append("^" if sig.value((lo + hi) / 2) == 1 else "_")
+        times = ", ".join(format_time(b) for b in sig.bps) or "none"
+        lines.append(f"{name.ljust(pad)} {''.join(cells)}  switches: {times}")
+    lines.append(f"{' ' * pad} 0{' ' * (cli._ASCII_WIDTH - len(str(h)) - 1)}{h}")
+    return "\n".join(lines) + "\n"
+
+
+def test_render_ascii_matches_the_scan():
+    rng = random.Random(64)
+    for _ in range(300):
+        denom = rng.choice((1, 2, 3, 7, 64))
+        h = F(rng.randrange(0, 10 * denom), denom)
+        span = int(h * denom) + 2 * denom
+        nets = {}
+        for name in ("a", "bb", "c")[:rng.randrange(1, 4)]:
+            if rng.randrange(2):
+                nets[name] = rand_stepfn(rng, n_max=min(12, 2 * span), denom=denom, span=span)
+            else:  # a burst of switches inside one column
+                t = F(rng.randrange(0, span), denom)
+                nets[name] = StepFunction.from_toggles(
+                    rng.randrange(2), [t + F(i, 4 * denom * cli._ASCII_WIDTH) for i in range(3)])
+        w = WaveformSet(nets, h)
+        assert cli.render_ascii(w) == _render_ascii_by_scan(w)
