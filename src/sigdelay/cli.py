@@ -12,7 +12,8 @@ and json-report.
 ``check`` reads its signals into integer numerators and denominators
 (``stepfn._read_signal_literal``) and builds them straight in ticks of
 their common timebase, so it makes Fractions only for its report;
-``simulate`` and ``sample`` parse Fractions.
+``simulate`` and ``sample`` parse Fractions.  ``sample`` hands any model
+one route, ``solvers._sample``, which judges the model's own candidates.
 """
 
 from __future__ import annotations
@@ -41,21 +42,17 @@ from .stepfn import (
 )
 from .conditions import (
     Bdc,
-    Bridc,
     CheckReport,
     DelayModel,
-    InconsistentModelError,
     _in_ticks,
     _in_time,
     check_membership,
-    format_model,
     compose_bdc,
     parse_model,
 )
-from .solvers import SampleRetryError, sample_bdc, sample_bridc
+from .solvers import SampleRetryError, _sample
 from .circuit import (
     EventBudgetError,
-    ValidationError,
     WaveformSet,
     parse_netlist,
     simulate,
@@ -183,9 +180,10 @@ _FREE_CELLS = 256
 def _random_free(rng: random.Random, span: Fraction) -> StepFunction:
     """A pseudorandom free signal on a half-unit grid covering the span, or
     its first _FREE_CELLS cells: any free signal yields a member, so its
-    cost need not grow with the time of the input's last switch."""
+    cost need not grow with the time of the input's last switch.  A draw
+    k/2**53 is below the float 1/3 exactly when it is below 1/3."""
     cells = min(int(span * 2) + 4, _FREE_CELLS)
-    toggles = [Fraction(k, 2) for k in range(cells) if rng.random() < Fraction(1, 3)]
+    toggles = [Fraction(k, 2) for k in range(cells) if rng.random() < 1 / 3]
     return StepFunction._from_toggles(rng.randrange(2), toggles)
 
 
@@ -267,20 +265,8 @@ def cmd_sample(args) -> int:
         raise ValueError(f"retries must be >= 0, got {args.retries}")
     model = parse_model(args.model)
     u = _signal_of(_load_signal(args.input, "--input")[1], None)
-    rng = random.Random(args.seed)
     span = (u.bps[-1] if u.bps else Fraction(0)) + 8
-    if isinstance(model, Bdc):
-        x = sample_bdc(u, model.p, _random_free(rng, span))
-    elif isinstance(model, Bridc):
-        x = sample_bridc(u, model.p, model.r, _random_free(rng, span),
-                         retries=args.retries)
-    elif model.solve is not None:
-        x = model.solve(u)
-    else:
-        raise ValueError(f"sampling is not supported for {format_model(model)!r}")
-    report = check_membership(u, x, model)
-    if not report.ok:
-        raise SampleRetryError("sampler produced an unverified trace")
+    x = _sample(u, model, _random_free(random.Random(args.seed), span), args.retries)
     _write(format_signal_literal("x", x) + "\n", args.out)
     return EXIT_OK
 
@@ -344,16 +330,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (InconsistentModelError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARAMETER
     except EventBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EVENT_BUDGET
     except SampleRetryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SAMPLER
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # an inconsistent model or netlist too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMETER
     except RuntimeError as exc:  # after its subclasses above

@@ -40,6 +40,7 @@ from .stepfn import (
     RationalLike,
     StepFunction,
     _as_offset,
+    _read_time,
     _to_ticks,
     _to_time,
     as_signal,
@@ -206,6 +207,17 @@ class _Model:
     def zero_lookback(self) -> bool:
         """Does the output at t depend on the input at t itself?"""
         return False
+
+    def _candidates(self, u: StepFunction, free: StepFunction):
+        """The sampler's candidate members for the input u, cheapest first:
+        solve(u); else lower | (free . upper) of the sandwich; else the constant
+        at u's final value, which no permit, hold or final-value clause rejects."""
+        if self.solve is not None:
+            yield self.solve(u)
+        elif (bounds := self.sandwich(u)) is not None:
+            yield bounds[0] | (free & bounds[1])
+        else:
+            yield StepFunction.const(u.limit_at_infinity())
 
     def _parameters(self) -> list[Fraction]:
         """Every number of the spec, in key order."""
@@ -394,6 +406,9 @@ class BdcPrime(_Times, _Model):
     def sandwich(self, u):
         return window_inf_halfopen(u, self.d_r), window_sup_halfopen(u, self.d_f)
 
+    def _candidates(self, u, free):  # none: its bounds need not be signals
+        raise ValueError(f"sampling is not supported for {format_model(self)!r}")
+
 
 @dataclass(frozen=True)
 class _Window(_Times, _Formula):
@@ -510,6 +525,10 @@ class Bridc(_Bounded, _Relative):
 
     def consistency(self):
         return ("CC_BRIDC", *cc_bridc(self.p, self.r))
+
+    def _candidates(self, u, free):
+        yield Dbridc(self.p).solve(u)  # the sweep
+        yield from super()._candidates(u, free)
 
 
 @dataclass(frozen=True)
@@ -901,7 +920,7 @@ def parse_model(text: str) -> DelayModel:
         if key in vals:
             raise ValueError(f"duplicate parameter {key!r}")
         try:
-            vals[key] = Fraction(num)
+            vals[key] = Fraction(*_read_time(num))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad number {num!r} for {key!r}: {exc}") from exc
     missing = [k for k in cls.keys if k not in vals]

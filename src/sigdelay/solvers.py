@@ -2,17 +2,17 @@
 
 Deterministic conditions get direct solvers (a translation, a window
 evaluation, or an event form).  Nondeterministic conditions are
-represented four ways: exact extremal members, a constructive sampler
-built on the representation  x = lower or (free . upper),  the exact
-switch-window witness of the bounded family (its earliest schedule,
-with strict bounds counted as infinitesimals and realised in one pass),
-and exhaustive enumeration of all grid-toggle candidates filtered
-through the membership checkers.  The enumeration doubles as the oracle
-for set-level claims (uniqueness, composition): it generates candidates
-independently and keeps only those the checker accepts.  It steps from
-switch to switch and skips only candidates that break a necessary
-condition of membership: a cell forced by the model's sandwich, a
-switch permit, or the hold gap of absolute inertia after a switch.
+represented four ways: exact extremal members, one sampler that judges
+each model's own candidates, the exact switch-window witness of the
+bounded family (its earliest schedule, strict bounds counted as
+infinitesimals, realised in one pass), and exhaustive enumeration of all
+grid-toggle candidates filtered through the membership checkers.  The
+enumeration doubles as the oracle for set-level claims (uniqueness,
+composition): it generates candidates independently and keeps only those
+the checker accepts.  It steps from switch to switch and skips only
+candidates that break a necessary condition of membership: a cell forced
+by the model's sandwich, a switch permit, or the hold gap of absolute
+inertia after a switch.
 
 ``brute_*`` evaluate signals and sliding windows directly from toggle
 lists, with no interval machinery; the test suite uses them to
@@ -26,7 +26,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from itertools import islice
+from typing import Optional, Sequence
 
 from .stepfn import (
     Interval,
@@ -229,35 +230,34 @@ def alternating_witness(u: StepFunction, model: DelayModel
 
 def sample_bridc(u: StepFunction, p: BdcParams, r: RicParams,
                  free: StepFunction, retries: int = 8) -> StepFunction:
-    """A verified member of the bounded relative inertial delay.
+    """A verified member of the bounded relative inertial delay, by ``_sample``."""
+    return _sample(u, Bridc(p, r), free, retries)
 
-    Tries three candidates, each filtered through the checker and each
-    counted against ``retries``: the deterministic sweep, the bounded-delay
-    sample driven by the free signal, then the exact switch-window witness.
-    Exhaustion raises instead of returning an unverified trace, and its
-    message says whether the budget ran out before the witness was tried
-    or the witness found no member.  No candidate raises on a consistent
-    model, so an error from one propagates instead of reading as "no member".
-    """
-    model = Bridc(p, r)
+
+def _sample(u: StepFunction, model: DelayModel, free: StepFunction,
+            retries: int) -> StepFunction:
+    """A verified member of ``model`` for the input u: its ``_candidates``,
+    then for a bounded model the switch-window witness, each judged by the
+    checker and counted against ``retries``.  Exhaustion raises, saying
+    whether the budget ran out (the other models list only members) or the
+    witness found none.  A candidate's error propagates: none raises on a
+    consistent model.  Private, as the benchmark's tracer counts the checks
+    under the public ``sample_bridc`` as its attempts."""
     model.require_consistent()
     as_signal(u), as_signal(free)
-
-    candidates: list[Callable[[], Optional[StepFunction]]] = [
-        lambda: solve_dbridc(u, p),
-        lambda: sample_bdc(u, p, free),
-        lambda: alternating_witness(u, model),
-    ]
     tried = 0
-    for make in candidates:
-        if tried >= retries:
-            break
+    for x in islice(model._candidates(u, free), max(retries, 0)):
         tried += 1
-        x = make()
+        if check_membership(u, x, model).ok:
+            return x
+    witness = isinstance(model, _Bounded)
+    why = "the attempt budget ran out" + " before the switch-window witness was tried" * witness
+    if witness and tried < retries:
+        tried += 1
+        x = alternating_witness(u, model)
         if x is not None and check_membership(u, x, model).ok:
             return x
-    why = ("the switch-window witness found no member" if tried == len(candidates)
-           else "the attempt budget ran out before the switch-window witness was tried")
+        why = "the switch-window witness found no member"
     raise SampleRetryError(
         f"no verified member found in {tried} attempts for {format_model(model)!r}: {why}")
 

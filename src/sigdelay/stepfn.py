@@ -820,17 +820,27 @@ def pulses(f: StepFunction) -> list[Pulse]:
 _Reading = tuple[int, list[int], list[int]]
 
 
+def _read_time(tok: str) -> tuple[int, int]:
+    """The numerator and (positive) denominator of a time token, raising as
+    ``Fraction(tok)`` does.  ASCII digits, or two such runs around a '/',
+    are read by ``int`` with no Fraction, and p/q is kept as written."""
+    num, slash, den = tok.partition("/")
+    if tok.isascii() and num.isdigit() and (not slash or den.isdigit()):
+        n, d = int(num), int(den or 1)
+        if not d:
+            raise ZeroDivisionError(f"Fraction({n}, 0)")
+        return n, d
+    return Fraction(tok).as_integer_ratio()
+
+
 def _read_signal_literal(line: str) -> tuple[str, _Reading]:
     """Tokenize one 'name: <0|1> @ t1, t2, ...' line into its name and its
     reading: the initial bit, and the numerators and the (positive)
     denominators of its times, checked to increase strictly.
 
-    Times are exact decimals or p/q fractions.  The '@' clause may be
-    omitted for a constant.  A time of ASCII digits, or two such runs
-    around a '/', is read with ``int`` and makes no Fraction, and p/q is
-    kept as written, not reduced; any other time is read through
-    ``Fraction(tok)``.  The order check compares the numerators and
-    denominators as integers.
+    Times are exact decimals or p/q fractions, read by ``_read_time``.
+    The '@' clause may be omitted for a constant.  The order check
+    compares the numerators and denominators as integers.
     """
     if ":" not in line:
         raise ValueError(f"signal literal needs 'name: value', got {line!r}")
@@ -854,15 +864,8 @@ def _read_signal_literal(line: str) -> tuple[str, _Reading]:
         tok = tok.strip()
         if not tok:
             continue
-        num, slash, den = tok.partition("/")
         try:
-            if tok.isascii() and num.isdigit() and (not slash or den.isdigit()):
-                n, d = int(num), int(den or 1)
-                if not d:
-                    raise ZeroDivisionError(f"Fraction({n}, 0)")
-            else:
-                t = Fraction(tok)
-                n, d = t.numerator, t.denominator
+            n, d = _read_time(tok)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad time {tok!r} in signal {name!r}: {exc}") from exc
         if prev_n is not None and n * prev_d <= prev_n * d:  # denominators > 0

@@ -12,11 +12,12 @@ from hypothesis import example, given, settings, strategies as st
 import sigdelay as sd
 from sigdelay import cli
 from sigdelay.cli import _random_free, main, report_json
+from sigdelay.conditions import MODELS
 from sigdelay.circuit import WaveformSet, builtin, format_netlist, simulate
 from sigdelay.stepfn import StepFunction, chi, format_time
 from sigdelay.vcd import export_vcd, import_vcd
 
-from conftest import fractions_made, rand_signal, rand_stepfn
+from conftest import brute_check, fractions_made, rand_signal, rand_stepfn
 
 
 NOT_LOOP = """\
@@ -511,6 +512,91 @@ def test_sample_draws_a_bounded_free_signal_for_a_late_switch(capsys):
     _, x = sd.parse_signal_literal(capsys.readouterr().out.strip())
     assert sd.check_membership(StepFunction.from_toggles(0, [F(10) ** 400]), x,
                                sd.parse_model(spec)).ok
+
+
+def _rand_spec(rng, keyword):
+    """A consistent spec of the model ``keyword``, its parameters half units
+    in [0, 4), and the model."""
+    while True:
+        spec = " ".join([keyword, *(f"{key}={rng.randrange(8)}/2" for key in MODELS[keyword].keys)])
+        try:
+            model = sd.parse_model(spec)
+        except ValueError:  # out of range
+            continue
+        if model.consistency() is None or model.consistency()[1]:
+            return spec, model
+
+
+SAMPLED = sorted(set(MODELS) - {"bdcprime"})
+
+
+@pytest.mark.parametrize("keyword", SAMPLED)
+def test_sample_writes_a_member_of_every_model(keyword):
+    rng = random.Random(20261019 + SAMPLED.index(keyword))
+    for _ in range(15):
+        spec, model = _rand_spec(rng, keyword)
+        u = rand_signal(rng)
+        code, out, err = run([
+            "sample", "--model", spec, "--input", sd.format_signal_literal("u", u),
+            "--seed", str(rng.randrange(1000))])
+        assert (code, err) == (0, ""), spec
+        _, x = sd.parse_signal_literal(out.strip())
+        assert sd.check_membership(u, x, model).ok
+        if keyword != "sc":  # which brute_check does not cover
+            assert brute_check(u, x, model), (spec, u, x)
+
+
+@pytest.mark.parametrize("retries", ["8", "0"])
+def test_sample_refuses_bdcprime(retries):
+    code, out, err = run(["sample", "--model", "bdcprime dr=2 df=2",
+                          "--input", "u: 0 @ 1, 4, 6", "--retries", retries])
+    assert (code, out) == (2, "")
+    assert err == "error: sampling is not supported for 'bdcprime dr=2 df=2'\n"
+
+
+@pytest.mark.parametrize("keyword", SAMPLED)
+def test_sample_retries_0_exits_4(keyword):
+    spec, model = _rand_spec(random.Random(keyword), keyword)
+    code, out, err = run(["sample", "--model", spec, "--input",
+                          "u: 0 @ 1, 4, 6", "--retries", "0"])
+    assert (code, out) == (4, "")
+    assert err.startswith("error: no verified member found in 0 attempts for "
+                          f"{sd.format_model(model)!r}: the attempt budget ran out")
+
+
+@pytest.mark.parametrize("keyword", ["bdc", "bridc", "dbridc"])
+def test_sample_output_is_the_library_sampler(keyword):
+    """For bdc, bridc and dbridc the CLI prints what the library's samplers
+    give on the same seeded free signal."""
+    rng = random.Random(20261020)
+    for _ in range(25):
+        spec, model = _rand_spec(rng, keyword)
+        u, seed = rand_signal(rng, denom=rng.choice((1, 2, 3))), rng.randrange(1000)
+        free = _random_free(random.Random(seed), (u.bps[-1] if u.bps else 0) + 8)
+        want = {"bdc": lambda: sd.sample_bdc(u, model.p, free),
+                "bridc": lambda: sd.sample_bridc(u, model.p, model.r, free),
+                "dbridc": lambda: sd.solve_dbridc(u, model.p)}[keyword]()
+        code, out, _ = run(["sample", "--model", spec, "--input",
+                            sd.format_signal_literal("u", u), "--seed", str(seed)])
+        assert (code, out) == (0, sd.format_signal_literal("x", want) + "\n")
+
+
+def _random_free_by_fraction(rng, span):
+    """The free signal as drawn when each draw was compared with Fraction(1, 3)."""
+    cells = min(int(span * 2) + 4, cli._FREE_CELLS)
+    toggles = [F(k, 2) for k in range(cells) if rng.random() < F(1, 3)]
+    return StepFunction._from_toggles(rng.randrange(2), toggles)
+
+
+def test_free_signal_draws_compare_with_one_third_exactly():
+    # the least draw k/2**53 at or above the float 1/3 is at or above 1/3 itself
+    k = -(-F(1 / 3) * 2 ** 53 // 1)
+    assert F(k, 2 ** 53) >= F(1, 3) > F(k - 1, 2 ** 53)
+    rng = random.Random(20261019)
+    for _ in range(300):
+        seed, span = rng.randrange(10 ** 6), F(rng.randrange(0, 300), rng.choice((1, 2, 7)))
+        assert _random_free(random.Random(seed), span) == \
+            _random_free_by_fraction(random.Random(seed), span)
 
 
 def test_parse_error_names_line(tmp_path, capsys):

@@ -409,30 +409,42 @@ def test_sample_bridc_exhaustion_says_why(monkeypatch, retries, witness, why):
     assert len(witnesses) == (retries > 2)
 
 
+def _rand_bridc(rng, denom, p):
+    mu_r, mu_f = (F(rng.randrange(0, 3), denom) for _ in range(2))
+    if rng.random() < 0.5:
+        r = sd.RicParams(mu_r, mu_r + F(rng.randrange(0, 5), denom),
+                         mu_f, mu_f + F(rng.randrange(0, 5), denom))
+    else:
+        r = sd.RicParams(min(p.m_r, mu_r), p.d_r, min(p.m_f, mu_f), p.d_f)
+    return sd.Bridc(p, r)
+
+
+def _rand_baidc(rng, denom, p):
+    return sd.Baidc(p, sd.AicParams(*(F(rng.randrange(0, 5), denom) for _ in range(2))))
+
+
 def test_sample_bridc_never_exhausts_on_consistent_models(monkeypatch):
+    """Nor does the same route on a consistent baidc, the other bounded
+    model whose sandwich sample may break a clause (its holds)."""
     witnesses = counted_calls(monkeypatch, solvers, "alternating_witness")
     rng = random.Random(20261018)
-    drawn = 0
-    while drawn < 300:
-        denom = rng.choice((1, 2, 3))
-        p = rand_bdc_params(rng, denom=denom)
-        mu_r, mu_f = (F(rng.randrange(0, 3), denom) for _ in range(2))
-        if rng.random() < 0.5:
-            r = sd.RicParams(mu_r, mu_r + F(rng.randrange(0, 5), denom),
-                             mu_f, mu_f + F(rng.randrange(0, 5), denom))
-        else:
-            r = sd.RicParams(min(p.m_r, mu_r), p.d_r, min(p.m_f, mu_f), p.d_f)
-        if not sd.cc_bridc(p, r)[0]:
-            continue
-        drawn += 1
-        u, free = rand_signal(rng, denom=denom), rand_signal(rng, denom=denom)
-        x = sample_bridc(u, p, r, free)  # raises SampleRetryError on exhaustion
-        assert sd.check_membership(u, x, sd.Bridc(p, r)).ok
-        # the sampler lets errors through: no candidate may raise on a consistent model
-        solve_dbridc(u, p)
-        sample_bdc(u, p, free)
-        alternating_witness(u, sd.Bridc(p, r))
-    assert witnesses  # some draws get past both other candidates
+    for draw in (_rand_bridc, _rand_baidc):
+        drawn, witnessed = 0, len(witnesses)
+        while drawn < 300:
+            denom = rng.choice((1, 2, 3))
+            model = draw(rng, denom, rand_bdc_params(rng, denom=denom))
+            if not model.consistency()[1]:
+                continue
+            drawn += 1
+            u, free = rand_signal(rng, denom=denom), rand_signal(rng, denom=denom)
+            # raises SampleRetryError on exhaustion
+            x = solvers._sample(u, model, free, 8) if isinstance(model, sd.Baidc) \
+                else sample_bridc(u, model.p, model.r, free)
+            assert sd.check_membership(u, x, model).ok
+            # the sampler lets errors through: no candidate may raise on a consistent model
+            list(model._candidates(u, free))
+            alternating_witness(u, model)
+        assert len(witnesses) > witnessed  # some draws get past the other candidates
 
 
 def test_sample_bridc_rejects_inconsistent():

@@ -1,6 +1,7 @@
 """Core step-function algebra: frozen examples, laws, probe-oracle agreement."""
 
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 import sigdelay as sd
 from sigdelay.stepfn import (
     StepFunction,
+    _read_time,
     chi,
     chi_point,
     pulses,
@@ -451,6 +453,32 @@ def test_parse_signal_literal():
 def test_parse_signal_literal_rejects(bad):
     with pytest.raises(ValueError):
         sd.parse_signal_literal(bad)
+
+
+@pytest.mark.parametrize("tok, want", [
+    ("2", (2, 1)), ("07/014", (7, 14)), ("0.5", (1, 2)), ("1e3", (1000, 1)),
+    ("-1", (-1, 1)), ("\u0663", (3, 1)),  # ARABIC-INDIC DIGIT THREE
+    ("1/0", "Fraction(1, 0)"), ("", "Invalid literal for Fraction: ''")])
+def test_time_token_reader(tok, want):
+    """The signal literals and the model specs read a time token one way,
+    as ``Fraction(tok)`` does, and keep their messages on a bad one."""
+    if isinstance(want, tuple):
+        assert _read_time(tok) == want and F(*want) == F(tok)
+        if want[0] >= 0:
+            assert sd.parse_model(f"fixed d={tok}").d == F(tok)
+        return
+    with pytest.raises((ValueError, ZeroDivisionError)) as exc:
+        F(tok)
+    assert str(exc.value) == want
+    with pytest.raises(type(exc.value), match=f"^{re.escape(want)}$"):
+        _read_time(tok)
+    with pytest.raises(ValueError) as err:
+        sd.parse_model(f"fixed d={tok}")
+    assert str(err.value) == f"bad number {tok!r} for 'd': {want}"
+    if tok:  # an empty time is skipped
+        with pytest.raises(ValueError) as err:
+            sd.parse_signal_literal(f"u: 0 @ {tok}")
+        assert str(err.value) == f"bad time {tok!r} in signal 'u': {want}"
 
 
 def reference_parse(line: str):
