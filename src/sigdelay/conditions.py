@@ -31,7 +31,7 @@ from collections import deque
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from itertools import chain
-from operator import attrgetter
+from operator import attrgetter, gt
 from typing import Callable, ClassVar, Optional, Sequence, Union, get_args
 
 from .stepfn import (
@@ -40,7 +40,7 @@ from .stepfn import (
     RationalLike,
     StepFunction,
     _as_offset,
-    _read_time,
+    _read_ratio,
     _to_ticks,
     _to_time,
     as_signal,
@@ -551,8 +551,8 @@ class Dbridc(_Bounded, _Driven):
         # equality form: a switch happens exactly when the shared window demands
         a, b0 = side[1]
         xl = x.left_limit()
-        return [_eq(~xl & x, ~xl & a, "rise-equality"),
-                _eq(xl & ~x, xl & b0, "fall-equality")]
+        return [_eq(x.rises(), a._zip(xl, gt), "rise-equality"),  # a and not xl
+                _eq(x.falls(), xl & b0, "fall-equality")]
 
     def events(self, leading):
         self.require_consistent()
@@ -705,7 +705,7 @@ def _violation_key(v: Violation):
 
 
 def _le(lhs: StepFunction, rhs: StepFunction, clause: str) -> tuple[IntervalSet, str]:
-    return (lhs & ~rhs).support(), clause
+    return lhs._zip(rhs, gt).support(), clause  # on bits, a > b is a and not b
 
 
 def _eq(lhs: StepFunction, rhs: StepFunction, clause: str) -> tuple[IntervalSet, str]:
@@ -920,7 +920,8 @@ def parse_model(text: str) -> DelayModel:
         if key in vals:
             raise ValueError(f"duplicate parameter {key!r}")
         try:
-            vals[key] = Fraction(*_read_time(num))
+            ratio = _read_ratio(num)  # one Fraction per number, decimals too
+            vals[key] = Fraction(*ratio) if ratio else Fraction(num)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad number {num!r} for {key!r}: {exc}") from exc
     missing = [k for k in cls.keys if k not in vals]

@@ -19,7 +19,8 @@ membership is exactly where the delay conditions differ from each
 other, so closures are never approximated.
 
 Cost is linear in the breakpoints involved: the Boolean operations merge
-the two breakpoint tuples in one two-pointer walk, ``indicator`` builds
+the two breakpoint tuples in one two-pointer walk, each derivative keeps
+the breakpoints that pass one test in one pass, ``indicator`` builds
 a function from an interval set in one walk over its sorted, disjoint
 intervals, and level sets, Minkowski sums, complements and clips build
 their interval sets in one walk too.  Only the public ``IntervalSet``
@@ -55,6 +56,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, compress
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 Time = Fraction
@@ -322,6 +324,11 @@ class IntervalSet:
 # Step functions
 # ---------------------------------------------------------------------------
 
+# semi-derivative kind -> (test of f(b) against a limit at b, is it the left limit)
+_SEMI = {"01-left": (operator.gt, True), "10-left": (operator.lt, True),
+         "01-right": (operator.lt, False), "10-right": (operator.gt, False)}
+
+
 class StepFunction:
     """Canonical binary step function with independent breakpoint values.
 
@@ -515,7 +522,7 @@ class StepFunction:
 
     def __le__(self, other: "StepFunction") -> bool:
         """Pointwise order: self(t) <= other(t) for all t."""
-        return not (self & ~other)._nonzero()
+        return not self._zip(other, operator.gt)._nonzero()  # self and not other
 
     def _nonzero(self) -> bool:
         return self.leading == 1 or any(self.at) or any(self.right)
@@ -548,32 +555,34 @@ class StepFunction:
 
     def derivative(self) -> "StepFunction":
         """Left derivative  Df(t) = f(t-0) xor f(t)."""
-        return self.left_limit() ^ self
+        return self._marks(operator.ne, True)
 
     def right_derivative(self) -> "StepFunction":
         """Right derivative  D*f(t) = f(t+0) xor f(t)."""
-        return self.right_limit() ^ self
+        return self._marks(operator.ne, False)
 
     def semi_derivative(self, kind: str) -> "StepFunction":
         """Semi-derivatives: '01-left', '10-left', '01-right', '10-right'.
 
         '01-left' is (not f(t-0)) . f(t): the rising switch indicator.
         """
-        if kind == "01-left":
-            return ~self.left_limit() & self
-        if kind == "10-left":
-            return self.left_limit() & ~self
-        if kind == "01-right":
-            return ~self & self.right_limit()
-        if kind == "10-right":
-            return self & ~self.right_limit()
-        raise ValueError(f"unknown semi-derivative kind {kind!r}")
+        if kind not in _SEMI:
+            raise ValueError(f"unknown semi-derivative kind {kind!r}")
+        return self._marks(*_SEMI[kind])
 
     def rises(self) -> "StepFunction":
-        return self.semi_derivative("01-left")
+        return self._marks(operator.gt, True)
 
     def falls(self) -> "StepFunction":
-        return self.semi_derivative("10-left")
+        return self._marks(operator.lt, True)
+
+    def _marks(self, op, left: bool) -> "StepFunction":
+        """The indicator of the breakpoints b where op(f(b), f(b-0) if left
+        else f(b+0)) holds: 0, but 1 at each.  Every derivative is 0 off the
+        breakpoints, so one pass builds it, canonical as built."""
+        limits = chain((self.leading,), self.right) if left else self.right
+        bps = tuple(compress(self.bps, map(op, self.at, limits)))
+        return StepFunction._canon(0, bps, (1,) * len(bps), (0,) * len(bps))
 
     # -- geometry -----------------------------------------------------------
 
@@ -822,15 +831,20 @@ _Reading = tuple[int, list[int], list[int]]
 
 def _read_time(tok: str) -> tuple[int, int]:
     """The numerator and (positive) denominator of a time token, raising as
-    ``Fraction(tok)`` does.  ASCII digits, or two such runs around a '/',
-    are read by ``int`` with no Fraction, and p/q is kept as written."""
+    ``Fraction(tok)`` does; p/q is kept as written."""
+    return _read_ratio(tok) or Fraction(tok).as_integer_ratio()
+
+
+def _read_ratio(tok: str) -> Optional[tuple[int, int]]:
+    """ASCII digits, or two such runs around a '/', read by ``int`` with no
+    Fraction; None for any other token."""
     num, slash, den = tok.partition("/")
     if tok.isascii() and num.isdigit() and (not slash or den.isdigit()):
         n, d = int(num), int(den or 1)
         if not d:
             raise ZeroDivisionError(f"Fraction({n}, 0)")
         return n, d
-    return Fraction(tok).as_integer_ratio()
+    return None
 
 
 def _read_signal_literal(line: str) -> tuple[str, _Reading]:

@@ -17,9 +17,12 @@ leave sorting, dropping empties and merging to the public
 ``IntervalSet(...)`` constructor, where the library builds its results
 canonical in one walk.
 
-Two routes at the end build on the kernel's Boolean operations and
-windows instead: the grid's forced cells taken one cell at a time,
-where the library walks the sandwich's forced regions once, and the
+The routes at the end build on the kernel's Boolean operations and
+windows instead: the derivatives and the violation set of a ``_le``
+clause by their Boolean definitions, where the library builds a
+derivative in one pass over the breakpoints and a clause in one merge
+with no complemented copy; the grid's forced cells taken one cell at a
+time, where the library walks the sandwich's forced regions once; and the
 paper's alternative forms of the deterministic bounded relative
 inertial delay (section 9.5), which cross-check each other and the
 checker's form.
@@ -264,6 +267,20 @@ def margin_witness(u: StepFunction, model: DelayModel) -> Optional[StepFunction]
         if member(x):
             return x
     return None
+
+
+def boolean_derivatives(f: StepFunction) -> dict[str, StepFunction]:
+    """Every derivative of f by its Boolean definition over the one-sided
+    limits (sections 3.3-3.4), keyed by method name or semi-derivative kind."""
+    fl, fr = f.left_limit(), f.right_limit()
+    return {"derivative": fl ^ f, "right_derivative": fr ^ f,
+            "01-left": ~fl & f, "10-left": fl & ~f,
+            "01-right": ~f & fr, "10-right": f & ~fr}
+
+
+def boolean_le_violations(lhs: StepFunction, rhs: StepFunction) -> IntervalSet:
+    """Where lhs <= rhs fails, by its Boolean definition: lhs . not rhs."""
+    return (lhs & ~rhs).support()
 
 
 def boolean_forced_cells(bounds: Optional[tuple[StepFunction, StepFunction]],

@@ -741,6 +741,9 @@ def test_parameter_tuples_built_directly_name_themselves():
     ("bdc mr=1 dr=2 mf=1 df=2", 4),
     ("bridc mr=1 dr=2 mf=1 df=2 mur=0 deltar=1 muf=0 deltaf=1", 8),
     ("fixed d=1/2", 1),
+    # a decimal or an exponent is read by Fraction once, not read and rebuilt
+    ("fixed d=0.5", 1),
+    ("bdc mr=0.5 dr=1.25 mf=1e0 df=2", 4),
 ])
 def test_parse_model_makes_one_fraction_per_number(monkeypatch, spec, made):
     assert fractions_made(monkeypatch, lambda: sd.parse_model(spec))[1] == made

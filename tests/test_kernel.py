@@ -16,10 +16,13 @@ from hypothesis import example, given, settings, strategies as st
 import sigdelay as sd
 from sigdelay import stepfn
 from sigdelay.cli import main
+from sigdelay.conditions import _le
 from sigdelay.stepfn import Interval, IntervalSet, StepFunction, chi, indicator
 
-from reference_kernel import (bisect_zip, probe_indicator, sorted_clipped_below,
-                              sorted_complement, sorted_level_set, sorted_minkowski)
+from conftest import counted_calls
+from reference_kernel import (bisect_zip, boolean_derivatives, boolean_le_violations,
+                              probe_indicator, sorted_clipped_below, sorted_complement,
+                              sorted_level_set, sorted_minkowski)
 
 # a coarse grid, so that random intervals often share endpoints
 grid = st.integers(-6, 6).map(lambda n: F(n, 2))
@@ -142,6 +145,45 @@ def test_trusted_results_equal_validated_ones(f, g, d, s, ts, v):
               f._to_ticks(k)._to_time(k), f.rises(), f.falls(), f.derivative()):
         assert is_canonical(h), h
     assert f._to_ticks(k)._to_time(k) == f
+
+
+def in_ticks(*fs: StepFunction) -> list[StepFunction]:
+    """The functions on integer ticks of their common timebase."""
+    k = stepfn.timebase([b for f in fs for b in f.bps])
+    return [f._to_ticks(k) for f in fs]
+
+
+SEMI_KINDS = ("01-left", "10-left", "01-right", "10-right")
+
+
+@settings(max_examples=500, deadline=None)
+@given(any_stepfns, st.booleans())
+@example(StepFunction(0, [1], [1], [0]), False)  # a lone point glitch
+@example(StepFunction(1, [F(2, 7), F(1, 3), 5], [1, 0, 0], [0, 1, 1]), True)
+def test_derivatives_match_boolean_definitions(f, ticks):
+    if ticks:
+        f, = in_ticks(f)
+    want = boolean_derivatives(f)
+    got = {"derivative": f.derivative(), "right_derivative": f.right_derivative(),
+           **{kind: f.semi_derivative(kind) for kind in SEMI_KINDS}}
+    assert got == want
+    assert f.rises() == want["01-left"] and f.falls() == want["10-left"]
+    assert all(is_canonical(h) for h in got.values())
+
+
+@settings(max_examples=400, deadline=None)
+@given(any_stepfns, any_stepfns, st.booleans())
+def test_le_violations_match_boolean_definition(lhs, rhs, ticks):
+    if ticks:
+        lhs, rhs = in_ticks(lhs, rhs)
+    assert _le(lhs, rhs, "clause") == (boolean_le_violations(lhs, rhs), "clause")
+    assert (lhs <= rhs) == (not boolean_le_violations(lhs, rhs))
+
+
+def test_unknown_semi_derivative_kind_keeps_its_message():
+    with pytest.raises(ValueError) as info:
+        chi(0, 1).semi_derivative("01")
+    assert str(info.value) == "unknown semi-derivative kind '01'"
 
 
 @settings(max_examples=300, deadline=None)
@@ -304,6 +346,27 @@ def test_boolean_merge_evaluates_no_operand(monkeypatch):
     out = a & b
     assert calls == 0
     assert out.bps
+
+
+SMALL_U = StepFunction.from_toggles(0, [F(1), F(3, 2), F(4)])
+
+
+@pytest.mark.parametrize("spec, x, made", [
+    # the Boolean route made 5 complements and 4 merges: a limit, a
+    # complement and a merge per semi-derivative, a complement per _le clause
+    ("aic dr=1/2 df=1/2", StepFunction.from_toggles(0, [F(2), F(5, 2), F(6)]),
+     {"__invert__": 1, "_zip": 2}),
+    # the Boolean route made 3 complements and 6 merges
+    ("dbridc mr=1 dr=2 mf=1 df=2", SMALL_U.shift(2), {"__invert__": 0, "_zip": 4}),
+])
+def test_membership_clauses_build_no_complemented_copies(monkeypatch, spec, x, made):
+    # an aic grid candidate and a dbridc trace, judged against an input side
+    # already built, as grid enumeration and the sampler judge them
+    model = sd.parse_model(spec)
+    sd.check_membership(SMALL_U, x, model)
+    calls = {name: counted_calls(monkeypatch, StepFunction, name) for name in made}
+    assert not sd.check_membership(SMALL_U, x, model)
+    assert {name: len(seen) for name, seen in calls.items()} == made
 
 
 def long_pair():
