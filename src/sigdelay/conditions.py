@@ -16,7 +16,8 @@ lower <= x <= upper, the rise and fall permits, and whatever else its
 clauses need; None where it has none), and ``_judge(side, x)`` the
 clauses from that and the output.  Input windows are built there only:
 the checker, the grid pruning and the switch-window witness read them
-from a side, and ``_input_stage`` keeps the last one it built.
+from a side, built in ticks by ``_prepare`` once per input and passed
+to each check of it: no call keeps one for the next.
 
 Consistency predicates (cc_*) are the closed-form parameter
 inequalities equivalent to "a solution exists for every input".  A
@@ -32,7 +33,7 @@ from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from itertools import chain
 from operator import attrgetter, gt
-from typing import Callable, ClassVar, Optional, Sequence, Union, get_args
+from typing import Callable, ClassVar, NamedTuple, Optional, Sequence, Union, get_args
 
 from .stepfn import (
     Interval,
@@ -200,8 +201,9 @@ class _Model:
         if self.hold is not None:
             a = self.a
             hold1 = window(x, "inf", 0, a.delta_r, include_end=self.hold)
-            hold0 = window(~x, "inf", 0, a.delta_f, include_end=self.hold)
-            out += [_le(x.rises(), hold1, "rise-hold"), _le(x.falls(), hold0, "fall-hold")]
+            ones = window(x, "sup", 0, a.delta_f, include_end=self.hold)  # a 1 in the window
+            out += [_le(x.rises(), hold1, "rise-hold"),
+                    ((x.falls() & ones).support(), "fall-hold")]
         return out
 
     def zero_lookback(self) -> bool:
@@ -830,13 +832,18 @@ def check_constancy(u: StepFunction, x: StepFunction,
 # Membership
 # ---------------------------------------------------------------------------
 
-# The last ``_input_stage``: (u, model, horizon, k, model in ticks, input side in ticks).
-_last_input: tuple = (None,) * 6
+class _Input(NamedTuple):
+    """``_prepare``'s timebase k, and the model, its input side and the horizon in ticks."""
+
+    k: Optional[int]
+    model: DelayModel
+    side: tuple
+    horizon: Optional[RationalLike]
 
 
 def check_membership(u: Optional[StepFunction], x: StepFunction,
-                     model: DelayModel,
-                     horizon: Optional[RationalLike] = None) -> CheckReport:
+                     model: DelayModel, horizon: Optional[RationalLike] = None,
+                     *, _input: Optional[_Input] = None) -> CheckReport:
     """Does the trace (u, x) satisfy the model's defining system everywhere?
 
     ``u`` may be None only for the input-free conditions (SC needs both).
@@ -847,47 +854,37 @@ def check_membership(u: Optional[StepFunction], x: StepFunction,
     and the horizon are scaled by their ``timebase`` k, and the
     violation time is scaled back to a Fraction.  Above the timebase
     bound the same clauses run on the Fractions themselves.
+    ``_input``, ``_prepare``'s result for the same u, model and horizon, is
+    used when x's times are whole ticks of its timebase; otherwise the
+    input is prepared afresh, so no report depends on it.
     """
-    h = None if horizon is None else _as_offset(horizon)
     as_signal(x)
-    k, ticked, side = _input_stage(u, model, h, x.bps)
-    return _in_time(_report(ticked._judge(side, x._to_ticks(k)), _to_ticks(h, k)), k)
+    if _input is None or not _fits(x.bps, _input.k):
+        _input = _prepare(u, model, horizon, x.bps)
+    k, ticked, side, h = _input
+    return _in_time(_report(ticked._judge(side, x._to_ticks(k)), h), k)
 
 
-def _input_stage(u: Optional[StepFunction], model: DelayModel, h,
-                 times: Sequence) -> tuple[Optional[int], DelayModel, tuple]:
-    """The timebase k, the model in ticks of 1/k and its ``_input_side``
-    of u in ticks, for outputs with breakpoints ``times``; raises as
-    ``check_membership`` does on a missing input or an inconsistent model.
-
-    It keeps its result in one entry, which the next call reuses when it
-    passes the same u object and the same model object (an identity
-    test, not equality), an equal horizon h, and times that are whole
-    ticks of that timebase (or, above the bound, times above it too);
-    any other call replaces the entry.  Hits and misses judge an output
-    alike, so no report depends on the entry.  It holds strong references
-    to u and the model, so neither id is reused while it is kept; only a
-    consistent model is ever kept, so an inconsistent one raises on every
-    call.  No option turns it off: it changes nothing but the work done.
-    """
-    global _last_input
+def _prepare(u: Optional[StepFunction], model: DelayModel,
+             horizon: Optional[RationalLike], times: Sequence) -> _Input:
+    """u prepared for judging outputs whose breakpoints are ``times``, over
+    the timebase of those, u's, the parameters and the horizon; raises as
+    ``check_membership`` does on a missing input or an inconsistent model."""
+    h = None if horizon is None else _as_offset(horizon)
     if model.needs_input:
         if u is None:
             raise ValueError(f"model {format_model(model)!r} needs an input signal")
         as_signal(u)
-    last_u, last_model, last_h, k, ticked, side = _last_input
-    if not (u is last_u and model is last_model and h == last_h and _fits(times, k)):
-        k = timebase(chain(times, () if u is None else u.bps, model._parameters(),
-                           () if h is None else (h,)))
-        ticked = _in_ticks(model, k)
-        side = ticked._input_side(None if u is None else u._to_ticks(k))
-        _last_input = (u, model, h, k, ticked, side)
-    return k, ticked, side
+    k = timebase(chain(times, () if u is None else u.bps, model._parameters(),
+                       () if h is None else (h,)))
+    ticked = _in_ticks(model, k)
+    return _Input(k, ticked, ticked._input_side(None if u is None else u._to_ticks(k)),
+                  _to_ticks(h, k))
 
 
 def _fits(times: Sequence, k: Optional[int]) -> bool:
-    """Can ``times`` be judged over the timebase k of another call: their
-    own timebase divides k, or both are above the bound?"""
+    """Can ``times`` be judged over the timebase k of a prepared input:
+    their own timebase divides k, or both are above the bound?"""
     kt = timebase(times)
     return not times or (k is None if kt is None else k is not None and k % kt == 0)
 

@@ -48,7 +48,7 @@ from .conditions import (
     RicParams,
     SdbridcPrime,
     _Bounded,
-    _input_stage,
+    _prepare,
     check_membership,
     format_model,
 )
@@ -241,21 +241,23 @@ def _sample(u: StepFunction, model: DelayModel, free: StepFunction,
     checker and counted against ``retries``.  Exhaustion raises, saying
     whether the budget ran out (the other models list only members) or the
     witness found none.  A candidate's error propagates: none raises on a
-    consistent model.  Private, as the benchmark's tracer counts the checks
-    under the public ``sample_bridc`` as its attempts."""
-    model.require_consistent()
-    as_signal(u), as_signal(free)
+    consistent model.  The input is prepared once, over ``free``'s times,
+    and passed to every check.  Private, as the benchmark's tracer counts
+    the checks under the public ``sample_bridc`` as its attempts."""
+    model.require_consistent()  # first: ``sample`` reports it before a bad input
+    prepared = _prepare(u, model, None, free.bps)
+    as_signal(free)
     tried = 0
     for x in islice(model._candidates(u, free), max(retries, 0)):
         tried += 1
-        if check_membership(u, x, model).ok:
+        if check_membership(u, x, model, _input=prepared).ok:
             return x
     witness = isinstance(model, _Bounded)
     why = "the attempt budget ran out" + " before the switch-window witness was tried" * witness
     if witness and tried < retries:
         tried += 1
         x = alternating_witness(u, model)
-        if x is not None and check_membership(u, x, model).ok:
+        if x is not None and check_membership(u, x, model, _input=prepared).ok:
             return x
         why = "the switch-window witness found no member"
     raise SampleRetryError(
@@ -340,8 +342,8 @@ def enumerate_grid_solutions(u: Optional[StepFunction], model: DelayModel,
     whatever the input.
     """
     points = grid.points()
-    # the checker's input side, in ticks: every candidate fits its timebase
-    k, ticked, (bounds, permits, _) = _input_stage(u, model, None, points)
+    # the checker's input, in ticks: every candidate fits its timebase
+    k, ticked, (bounds, permits, _), _ = prepared = _prepare(u, model, None, points)
     if u is not None and not {b for b in as_signal(u).bps if b <= grid.horizon} <= set(points):
         raise ValueError("input breakpoints must lie on the grid")
     ticks = [_to_ticks(g, k) for g in points]
@@ -378,7 +380,7 @@ def enumerate_grid_solutions(u: Optional[StepFunction], model: DelayModel,
             if budget < 0:
                 raise BudgetExceededError("grid enumeration budget exceeded")
             x = StepFunction._from_toggles(x0, [points[i] for i in toggles])
-            if check_membership(u, x, model).ok:
+            if check_membership(u, x, model, _input=prepared).ok:
                 found.append((x0, toggles, x))
                 if stop_after is not None and len(found) >= stop_after:
                     break

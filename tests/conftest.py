@@ -57,13 +57,14 @@ def rng():
 
 
 def counted_calls(monkeypatch, owner, name) -> list:
-    """The argument tuples of every call of ``owner.name`` from here on."""
+    """The positional argument tuples of every call of ``owner.name`` from
+    here on; keyword arguments are passed on too."""
     calls = []
     original = getattr(owner, name)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return original(*args)
+        return original(*args, **kwargs)
     monkeypatch.setattr(owner, name, counted)
     return calls
 

@@ -828,6 +828,18 @@ def test_time_fields_are_checked_in_one_place():
                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))], name
 
 
+def test_no_function_keeps_module_state():
+    """No function in `sigdelay` rebinds a module global: a check keeps
+    nothing between calls, and a caller passes what it reuses."""
+    found = set()
+    for path in pathlib.Path(sd.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found |= {(path.name, func.name) for func in ast.walk(tree)
+                  if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  for node in ast.walk(func) if isinstance(node, ast.Global)}
+    assert not found, sorted(found)
+
+
 # The calls through which `solvers` may build input windows itself: the
 # public extremal members of the bounded delay, and the switch-window
 # witness's one input side on the Fractions.

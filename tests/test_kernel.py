@@ -16,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 import sigdelay as sd
 from sigdelay import stepfn
 from sigdelay.cli import main
-from sigdelay.conditions import _le
+from sigdelay.conditions import _le, _prepare
 from sigdelay.stepfn import Interval, IntervalSet, StepFunction, chi, indicator
 
 from conftest import counted_calls
@@ -353,19 +353,20 @@ SMALL_U = StepFunction.from_toggles(0, [F(1), F(3, 2), F(4)])
 
 @pytest.mark.parametrize("spec, x, made", [
     # the Boolean route made 5 complements and 4 merges: a limit, a
-    # complement and a merge per semi-derivative, a complement per _le clause
+    # complement and a merge per semi-derivative, a complement per _le
+    # clause; the fall-hold window reads x itself, not its complement
     ("aic dr=1/2 df=1/2", StepFunction.from_toggles(0, [F(2), F(5, 2), F(6)]),
-     {"__invert__": 1, "_zip": 2}),
+     {"__invert__": 0, "_zip": 2}),
     # the Boolean route made 3 complements and 6 merges
     ("dbridc mr=1 dr=2 mf=1 df=2", SMALL_U.shift(2), {"__invert__": 0, "_zip": 4}),
 ])
 def test_membership_clauses_build_no_complemented_copies(monkeypatch, spec, x, made):
-    # an aic grid candidate and a dbridc trace, judged against an input side
-    # already built, as grid enumeration and the sampler judge them
+    # an aic grid candidate and a dbridc trace, judged against an input
+    # prepared once, as grid enumeration and the sampler judge them
     model = sd.parse_model(spec)
-    sd.check_membership(SMALL_U, x, model)
+    prepared = _prepare(SMALL_U, model, None, x.bps)
     calls = {name: counted_calls(monkeypatch, StepFunction, name) for name in made}
-    assert not sd.check_membership(SMALL_U, x, model)
+    assert not sd.check_membership(SMALL_U, x, model, _input=prepared)
     assert {name: len(seen) for name, seen in calls.items()} == made
 
 

@@ -8,12 +8,11 @@ pools that mix 1, 3 and 7 with large primes, some of which push the
 timebase past its bound, where the Fractions are kept.  The guards
 count Fraction comparisons instead of timing them, so they cannot flake.
 
-``check_membership`` keeps the input side of its last call; a repeated
-check must equal the same check on fresh copies of the input and the
-model, which cannot hit that entry.
+``check_membership`` keeps nothing between calls.  A caller that judges
+many outputs against one input prepares it once (``_prepare``) and
+passes it to every check; each such check must equal a fresh one.
 """
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -22,7 +21,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 import sigdelay as sd
 from sigdelay import conditions
 from sigdelay.circuit import EventBudgetError, builtin, check_trace_conformance, simulate
-from sigdelay.conditions import MODELS, _in_time, _le, _report
+from sigdelay.conditions import MODELS, _in_time, _le, _prepare, _report
 from sigdelay.stepfn import StepFunction, _to_ticks, chi, format_time, timebase, window
 
 from conftest import brute_check, counted_calls
@@ -90,7 +89,7 @@ def test_check_membership_in_ticks_matches_the_fraction_kernel(case):
 
 
 # ---------------------------------------------------------------------------
-# The input side of the last check
+# One prepared input, passed to many checks
 # ---------------------------------------------------------------------------
 
 elevenths = st.integers(0, 90).map(lambda n: F(n, 11))
@@ -128,17 +127,23 @@ _ABOVE = StepFunction.from_toggles(1, [F(1, M9689), F(5, 2)])
 @example((sd.Ric(sd.RicParams(0, 1, F(1, 2), 1)), _THIRDS,  # x above the bound, then back
           [(_THIRDS, 4), (_ABOVE, 4), (_THIRDS.shift(F(1, 7)), 4), (chi(1, 2), 4)]))
 def test_repeated_checks_match_fresh_ones(case):
+    # the input is prepared once per horizon, over the first output's
+    # times: later outputs fit its timebase, need a finer one or lie above
+    # the bound, where the check prepares afresh
     model, u, calls = case
+    times = calls[0][0].bps
     cc = model.consistency()
     if cc is not None and not cc[1]:
         for x, h in calls:
             with pytest.raises(sd.InconsistentModelError):
+                _prepare(u, model, h, times)
+            with pytest.raises(sd.InconsistentModelError):
                 sd.check_membership(u, x, model, horizon=h)
         return
-    got = [sd.check_membership(u, x, model, horizon=h) for x, h in calls]
-    for (x, h), report in zip(calls, got):
-        fresh_u = None if u is None else StepFunction(u.leading, u.bps, u.at, u.right)
-        assert report == sd.check_membership(fresh_u, x, dataclasses.replace(model), horizon=h)
+    prepared = {h: _prepare(u, model, h, times) for _, h in calls}
+    for x, h in calls:
+        report = sd.check_membership(u, x, model, horizon=h, _input=prepared[h])
+        assert report == sd.check_membership(u, x, model, horizon=h)
         assert report == _report(model.clauses(u, x), h)
 
 
@@ -147,23 +152,28 @@ def test_a_repeated_input_is_judged_once(monkeypatch):
     model = sd.Bdc(sd.BdcParams(1, 2, 1, 2))
     u = _THIRDS
     outputs = [u.shift(d) for d in (1, F(3, 2), F(4, 3), 2)]
+    prepared = _prepare(u, model, None, outputs[0].bps)
     for x in outputs:  # x in sixths: one timebase for all of them
-        sd.check_membership(u, x, model)
+        sd.check_membership(u, x, model, _input=prepared)
     assert len(misses) == 1
-    sd.check_membership(u, u.shift(1), model, horizon=F(3, 11))  # another horizon
-    sd.check_membership(u, u.shift(1), model, horizon=F(3, 11))
+    cut = _prepare(u, model, F(3, 11), outputs[0].bps)  # another horizon
+    sd.check_membership(u, u.shift(1), model, horizon=F(3, 11), _input=cut)
+    sd.check_membership(u, u.shift(1), model, horizon=F(3, 11), _input=cut)
     assert len(misses) == 2
-    sd.check_membership(u, u.shift(F(1, 5)), model, horizon=F(3, 11))  # fifths
+    sd.check_membership(u, u.shift(F(1, 5)), model, horizon=F(3, 11), _input=cut)  # fifths
     assert len(misses) == 3
     equal = StepFunction(u.leading, u.bps, u.at, u.right)
     assert equal == u and sd.check_membership(equal, u.shift(1), model) \
-        == sd.check_membership(u, u.shift(1), model)  # equal, not the same object
+        == sd.check_membership(u, u.shift(1), model)  # no input passed: each prepares
     assert len(misses) == 5
-    sd.check_membership(u, u.shift(1), sd.Bdc(model.p))  # an equal model
+    sd.check_membership(u, u.shift(1), sd.Bdc(model.p))
     assert len(misses) == 6
-    sd.check_membership(u, _ABOVE, model)  # x above the bound
-    sd.check_membership(u, _ABOVE.shift(1), model)
+    sd.check_membership(u, _ABOVE, model, _input=prepared)  # x above the bound
     assert len(misses) == 7
+    above = _prepare(u, model, None, _ABOVE.bps)
+    sd.check_membership(u, _ABOVE, model, _input=above)
+    sd.check_membership(u, _ABOVE.shift(1), model, _input=above)
+    assert len(misses) == 8
 
 
 def test_checks_inspect_no_dataclass_fields(monkeypatch):
