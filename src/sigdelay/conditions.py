@@ -15,9 +15,9 @@ triple ``(sandwich, permits, own)`` from the input alone (the bounds
 lower <= x <= upper, the rise and fall permits, and whatever else its
 clauses need; None where it has none), and ``_judge(side, x)`` the
 clauses from that and the output.  Input windows are built there only:
-the checker, the grid pruning and the switch-window witness read them
-from a side, built in ticks by ``_prepare`` once per input and passed
-to each check of it: no call keeps one for the next.
+the checker, the grid pruning, the sampler's candidates and its witness
+read them from u's side, built in ticks by ``_prepare`` once per input
+and passed to each call: no call keeps one for the next.
 
 Consistency predicates (cc_*) are the closed-form parameter
 inequalities equivalent to "a solution exists for every input".  A
@@ -210,16 +210,16 @@ class _Model:
         """Does the output at t depend on the input at t itself?"""
         return False
 
-    def _candidates(self, u: StepFunction, free: StepFunction):
-        """The sampler's candidate members for the input u, cheapest first:
-        solve(u); else lower | (free . upper) of the sandwich; else the constant
-        at u's final value, which no permit, hold or final-value clause rejects."""
-        if self.solve is not None:
-            yield self.solve(u)
-        elif (bounds := self.sandwich(u)) is not None:
+    def _candidates(self, prepared: _Input, free: StepFunction):
+        """The sampler's candidate members, in the ticks of ``_prepare``'s
+        input ``prepared``, as is ``free``: lower | (free . upper) of its
+        sandwich (a formula's solution); else the constant at u's final value,
+        which no permit, hold or final-value clause rejects.  Called on the
+        model as given, so that a refusal names its own parameters."""
+        if (bounds := prepared.side[0]) is not None:
             yield bounds[0] | (free & bounds[1])
         else:
-            yield StepFunction.const(u.limit_at_infinity())
+            yield StepFunction.const(prepared.u.limit_at_infinity())
 
     def _parameters(self) -> list[Fraction]:
         """Every number of the spec, in key order."""
@@ -248,6 +248,9 @@ class _Driven(_Model):
         for s, bit in zip(u.bps, u.at):
             form.feed(s, bit)
         return StepFunction._from_toggles(u.leading, form.pending)
+
+    def _candidates(self, prepared, free):
+        yield prepared.model.solve(prepared.u)
 
 
 class _Events:
@@ -408,7 +411,7 @@ class BdcPrime(_Times, _Model):
     def sandwich(self, u):
         return window_inf_halfopen(u, self.d_r), window_sup_halfopen(u, self.d_f)
 
-    def _candidates(self, u, free):  # none: its bounds need not be signals
+    def _candidates(self, prepared, free):  # none: its bounds need not be signals
         raise ValueError(f"sampling is not supported for {format_model(self)!r}")
 
 
@@ -528,9 +531,9 @@ class Bridc(_Bounded, _Relative):
     def consistency(self):
         return ("CC_BRIDC", *cc_bridc(self.p, self.r))
 
-    def _candidates(self, u, free):
-        yield Dbridc(self.p).solve(u)  # the sweep
-        yield from super()._candidates(u, free)
+    def _candidates(self, prepared, free):
+        yield Dbridc(prepared.model.p).solve(prepared.u)  # the sweep
+        yield from super()._candidates(prepared, free)
 
 
 @dataclass(frozen=True)
@@ -833,10 +836,11 @@ def check_constancy(u: StepFunction, x: StepFunction,
 # ---------------------------------------------------------------------------
 
 class _Input(NamedTuple):
-    """``_prepare``'s timebase k, and the model, its input side and the horizon in ticks."""
+    """``_prepare``'s timebase k, and the model, u, its side and the horizon in ticks."""
 
     k: Optional[int]
     model: DelayModel
+    u: Optional[StepFunction]
     side: tuple
     horizon: Optional[RationalLike]
 
@@ -861,7 +865,7 @@ def check_membership(u: Optional[StepFunction], x: StepFunction,
     as_signal(x)
     if _input is None or not _fits(x.bps, _input.k):
         _input = _prepare(u, model, horizon, x.bps)
-    k, ticked, side, h = _input
+    k, ticked, _, side, h = _input
     return _in_time(_report(ticked._judge(side, x._to_ticks(k)), h), k)
 
 
@@ -878,8 +882,8 @@ def _prepare(u: Optional[StepFunction], model: DelayModel,
     k = timebase(chain(times, () if u is None else u.bps, model._parameters(),
                        () if h is None else (h,)))
     ticked = _in_ticks(model, k)
-    return _Input(k, ticked, ticked._input_side(None if u is None else u._to_ticks(k)),
-                  _to_ticks(h, k))
+    u = None if u is None else u._to_ticks(k)
+    return _Input(k, ticked, u, ticked._input_side(u), _to_ticks(h, k))
 
 
 def _fits(times: Sequence, k: Optional[int]) -> bool:

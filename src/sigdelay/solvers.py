@@ -83,14 +83,13 @@ def bdc_bounds(u: StepFunction, p: BdcParams) -> tuple[StepFunction, StepFunctio
 
 
 def sample_bdc(u: StepFunction, p: BdcParams, free: StepFunction) -> StepFunction:
-    """A member of the bounded delay's solution set: lower or (free . upper).
+    """A verified member of the bounded delay's solution set, by ``_sample``:
+    lower or (free . upper).
 
     Every choice of the free signal yields a member; free = 0 gives the
     lower bound and free = 1 the upper bound.
     """
-    lower, upper = bdc_bounds(u, p)
-    as_signal(free)
-    return lower | (free & upper)
+    return _sample(u, Bdc(p), free, 1)
 
 
 def solve_dbridc(u: StepFunction, p: BdcParams) -> StepFunction:
@@ -183,8 +182,19 @@ def alternating_witness(u: StepFunction, model: DelayModel
 
     Handles the models with bounded-delay parameters ``p``: Bdc, Baidc,
     Bridc and Dbridc, with or without a satisfied consistency condition
-    (consistency quantifies over all inputs; this decides one input).
-    Their switch permits and closed hold windows narrow the chain.
+    (consistency quantifies over all inputs; this decides one input), so
+    its input side is built on the Fractions, without ``_prepare``'s gate.
+    """
+    if not isinstance(model, _Bounded):
+        raise TypeError(f"alternating_witness does not handle {format_model(model)!r}")
+    return _witness(u, model, model._input_side(as_signal(u)))
+
+
+def _witness(u: StepFunction, model: _Bounded, side) -> Optional[StepFunction]:
+    """``alternating_witness`` on the input side ``side`` of u, in the unit
+    that u, the model, the side and the member returned share.
+
+    The model's switch permits and closed hold windows narrow the chain.
     Infeasibility is exact: any solution must place its k-th forced
     switch inside the k-th window (and permit set), above the propagated
     bound -- the hold constraints apply to all later opposite switches,
@@ -193,17 +203,15 @@ def alternating_witness(u: StepFunction, model: DelayModel
     The chain is the earliest schedule of the windows, each time kept as
     v + k*eps for an infinitesimal eps > 0: a strict bound (t + gap, or
     the next switch after t) adds 1 to k, and a bound raised to a
-    window's lower end resets k to 0.  It is realised once with
-    eps = delta / (n + 1), where delta is the least distance between the
-    distinct rationals the pass compared and n the chain length: since
-    k <= n, each time lies in [v, v + delta) and every comparison keeps
-    its outcome.  The member test then runs once on that realisation.
+    window's lower end resets k to 0.  It is realised once with the
+    exact Fraction eps = delta / (n + 1), where delta is the least
+    distance between the distinct times the pass compared and n the
+    chain length: since k <= n, each time lies in [v, v + delta) and
+    every comparison keeps its outcome.  The member test then runs once
+    on that realisation, on ``side``.
     """
-    if not isinstance(model, _Bounded):
-        raise TypeError(f"alternating_witness does not handle {format_model(model)!r}")
     gaps = {"rise": model.a.delta_r, "fall": model.a.delta_f} if model.hold else None
-    # on the Fractions and without the consistency gate: this judges one input
-    sandwich, permits, _ = side = model._input_side(as_signal(u))
+    sandwich, permits, _ = side
     compared = {Fraction(0)}
     if permits is not None:
         permits = {"rise": permits[0].support(), "fall": permits[1].support()}
@@ -223,7 +231,7 @@ def alternating_witness(u: StepFunction, model: DelayModel
         bound = (t[0] + (gaps[w.kind] if gaps else 0), t[1] + 1)
     ends = sorted(compared)
     delta = min((b - a for a, b in zip(ends, ends[1:])), default=Fraction(1))
-    eps = delta / (len(chain) + 1)
+    eps = Fraction(delta, len(chain) + 1)  # exact: in ticks, delta is an int
     x = StepFunction.from_toggles(u.leading, [v + k * eps for v, k in chain])
     return None if any(vset for vset, _ in model._judge(side, x)) else x
 
@@ -237,28 +245,31 @@ def sample_bridc(u: StepFunction, p: BdcParams, r: RicParams,
 def _sample(u: StepFunction, model: DelayModel, free: StepFunction,
             retries: int) -> StepFunction:
     """A verified member of ``model`` for the input u: its ``_candidates``,
-    then for a bounded model the switch-window witness, each judged by the
-    checker and counted against ``retries``.  Exhaustion raises, saying
-    whether the budget ran out (the other models list only members) or the
-    witness found none.  A candidate's error propagates: none raises on a
-    consistent model.  The input is prepared once, over ``free``'s times,
-    and passed to every check.  Private, as the benchmark's tracer counts
-    the checks under the public ``sample_bridc`` as its attempts."""
+    then for a bounded model the switch-window witness, each counted
+    against ``retries``.  Exhaustion raises, saying whether the budget ran
+    out (the other models list only members) or the witness found none.
+    A candidate's error propagates: none raises on a consistent model.
+    The input is prepared once, in ticks over ``free``'s times, and each
+    attempt reads its side: a candidate, scaled back, is judged by the
+    checker on it, and the witness judges its own member there.  Private,
+    as the benchmark's tracer counts the checks under the public
+    ``sample_bridc`` as its attempts."""
     model.require_consistent()  # first: ``sample`` reports it before a bad input
-    prepared = _prepare(u, model, None, free.bps)
+    k, ticked, u_ticks, side, _ = prepared = _prepare(u, model, None, free.bps)
     as_signal(free)
     tried = 0
-    for x in islice(model._candidates(u, free), max(retries, 0)):
+    for x in islice(model._candidates(prepared, free._to_ticks(k)), max(retries, 0)):
         tried += 1
+        x = x._to_time(k)
         if check_membership(u, x, model, _input=prepared).ok:
             return x
     witness = isinstance(model, _Bounded)
     why = "the attempt budget ran out" + " before the switch-window witness was tried" * witness
     if witness and tried < retries:
         tried += 1
-        x = alternating_witness(u, model)
-        if x is not None and check_membership(u, x, model, _input=prepared).ok:
-            return x
+        x = _witness(u_ticks, ticked, side)
+        if x is not None:
+            return x._to_time(k)
         why = "the switch-window witness found no member"
     raise SampleRetryError(
         f"no verified member found in {tried} attempts for {format_model(model)!r}: {why}")
@@ -343,7 +354,7 @@ def enumerate_grid_solutions(u: Optional[StepFunction], model: DelayModel,
     """
     points = grid.points()
     # the checker's input, in ticks: every candidate fits its timebase
-    k, ticked, (bounds, permits, _), _ = prepared = _prepare(u, model, None, points)
+    k, ticked, _, (bounds, permits, _), _ = prepared = _prepare(u, model, None, points)
     if u is not None and not {b for b in as_signal(u).bps if b <= grid.horizon} <= set(points):
         raise ValueError("input breakpoints must lie on the grid")
     ticks = [_to_ticks(g, k) for g in points]

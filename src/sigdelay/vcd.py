@@ -83,9 +83,14 @@ def import_vcd(text: str) -> WaveformSet:
         if line.startswith("$comment"):
             for tok in line.split():
                 if tok.startswith("lcm="):
-                    scale = int(tok[4:])
+                    scale = int(tok[4:]) if tok[4:].isdecimal() else 0
+                    if scale == 0:
+                        raise ValueError(f"line {lineno}: scale {tok!r} is not a positive integer")
                 elif tok.startswith("horizon="):
-                    horizon = Fraction(tok[8:])
+                    try:
+                        horizon = Fraction(tok[8:])
+                    except (ValueError, ZeroDivisionError):
+                        raise ValueError(f"line {lineno}: bad horizon {tok!r}") from None
             continue
         if line.startswith("$var"):
             parts = line.split()
@@ -106,7 +111,11 @@ def import_vcd(text: str) -> WaveformSet:
         if line.startswith("$"):
             continue
         if line.startswith("#"):
-            now = Fraction(int(line[1:]), scale)
+            stamp = Fraction(int(line[1:]), scale) if line[1:].isdecimal() else -1
+            if stamp < now:
+                raise ValueError(f"line {lineno}: timestamp {line!r} is not a whole "
+                                 "number at or after the one before")
+            now = stamp
             continue
         if line[0] in "01":
             if not seen_defs:

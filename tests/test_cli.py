@@ -10,14 +10,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import sigdelay as sd
-from sigdelay import cli
+from sigdelay import cli, solvers
 from sigdelay.cli import _random_free, main, report_json
 from sigdelay.conditions import MODELS
 from sigdelay.circuit import WaveformSet, builtin, format_netlist, simulate
 from sigdelay.stepfn import StepFunction, chi, format_time
 from sigdelay.vcd import export_vcd, import_vcd
 
-from conftest import brute_check, fractions_made, rand_signal, rand_stepfn
+from conftest import brute_check, counted_calls, fractions_made, rand_signal, rand_stepfn
 
 
 NOT_LOOP = """\
@@ -581,6 +581,20 @@ def test_sample_output_is_the_library_sampler(keyword):
         assert (code, out) == (0, sd.format_signal_literal("x", want) + "\n")
 
 
+# every candidate of this bridc fails on this input, whatever the seed
+_WITNESSED = ["--model", "bridc mr=3/2 dr=2 mf=3/2 df=3 mur=3/2 deltar=3/2 muf=3/2 deltaf=5/2",
+              "--input", "u: 0 @ 3/2, 5/2, 7/2, 11/2"]
+
+
+@pytest.mark.parametrize("seed", ["0", "1", "39"])
+def test_sample_writes_the_switch_window_witness(monkeypatch, seed):
+    witnesses = counted_calls(monkeypatch, solvers, "_witness")
+    code, out, err = run(["sample", *_WITNESSED, "--seed", seed])
+    assert (code, out, err) == (0, "x: 0 @ 5, 8\n", "")
+    assert len(witnesses) >= 1
+    assert run(["check", *_WITNESSED, "--state", out.strip()]) == (0, "ok\n", "")
+
+
 def _random_free_by_fraction(rng, span):
     """The free signal as drawn when each draw was compared with Fraction(1, 3)."""
     cells = min(int(span * 2) + 4, cli._FREE_CELLS)
@@ -654,6 +668,25 @@ def test_vcd_switch_at_zero_distinct_from_initial():
     assert back.signals["a"].leading == 1
     assert back.signals["a"].bps == (F(0), F(3))
     assert back.signals["b"] == StepFunction.const(0)
+
+
+_VCD = ("$comment sigdelay scale lcm={lcm} horizon={horizon} $end\n"
+        "$var wire 1 ! x $end\n$enddefinitions $end\n"
+        "#0\n$dumpvars\n0!\n$end\n{stamp}\n1!\n#9\n0!\n")
+
+
+@pytest.mark.parametrize("fields, line", [
+    ({"lcm": "0"}, 1), ({"lcm": "-2"}, 1), ({"lcm": "2.5"}, 1), ({"lcm": ""}, 1),
+    ({"horizon": "1/0"}, 1), ({"horizon": "abc"}, 1),
+    ({"stamp": "#x2"}, 8), ({"stamp": "#-3"}, 8), ({"stamp": "#"}, 8),
+    ({"stamp": "#12"}, 10)])  # after #12, #9 goes back in time
+def test_vcd_import_names_the_line_of_a_bad_scale_or_timestamp(fields, line):
+    text = _VCD.format(**{"lcm": "2", "horizon": "6", "stamp": "#4", **fields})
+    with pytest.raises(ValueError, match=f"^line {line}: "):
+        import_vcd(text)
+    good = import_vcd(_VCD.format(lcm="2", horizon="6", stamp="#4"))
+    assert good.signals["x"] == StepFunction.from_toggles(0, [2, F(9, 2)])
+    assert good.horizon == 6
 
 
 def test_vcd_conformance_round_trip(rng):

@@ -845,20 +845,34 @@ def test_no_function_keeps_module_state():
 # witness's one input side on the Fractions.
 _ALLOWED_INPUT_WINDOW_CALLS = {("bdc_bounds", "sandwich"),
                                ("alternating_witness", "_input_side")}
+_INPUT_SIDE_CALLS = ("sandwich", "permits", "_input_side")
+
+
+def _called_names(node):
+    """The name of every function or method that ``node`` calls."""
+    for call in ast.walk(node):
+        if isinstance(call, ast.Call):
+            func = call.func
+            yield func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
 
 
 def test_solvers_read_input_windows_from_the_input_side():
     """Input windows are built in `conditions`: `solvers` reads them from a
-    model's input side instead of building its own."""
-    tree = ast.parse((pathlib.Path(sd.__file__).parent / "solvers.py")
-                     .read_text(encoding="utf-8"))
-    found = set()
-    for top in tree.body:
-        for call in ast.walk(top):
-            if (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
-                    and call.func.attr in ("sandwich", "permits", "_input_side")):
-                found.add((getattr(top, "name", "<module>"), call.func.attr))
+    model's input side instead of building its own, and no model's sampler
+    candidates build one beside the prepared side."""
+    src = pathlib.Path(sd.__file__).parent
+    tree = ast.parse((src / "solvers.py").read_text(encoding="utf-8"))
+    found = {(getattr(top, "name", "<module>"), name) for top in tree.body
+             for name in _called_names(top) if name in _INPUT_SIDE_CALLS}
     assert found == _ALLOWED_INPUT_WINDOW_CALLS, sorted(found ^ _ALLOWED_INPUT_WINDOW_CALLS)
+    tree = ast.parse((src / "conditions.py").read_text(encoding="utf-8"))
+    candidates = [(cls.name, func) for cls in tree.body if isinstance(cls, ast.ClassDef)
+                  for func in cls.body
+                  if isinstance(func, ast.FunctionDef) and func.name == "_candidates"]
+    assert len(candidates) >= 3
+    built = {(cls, name) for cls, func in candidates for name in _called_names(func)
+             if name in _INPUT_SIDE_CALLS or (name or "").startswith("window")}
+    assert not built, sorted(built)
 
 
 # the input sides' sandwiches on half-unit times and on mixed denominators

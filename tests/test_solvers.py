@@ -5,7 +5,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import sigdelay as sd
 from sigdelay import conditions, solvers, stepfn
@@ -303,6 +303,42 @@ def test_alternating_witness_realises_an_infinitesimal_chain():
     assert _clause_member(u, x, model) and brute_check(u, x, model)
 
 
+@st.composite
+def _consistent_bounded_case(draw):
+    """(u, model): a consistent Bdc, Baidc, Bridc or Dbridc and an input,
+    every time on the half-unit grid or each over its own denominator 1, 3
+    or 7."""
+    halves = draw(st.booleans())
+
+    def t(top):
+        denom = 2 if halves else draw(st.sampled_from((1, 3, 7)))
+        return F(draw(st.integers(0, top * denom)), denom)
+    m_r, m_f = t(2), t(2)
+    p = sd.BdcParams(m_r, m_r + t(3), m_f, m_f + t(3))
+    kind = draw(st.sampled_from(("bdc", "baidc", "bridc", "dbridc")))
+    if kind == "baidc":
+        model = sd.Baidc(p, sd.AicParams(t(2), t(2)))
+    elif kind == "bridc":  # with delta = d, CC_BRIDC's clause a is CC_BDC
+        model = sd.Bridc(p, sd.RicParams(min(m_r, t(2)), p.d_r, min(m_f, t(2)), p.d_f))
+    else:
+        model = sd.Dbridc(p) if kind == "dbridc" else sd.Bdc(p)
+    assume(model.consistency()[1])
+    toggles = sorted({t(6) for _ in range(draw(st.integers(0, 5)))})
+    return StepFunction.from_toggles(draw(st.integers(0, 1)), toggles), model
+
+
+@settings(max_examples=400, deadline=None)
+@given(_consistent_bounded_case())
+@example((StepFunction.from_toggles(0, [2, F(5, 2)]),  # its witness: 0 @ 9/2, 11/2 + 1/6
+          sd.Baidc(sd.BdcParams(0, F(5, 2), 2, F(9, 2)), sd.AicParams(1, 0))))
+def test_witness_in_ticks_is_the_witness_on_the_fractions(case):
+    # the sampler's route: the prepared side in ticks, the member scaled back
+    u, model = case
+    prepared = conditions._prepare(u, model, None, ())
+    x = solvers._witness(prepared.u, prepared.model, prepared.side)
+    assert (None if x is None else x._to_time(prepared.k)) == alternating_witness(u, model)
+
+
 def _intervals(*ivs):
     return stepfn.IntervalSet([stepfn.Interval(*iv) for iv in ivs])
 
@@ -375,33 +411,36 @@ _HARD_U = StepFunction.from_toggles(0, [F(3, 2), F(5, 2), F(7, 2), F(11, 2)])
 
 
 def test_sample_bridc_builds_the_input_side_once(monkeypatch):
-    # both candidates fail until the switch-window witness, the third
+    # both candidates fail until the switch-window witness, the third, which
+    # reads the prepared side and judges its member there
     sides = counted_calls(monkeypatch, conditions._Model, "_input_side")
     misses = counted_calls(monkeypatch, conditions, "_in_ticks")
     checks = counted_calls(monkeypatch, solvers, "check_membership")
     windows = counted_calls(monkeypatch, stepfn, "window")
-    witness, in_witness = solvers.alternating_witness, []
+    witness, in_witness = solvers._witness, []
 
-    def counted_witness(u, model):
+    def counted_witness(u, model, side):
         before = len(windows)
-        found = witness(u, model)
+        found = witness(u, model, side)
         in_witness.append(len(windows) - before)
         return found
-    monkeypatch.setattr(solvers, "alternating_witness", counted_witness)
+    monkeypatch.setattr(solvers, "_witness", counted_witness)
     x = sample_bridc(_HARD_U, _HARD_P, _HARD_R, chi(1, None))
-    assert len(checks) == 3 and len(misses) == 1
-    assert len(sides) == 2  # the checks' in ticks, the witness's on the Fractions
-    assert in_witness == [4]  # its sandwich and its permits, each window built once
+    assert sd.format_signal_literal("x", x) == "x: 0 @ 5, 8"
+    assert len(checks) == 2 and len(misses) == 1
+    assert len(sides) == 1  # the prepared one, in ticks
+    assert len(windows) == 4  # its sandwich and its permits, each built once
+    assert in_witness == [0]
     assert brute_check(_HARD_U, x, sd.Bridc(_HARD_P, _HARD_R))
 
 
 @pytest.mark.parametrize("retries, witness, why", [
     (2, None, "the attempt budget ran out before the switch-window witness was tried"),
-    (8, lambda u, model: None, "the switch-window witness found no member")])
+    (8, lambda u, model, side: None, "the switch-window witness found no member")])
 def test_sample_bridc_exhaustion_says_why(monkeypatch, retries, witness, why):
     if witness is not None:
-        monkeypatch.setattr(solvers, "alternating_witness", witness)
-    witnesses = counted_calls(monkeypatch, solvers, "alternating_witness")
+        monkeypatch.setattr(solvers, "_witness", witness)
+    witnesses = counted_calls(monkeypatch, solvers, "_witness")
     with pytest.raises(SampleRetryError) as info:
         sample_bridc(_HARD_U, _HARD_P, _HARD_R, chi(1, None), retries=retries)
     assert str(info.value).endswith(why)
@@ -425,10 +464,10 @@ def _rand_baidc(rng, denom, p):
 def test_sample_bridc_never_exhausts_on_consistent_models(monkeypatch):
     """Nor does the same route on a consistent baidc, the other bounded
     model whose sandwich sample may break a clause (its holds)."""
-    witnesses = counted_calls(monkeypatch, solvers, "alternating_witness")
+    witnesses = counted_calls(monkeypatch, solvers, "_witness")
     rng = random.Random(20261018)
     for draw in (_rand_bridc, _rand_baidc):
-        drawn, witnessed = 0, len(witnesses)
+        drawn = witnessed = 0
         while drawn < 300:
             denom = rng.choice((1, 2, 3))
             model = draw(rng, denom, rand_bdc_params(rng, denom=denom))
@@ -436,14 +475,17 @@ def test_sample_bridc_never_exhausts_on_consistent_models(monkeypatch):
                 continue
             drawn += 1
             u, free = rand_signal(rng, denom=denom), rand_signal(rng, denom=denom)
+            before = len(witnesses)
             # raises SampleRetryError on exhaustion
             x = solvers._sample(u, model, free, 8) if isinstance(model, sd.Baidc) \
                 else sample_bridc(u, model.p, model.r, free)
+            witnessed += len(witnesses) > before
             assert sd.check_membership(u, x, model).ok
             # the sampler lets errors through: no candidate may raise on a consistent model
-            list(model._candidates(u, free))
+            prepared = conditions._prepare(u, model, None, free.bps)
+            list(model._candidates(prepared, free._to_ticks(prepared.k)))
             alternating_witness(u, model)
-        assert len(witnesses) > witnessed  # some draws get past the other candidates
+        assert witnessed  # some draws get past the other candidates
 
 
 def test_sample_bridc_rejects_inconsistent():
