@@ -15,6 +15,11 @@ initial-value override contradicts its input.  Such cycles are found
 from the evaluation order itself: the nets that the Kahn sort of the
 zero-lookback graph cannot place all lie on or behind a cycle.
 
+``_analyse`` is the one judge of a netlist and its inputs: the input
+waveforms, then the structure, then the initial values, settled by
+three-valued propagation from one worklist (``_settle``), so that the
+work is linear in the netlist whatever order it is listed in.
+
 Simulation is event-driven: one queue of switch times, each delay
 element in its model's event form (``conditions._Events``).  At each
 time only the nets an event touches are settled, in the order of the
@@ -161,10 +166,11 @@ class WaveformSet:
 
 def validate(n: Netlist, inputs: Optional[dict[str, StepFunction]] = None
              ) -> list[str]:
-    """All structural diagnostics; an empty list means the netlist is sound.
+    """All diagnostics; an empty list means the netlist is sound.
 
-    With input waveforms provided, initial values are fully resolved and
-    checked; without them, only definite contradictions are reported.
+    With input waveforms provided, their faults come first and alone, as
+    ``simulate`` raises them; then initial values are fully resolved and
+    checked.  Without them, only definite contradictions are reported.
     """
     return _analyse(n, inputs)[0]
 
@@ -173,17 +179,21 @@ def _analyse(n: Netlist, inputs: Optional[dict[str, StepFunction]]
              ) -> tuple[list[str], dict[str, None], list[str], Optional[dict[str, int]]]:
     """``validate``'s diagnostics, with what it finds on the way: the nets
     in order, their evaluation order and their initial values (None when
-    the structure is unsound)."""
-    diags: list[str] = []
+    the inputs or the structure are unsound).  ``simulate`` checks no more."""
+    nets = dict.fromkeys(n.nets())  # in order, with constant-time lookups
+    if inputs is not None:
+        diags = [f"no waveform for primary input {name!r}"
+                 for name in n.inputs if name not in inputs]
+        diags += [f"waveform for {name!r}, which is not a primary input"
+                  for name in inputs if name not in n.inputs]
+        diags += [f"input waveform {name!r} is not a signal"
+                  for name in n.inputs if name in inputs and not inputs[name].is_signal()]
+        if diags:
+            return diags, nets, [], None
+    diags = []
     drivers: dict[str, str] = {}
     for g in n.gates:
-        kind = GATES.get(g.kind)
-        if kind is None:
-            diags.append(f"unknown gate kind {g.kind!r} driving {g.out!r}")
-        elif kind.unary and len(g.ins) != 1:
-            diags.append(f"{g.kind} gate {g.out!r} takes exactly one input")
-        elif not kind.unary and len(g.ins) < 2:
-            diags.append(f"gate {g.out!r} ({g.kind}) needs at least two inputs")
+        diags += _gate_diags(g)
         if g.out in drivers:
             diags.append(f"net {g.out!r} driven more than once")
         drivers[g.out] = "gate"
@@ -200,7 +210,6 @@ def _analyse(n: Netlist, inputs: Optional[dict[str, StepFunction]]
         if name in n.inits:
             diags.append(f"primary input {name!r} takes its initial value "
                          "from its waveform, not from an init override")
-    nets = dict.fromkeys(n.nets())  # in order, with constant-time lookups
     for net in nets:
         if net not in drivers and net not in n.inputs:
             diags.append(f"net {net!r} has no driver and is not an input")
@@ -219,96 +228,97 @@ def _analyse(n: Netlist, inputs: Optional[dict[str, StepFunction]]
 
     if diags:
         return diags, nets, order, None
-    resolved, init_diags = _resolve_initials(n, inputs, nets)
-    diags.extend(init_diags)
-    if inputs is not None and not diags:
-        missing = [name for name in nets if name not in resolved]
-        if missing:
-            diags.append("initial values cannot be resolved for "
-                         + ", ".join(repr(m) for m in missing)
-                         + " (add init overrides)")
+    resolved, diags = _resolve_initials(n, inputs, nets)
     return diags, nets, order, resolved
+
+
+def _gate_diags(g: Gate) -> list[str]:
+    """What makes a gate unreadable: an unknown kind or the wrong number
+    of inputs."""
+    kind = GATES.get(g.kind)
+    if kind is None:
+        return [f"unknown gate kind {g.kind!r} driving {g.out!r}"]
+    if kind.unary and len(g.ins) != 1:
+        return [f"{g.kind} gate {g.out!r} takes exactly one input"]
+    if not kind.unary and len(g.ins) < 2:
+        return [f"gate {g.out!r} ({g.kind}) needs at least two inputs"]
+    return []
 
 
 def _resolve_initials(n: Netlist, inputs: Optional[dict[str, StepFunction]],
                       nets: Collection[str]) -> tuple[dict[str, int], list[str]]:
-    """Initial (t < 0) value of every net of ``nets``, the nets of n.
+    """Initial (t < 0) value of every net of ``nets``, the nets of n, with
+    the diagnostics; ``inputs``, if given, covers every primary input.
 
     Gate outputs default to their function of the input initials and may
     be overridden freely; a delay output always equals its input's
     initial, and an override saying otherwise is a contradiction.
-    Resolution is three-valued propagation plus, if values remain
-    unknown, exhaustive search over them; zero or multiple consistent
-    assignments are diagnostics.
+    Resolution is three-valued propagation (``_settle``) plus, if values
+    remain unknown, exhaustive search over them, each trial judged by
+    ``_settle`` too; zero or multiple consistent assignments are diagnostics.
     """
-    diags: list[str] = []
     known: dict[str, int] = dict(n.inits)
     if inputs is not None:
-        for name in n.inputs:
-            if name in inputs:
-                known[name] = inputs[name].leading
-    overridden = set(n.inits)
-
-    changed = True
-    while changed:
-        changed = False
-        for d in n.delays:
-            src, out = known.get(d.src), known.get(d.out)
-            if src is not None and out is None:
-                known[d.out] = src
-                changed = True
-            elif src is None and out is not None:
-                known[d.src] = out
-                changed = True
-            elif src is not None and out is not None and src != out:
-                diags.append(f"delay output {d.out!r} has initial value {out} "
-                             f"but its input {d.src!r} starts at {src}")
-                return known, diags
-        for g in n.gates:
-            if g.out in overridden:
-                continue
-            val = _gate_value(g.kind, [known.get(i) for i in g.ins])
-            if val is not None:
-                if g.out in known:
-                    if known[g.out] != val:
-                        diags.append(
-                            f"gate {g.out!r} initial value {known[g.out]} "
-                            f"contradicts its inputs ({val})")
-                        return known, diags
-                else:
-                    known[g.out] = val
-                    changed = True
+        known.update((name, inputs[name].leading) for name in n.inputs)
+    touch: dict[str, list] = {net: [] for net in nets}
+    for d in n.delays:
+        touch[d.src].append((d, d.out))
+        touch[d.out].append((d, d.src))
+    for g in n.gates:
+        if g.out not in n.inits:
+            for net in g.ins:
+                touch[net].append((g, None))
+    clash = _settle(known, touch, deque(known))
+    if clash is not None:
+        return known, [clash]
 
     unknown = [net for net in nets if net not in known]
     if inputs is None or not unknown:
-        return known, diags
+        return known, []
     if len(unknown) > 16:
-        diags.append("too many unresolved initial values; add init overrides")
-        return known, diags
+        return known, ["too many unresolved initial values; add init overrides"]
     consistent = []
     for mask in range(1 << len(unknown)):
         trial = dict(known)
-        for i, net in enumerate(unknown):
-            trial[net] = (mask >> i) & 1
-        ok = all(trial[d.src] == trial[d.out] for d in n.delays)
-        ok = ok and all(
-            g.out in overridden
-            or trial[g.out] == _gate_value(g.kind, [trial[i] for i in g.ins])
-            for g in n.gates)
-        if ok:
+        trial.update((net, (mask >> i) & 1) for i, net in enumerate(unknown))
+        if _settle(trial, touch, deque(unknown)) is None:
             consistent.append(trial)
             if len(consistent) > 1:
-                break
+                return known, ["ambiguous initial values for "
+                               + ", ".join(repr(x) for x in unknown)
+                               + "; add init overrides"]
     if not consistent:
-        diags.append("no consistent initial values; an init override "
-                     "contradicts the gate equations")
-    elif len(consistent) > 1:
-        diags.append("ambiguous initial values for "
-                     + ", ".join(repr(x) for x in unknown)
-                     + "; add init overrides")
-    else:
-        known.update(consistent[0])
-    return known, diags
+        return known, ["no consistent initial values; an init override "
+                       "contradicts the gate equations"]
+    return consistent[0], []
+
+
+def _settle(known: dict[str, int], touch: dict[str, list], queue: deque
+            ) -> Optional[str]:
+    """Propagate ``known`` initial values from the nets of ``queue``: each
+    re-examines the elements ``touch`` lists at it, a delay (paired with
+    its other end) at both ends and a gate without an override (paired
+    with None) at its inputs, and a net that becomes known joins the
+    queue.  Returns the first contradiction, or None."""
+    while queue:
+        at = queue.popleft()
+        for e, net in touch[at]:
+            if net is None:  # a gate: its output follows from its inputs
+                net, bit = e.out, _gate_value(e.kind, [known.get(i) for i in e.ins])
+                if bit is None:
+                    continue
+            else:  # a delay: its other end equals this one
+                bit = known[at]
+            if net not in known:
+                known[net] = bit
+                queue.append(net)
+            elif known[net] != bit:
+                if isinstance(e, Gate):
+                    return (f"gate {net!r} initial value {known[net]} "
+                            f"contradicts its inputs ({bit})")
+                return (f"delay output {e.out!r} has initial value {known[e.out]} "
+                        f"but its input {e.src!r} starts at {known[e.src]}")
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -361,10 +371,10 @@ def simulate(n: Netlist, inputs: dict[str, StepFunction],
     """Run the netlist on (-oo, horizon] by event-driven simulation.
 
     Inputs must provide a signal for every primary input and for no
-    other net.  Raises ValidationError for a malformed netlist or inputs
-    and EventBudgetError at the first switch that takes a non-input net
-    past the event budget.  The result is re-judged by
-    ``check_trace_conformance`` before it is returned.
+    other net.  Raises ValidationError with ``validate``'s diagnostics
+    for a malformed netlist or inputs and EventBudgetError at the first
+    switch that takes a non-input net past the event budget.  The result
+    is re-judged by ``check_trace_conformance`` before it is returned.
 
     After validation the inputs, the delay parameters and the horizon
     are scaled to integer ticks over their ``timebase`` k: the queue, the
@@ -378,19 +388,9 @@ def simulate(n: Netlist, inputs: dict[str, StepFunction],
         raise ValueError(f"horizon must be >= 0, got {format_time(h)}")
     if n.event_budget < 0:
         raise ValueError(f"event budget must be >= 0, got {n.event_budget}")
-    for name in n.inputs:
-        if name not in inputs:
-            raise ValidationError([f"no waveform for primary input {name!r}"])
-    extra = [f"waveform for {name!r}, which is not a primary input"
-             for name in inputs if name not in n.inputs]
-    if extra:
-        raise ValidationError(extra)
     diags, nets, order, init = _analyse(n, inputs)
     if diags:
         raise ValidationError(diags)
-    for name in n.inputs:
-        if not inputs[name].is_signal():
-            raise ValidationError([f"input waveform {name!r} is not a signal"])
     ins = {name: inputs[name].truncate(h) for name in n.inputs}
     k = timebase(chain([h], *(f.bps for f in ins.values()),
                        *(d.model._parameters() for d in n.delays)))
@@ -465,11 +465,18 @@ def check_trace_conformance(n: Netlist,
     hold and every delay element's trace must satisfy its model, with
     nondet_models (keyed by delay output net) overriding per element.
 
+    Of the structure only the gates are judged, raising ValidationError
+    for an unknown kind or arity; nondeterministic models and zero-lookback
+    cycles are legitimate here.
+
     Violations after the waveform horizon are ignored; the signals make
     no claim there.  Gate equations are judged on the times given; each
     delay element's ``check_membership`` scales its own check to integer
     ticks and reports its violation time as a Fraction.
     """
+    diags = [d for g in n.gates for d in _gate_diags(g)]
+    if diags:
+        raise ValidationError(diags)
     nets = n.nets()
     missing = [net for net in nets if net not in w.signals]
     if missing:

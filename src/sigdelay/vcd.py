@@ -90,12 +90,16 @@ def import_vcd(text: str) -> WaveformSet:
                     try:
                         horizon = Fraction(tok[8:])
                     except (ValueError, ZeroDivisionError):
-                        raise ValueError(f"line {lineno}: bad horizon {tok!r}") from None
+                        horizon = Fraction(-1)
+                    if horizon < 0:
+                        raise ValueError(f"line {lineno}: bad horizon {tok!r}")
             continue
         if line.startswith("$var"):
             parts = line.split()
             if len(parts) < 6 or parts[1] != "wire" or parts[2] != "1":
                 raise ValueError(f"line {lineno}: only scalar wires are supported")
+            if parts[4] in changes:
+                raise ValueError(f"line {lineno}: net {parts[4]!r} is declared twice")
             names[parts[3]] = parts[4]
             changes[parts[4]] = []
             continue

@@ -6,8 +6,10 @@ round extend the correct prefix, so the iteration stabilizes.  Delays
 are evaluated by their closed forms (``fixed``, ``wand``, ``wor``) and
 by the window sweeps of ``reference_kernel`` (``dbridc``, ``sdbridc``),
 never by an event form, so this is an independent oracle for
-``circuit.simulate``.  It costs a round per settled switch and a whole
-horizon per round: small netlists only.
+``circuit.simulate``.  Initial values come from ``reference_initials``,
+a whole-netlist sweep repeated to a fixpoint, an oracle for the
+worklist propagation of ``circuit._resolve_initials``.  It costs a round
+per settled switch and a whole horizon per round: small netlists only.
 
 The event budget is judged once on the fixpoint: the error names the
 earliest switch over the budget (ties by evaluation order), the switch
@@ -22,7 +24,7 @@ from sigdelay.circuit import (
     WaveformSet,
     _clamped_gate,
     _eval_order,
-    _resolve_initials,
+    _gate_value,
     check_trace_conformance,
     validate,
 )
@@ -49,31 +51,94 @@ def reference_solve(model, u: StepFunction) -> StepFunction:
     return model.solve(u)
 
 
+def reference_initials(n, inputs, nets):
+    """Initial values of ``nets`` and their diagnostics, as
+    ``circuit._resolve_initials`` decides them, by another route: every
+    delay and gate is swept again until nothing changes, and each trial
+    of the exhaustive search re-checks every element."""
+    diags: list[str] = []
+    known: dict[str, int] = dict(n.inits)
+    if inputs is not None:
+        for name in n.inputs:
+            if name in inputs:
+                known[name] = inputs[name].leading
+    overridden = set(n.inits)
+
+    changed = True
+    while changed:
+        changed = False
+        for d in n.delays:
+            src, out = known.get(d.src), known.get(d.out)
+            if src is not None and out is None:
+                known[d.out] = src
+                changed = True
+            elif src is None and out is not None:
+                known[d.src] = out
+                changed = True
+            elif src is not None and out is not None and src != out:
+                diags.append(f"delay output {d.out!r} has initial value {out} "
+                             f"but its input {d.src!r} starts at {src}")
+                return known, diags
+        for g in n.gates:
+            if g.out in overridden:
+                continue
+            val = _gate_value(g.kind, [known.get(i) for i in g.ins])
+            if val is not None:
+                if g.out in known:
+                    if known[g.out] != val:
+                        diags.append(
+                            f"gate {g.out!r} initial value {known[g.out]} "
+                            f"contradicts its inputs ({val})")
+                        return known, diags
+                else:
+                    known[g.out] = val
+                    changed = True
+
+    unknown = [net for net in nets if net not in known]
+    if inputs is None or not unknown:
+        return known, diags
+    if len(unknown) > 16:
+        diags.append("too many unresolved initial values; add init overrides")
+        return known, diags
+    consistent = []
+    for mask in range(1 << len(unknown)):
+        trial = dict(known)
+        for i, net in enumerate(unknown):
+            trial[net] = (mask >> i) & 1
+        ok = all(trial[d.src] == trial[d.out] for d in n.delays)
+        ok = ok and all(
+            g.out in overridden
+            or trial[g.out] == _gate_value(g.kind, [trial[i] for i in g.ins])
+            for g in n.gates)
+        if ok:
+            consistent.append(trial)
+            if len(consistent) > 1:
+                break
+    if not consistent:
+        diags.append("no consistent initial values; an init override "
+                     "contradicts the gate equations")
+    elif len(consistent) > 1:
+        diags.append("ambiguous initial values for "
+                     + ", ".join(repr(x) for x in unknown)
+                     + "; add init overrides")
+    else:
+        known.update(consistent[0])
+    return known, diags
+
+
 def relax(n, inputs, horizon) -> WaveformSet:
     h = as_time(horizon)
     if h < 0:
         raise ValueError(f"horizon must be >= 0, got {format_time(h)}")
     if n.event_budget < 0:
         raise ValueError(f"event budget must be >= 0, got {n.event_budget}")
-    for name in n.inputs:
-        if name not in inputs:
-            raise ValidationError([f"no waveform for primary input {name!r}"])
-    extra = [f"waveform for {name!r}, which is not a primary input"
-             for name in inputs if name not in n.inputs]
-    if extra:
-        raise ValidationError(extra)
     diags = validate(n, inputs)
     if diags:
         raise ValidationError(diags)
     nets = n.nets()
-    init, _ = _resolve_initials(n, inputs, nets)
+    init, _ = reference_initials(n, inputs, nets)
 
-    current: dict[str, StepFunction] = {}
-    for name in n.inputs:
-        sig = inputs[name]
-        if not sig.is_signal():
-            raise ValidationError([f"input waveform {name!r} is not a signal"])
-        current[name] = sig.truncate(h)
+    current = {name: inputs[name].truncate(h) for name in n.inputs}
     for net in nets:
         if net not in current:
             current[net] = StepFunction.const(init[net])

@@ -30,6 +30,7 @@ from sigdelay.stepfn import window_inf_halfopen, window_sup_halfopen
 from sigdelay.conditions import _in_ticks, _in_time
 from sigdelay.stepfn import _to_ticks, timebase
 from conftest import counted_calls, rand_bdc_params, rand_signal
+from reference_sim import reference_initials
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +211,74 @@ def test_ambiguous_initials_diagnosed():
     assert any("ambiguous" in d or "initial" in d for d in diags)
     n.inits["x"] = 1
     assert validate(n, {}) == []
+
+
+def test_initials_settle_in_linear_work_whatever_the_listing_order(monkeypatch):
+    # listed last gate first, a sweep over all gates settles one more per pass
+    n = not_chain(500, closed=False)
+    n.gates.reverse()
+    calls = counted_calls(monkeypatch, sd.circuit, "_gate_value")
+    assert validate(n, {"u": StepFunction.const(1)}) == []
+    assert len(calls) <= 2 * 500
+
+
+@st.composite
+def initial_value_cases(draw):
+    """1-9 nets, each an input, a gate of any kind with 1-3 inputs or a
+    delay output; an init on about a quarter of the other nets; the
+    inputs' initial values, or none."""
+    nets = [f"n{i}" for i in range(draw(st.integers(1, 9)))]
+    n = Netlist()
+    for net in nets:
+        role = draw(st.sampled_from(["input", "gate", "delay"]))
+        if role == "input":
+            n.inputs.append(net)
+            continue
+        if role == "gate":
+            ins = draw(st.lists(st.sampled_from(nets), min_size=1, max_size=3))
+            n.gates.append(Gate(draw(st.sampled_from(sorted(GATES))), net, tuple(ins)))
+        else:
+            n.delays.append(DelayElement(net, draw(st.sampled_from(nets)), sd.Fixed(1)))
+        if draw(st.integers(0, 3)) == 0:
+            n.inits[net] = draw(st.integers(0, 1))
+    inputs = {name: StepFunction.const(draw(st.integers(0, 1))) for name in n.inputs}
+    return n, draw(st.sampled_from([None, inputs]))
+
+
+def _initials_verdict(diags):
+    """A contradiction names one of possibly several contradicted elements;
+    every other diagnostic must match word for word."""
+    if any("contradicts its inputs" in d or "but its input" in d for d in diags):
+        return "contradiction"
+    return diags
+
+
+@settings(max_examples=500, deadline=None)
+@given(initial_value_cases())
+def test_hypothesis_initials_match_the_sweep_to_a_fixpoint(case):
+    n, inputs = case
+    nets = dict.fromkeys(n.nets())
+    got, diags = sd.circuit._resolve_initials(n, inputs, nets)
+    want, ref = reference_initials(n, inputs, nets)
+    assert _initials_verdict(diags) == _initials_verdict(ref)
+    if not diags:
+        assert got == want
+
+
+@pytest.mark.parametrize("inputs, diags", [
+    ({}, ["no waveform for primary input 'u'", "no waveform for primary input 'v'"]),
+    ({"u": chi(0, None), "v": chi(0, None), "x": chi(0, None)},
+     ["waveform for 'x', which is not a primary input"]),
+    ({"u": chi(-1, None), "v": chi(0, None)}, ["input waveform 'u' is not a signal"])])
+def test_validate_judges_inputs_as_simulate_does(inputs, diags):
+    # input faults are reported alone, before the netlist's own
+    n = parse_netlist("input u\ninput v\ngate FOO x u v\noutput x\n")
+    assert validate(n, inputs) == diags
+    with pytest.raises(ValidationError) as exc:
+        simulate(n, inputs, 3)
+    assert exc.value.diagnostics == diags
+    assert validate(n, {"u": chi(0, None), "v": chi(0, None)}) == [
+        "unknown gate kind 'FOO' driving 'x'"]
 
 
 def test_three_valued_initials_resolve_c_element():
@@ -438,6 +507,18 @@ def test_conformance_rejects_missing_nets():
     n = builtin("delay-buffer")
     with pytest.raises(ValueError):
         check_trace_conformance(n, {}, WaveformSet({"u": chi(0, None)}, F(4)))
+
+
+@pytest.mark.parametrize("gate, diag", [
+    ("gate FOO x u u", "unknown gate kind 'FOO' driving 'x'"),
+    ("gate NOT x u v", "NOT gate 'x' takes exactly one input")])  # not a NAND
+def test_conformance_rejects_gates_it_cannot_read(gate, diag):
+    n = parse_netlist(f"input u\ninput v\n{gate}\n")
+    zero, one = StepFunction.const(0), StepFunction.const(1)
+    w = WaveformSet({"u": zero, "v": zero, "x": one}, F(3))
+    with pytest.raises(ValidationError) as exc:
+        check_trace_conformance(n, {}, w)
+    assert exc.value.diagnostics == [diag]
 
 
 def test_c_element_envelope(rng):

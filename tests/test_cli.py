@@ -671,7 +671,7 @@ def test_vcd_switch_at_zero_distinct_from_initial():
 
 
 _VCD = ("$comment sigdelay scale lcm={lcm} horizon={horizon} $end\n"
-        "$var wire 1 ! x $end\n$enddefinitions $end\n"
+        "$var wire 1 ! x $end\n{var}$enddefinitions $end\n"
         "#0\n$dumpvars\n0!\n$end\n{stamp}\n1!\n#9\n0!\n")
 
 
@@ -679,12 +679,13 @@ _VCD = ("$comment sigdelay scale lcm={lcm} horizon={horizon} $end\n"
     ({"lcm": "0"}, 1), ({"lcm": "-2"}, 1), ({"lcm": "2.5"}, 1), ({"lcm": ""}, 1),
     ({"horizon": "1/0"}, 1), ({"horizon": "abc"}, 1),
     ({"stamp": "#x2"}, 8), ({"stamp": "#-3"}, 8), ({"stamp": "#"}, 8),
-    ({"stamp": "#12"}, 10)])  # after #12, #9 goes back in time
+    ({"stamp": "#12"}, 10),  # after #12, #9 goes back in time
+    ({"horizon": "-3"}, 1), ({"var": '$var wire 1 " x $end\n'}, 3)])  # x twice
 def test_vcd_import_names_the_line_of_a_bad_scale_or_timestamp(fields, line):
-    text = _VCD.format(**{"lcm": "2", "horizon": "6", "stamp": "#4", **fields})
+    text = _VCD.format(**{"lcm": "2", "horizon": "6", "stamp": "#4", "var": "", **fields})
     with pytest.raises(ValueError, match=f"^line {line}: "):
         import_vcd(text)
-    good = import_vcd(_VCD.format(lcm="2", horizon="6", stamp="#4"))
+    good = import_vcd(_VCD.format(lcm="2", horizon="6", stamp="#4", var=""))
     assert good.signals["x"] == StepFunction.from_toggles(0, [2, F(9, 2)])
     assert good.horizon == 6
 
