@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import heapq
 import operator
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import reduce
@@ -181,13 +181,14 @@ def _analyse(n: Netlist, inputs: Optional[dict[str, StepFunction]]
     in order, their evaluation order and their initial values (None when
     the inputs or the structure are unsound).  ``simulate`` checks no more."""
     nets = dict.fromkeys(n.nets())  # in order, with constant-time lookups
+    declared = Counter(n.inputs)  # each primary input once, in order
     if inputs is not None:
         diags = [f"no waveform for primary input {name!r}"
-                 for name in n.inputs if name not in inputs]
+                 for name in declared if name not in inputs]
         diags += [f"waveform for {name!r}, which is not a primary input"
-                  for name in inputs if name not in n.inputs]
+                  for name in inputs if name not in declared]
         diags += [f"input waveform {name!r} is not a signal"
-                  for name in n.inputs if name in inputs and not inputs[name].is_signal()]
+                  for name in declared if name in inputs and not inputs[name].is_signal()]
         if diags:
             return diags, nets, [], None
     diags = []
@@ -204,7 +205,9 @@ def _analyse(n: Netlist, inputs: Optional[dict[str, StepFunction]]
         if d.out in drivers:
             diags.append(f"net {d.out!r} driven more than once")
         drivers[d.out] = "delay"
-    for name in n.inputs:
+    for name, count in declared.items():
+        if count > 1:
+            diags.append(f"primary input {name!r} declared more than once")
         if name in drivers:
             diags.append(f"primary input {name!r} is also driven")
         if name in n.inits:

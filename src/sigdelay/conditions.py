@@ -3,12 +3,15 @@
 A delay condition relates the input u and output x of a delay buffer by
 a system of pointwise inequalities between sliding-window combinations
 of the two signals.  Membership is decided exactly: each clause
-``lhs <= rhs`` is turned into the step function lhs . not(rhs), whose
-support is the violation set; the condition holds iff every violation
-set is empty.  ``first_violation`` reports the infimum of the earliest
-one, with a flag saying whether it is attained.  Each check runs on
-integer ticks over the timebase of its signals, parameters and horizon
-(``stepfn.timebase``) and reports its times as Fractions.
+``lhs <= rhs`` is turned into the step function lhs . not(rhs), the
+indicator of its violation set; the condition holds iff every indicator
+is 0.  ``first_violation`` reports the infimum of the earliest
+violation, with a flag saying whether it is attained.  A canonical
+indicator's infimum is its first breakpoint (or -oo when it leads with
+1), attained where its point value there is 1, so a clause is read
+without building its set; ``clauses`` still returns the sets.  Each
+check runs on integer ticks over the timebase of its signals, parameters
+and horizon (``stepfn.timebase``) and reports its times as Fractions.
 
 Each model judges a trace in two stages: ``_input_side(u)`` builds the
 triple ``(sandwich, permits, own)`` from the input alone (the bounds
@@ -36,7 +39,6 @@ from operator import attrgetter, gt
 from typing import Callable, ClassVar, NamedTuple, Optional, Sequence, Union, get_args
 
 from .stepfn import (
-    Interval,
     IntervalSet,
     RationalLike,
     StepFunction,
@@ -183,14 +185,15 @@ class _Model:
                 ) -> list[tuple[IntervalSet, str]]:
         """Violation set and name of every clause of the defining system,
         whether or not the parameters are consistent."""
-        return self._judge(self._input_side(u), x)
+        return [(f.support(), name) for f, name in self._judge(self._input_side(u), x)]
 
     def _input_side(self, u: Optional[StepFunction]):
         """What the clauses need from the input alone: (sandwich, permits, own)."""
         return self.sandwich(u), self.permits(u), None
 
-    def _judge(self, side, x: StepFunction) -> list[tuple[IntervalSet, str]]:
-        """The clauses of the output x, given the input side ``side``."""
+    def _judge(self, side, x: StepFunction) -> list[tuple[StepFunction, str]]:
+        """The violation indicator and name of each clause of the output x,
+        given the input side ``side``."""
         bounds, permits, _ = side
         out = []
         if bounds is not None:
@@ -203,7 +206,7 @@ class _Model:
             hold1 = window(x, "inf", 0, a.delta_r, include_end=self.hold)
             ones = window(x, "sup", 0, a.delta_f, include_end=self.hold)  # a 1 in the window
             out += [_le(x.rises(), hold1, "rise-hold"),
-                    ((x.falls() & ones).support(), "fall-hold")]
+                    (x.falls() & ones, "fall-hold")]
         return out
 
     def zero_lookback(self) -> bool:
@@ -354,9 +357,9 @@ class Sc(_Model):
     def _judge(self, side, x):
         final, last = side[2]
         if final == x.limit_at_infinity():
-            return [(IntervalSet(), "final-value")]
+            return [(StepFunction._from_toggles(0, ()), "final-value")]
         settle = max([Fraction(0), *last, *x.bps[-1:]])
-        return [(IntervalSet([Interval(settle, True, None, False)]), "final-value")]
+        return [(StepFunction._from_toggles(0, (settle,)), "final-value")]  # [settle, +oo)
 
 
 @dataclass(frozen=True)
@@ -679,17 +682,23 @@ class CheckReport:
         return self.ok
 
 
-def _report(violations: list[tuple[IntervalSet, str]],
+def _report(violations: list[tuple[StepFunction, str]],
             horizon: Optional[Fraction] = None) -> CheckReport:
-    """Combine per-clause violation sets into a report."""
+    """Combine per-clause violation indicators into a report, each read in
+    constant time from its leading value and first breakpoint; with
+    ``horizon`` set, a violation that starts after it, or at it without
+    attaining it, is none."""
     best: Optional[Violation] = None
-    for vset, clause in violations:
-        if horizon is not None:
-            vset = vset.clipped_below(horizon)
-        if not vset:
+    for f, clause in violations:
+        if f.leading:  # the violation reaches -oo
+            cand = Violation(None, False, clause)
+        elif not f.bps:
             continue
-        t, attained = vset.infimum()
-        cand = Violation(t, attained, clause)
+        else:
+            t, attained = f.bps[0], f.at[0] == 1
+            if horizon is not None and (t > horizon or t == horizon and not attained):
+                continue
+            cand = Violation(t, attained, clause)
         if best is None or _violation_key(cand) < _violation_key(best):
             best = cand
     return CheckReport(best is None, best)
@@ -709,12 +718,12 @@ def _violation_key(v: Violation):
     return (1, v.time, 0 if v.attained else 1)
 
 
-def _le(lhs: StepFunction, rhs: StepFunction, clause: str) -> tuple[IntervalSet, str]:
-    return lhs._zip(rhs, gt).support(), clause  # on bits, a > b is a and not b
+def _le(lhs: StepFunction, rhs: StepFunction, clause: str) -> tuple[StepFunction, str]:
+    return lhs._zip(rhs, gt), clause  # on bits, a > b is a and not b
 
 
-def _eq(lhs: StepFunction, rhs: StepFunction, clause: str) -> tuple[IntervalSet, str]:
-    return (lhs ^ rhs).support(), clause
+def _eq(lhs: StepFunction, rhs: StepFunction, clause: str) -> tuple[StepFunction, str]:
+    return lhs ^ rhs, clause
 
 
 # ---------------------------------------------------------------------------
@@ -863,10 +872,12 @@ def check_membership(u: Optional[StepFunction], x: StepFunction,
     input is prepared afresh, so no report depends on it.
     """
     as_signal(x)
-    if _input is None or not _fits(x.bps, _input.k):
+    xt = None if _input is None else _scaled(x, _input.k)
+    if xt is None:
         _input = _prepare(u, model, horizon, x.bps)
+        xt = x._to_ticks(_input.k)
     k, ticked, _, side, h = _input
-    return _in_time(_report(ticked._judge(side, x._to_ticks(k)), h), k)
+    return _in_time(_report(ticked._judge(side, xt), h), k)
 
 
 def _prepare(u: Optional[StepFunction], model: DelayModel,
@@ -886,11 +897,20 @@ def _prepare(u: Optional[StepFunction], model: DelayModel,
     return _Input(k, ticked, u, ticked._input_side(u), _to_ticks(h, k))
 
 
-def _fits(times: Sequence, k: Optional[int]) -> bool:
-    """Can ``times`` be judged over the timebase k of a prepared input:
-    their own timebase divides k, or both are above the bound?"""
-    kt = timebase(times)
-    return not times or (k is None if kt is None else k is not None and k % kt == 0)
+def _scaled(x: StepFunction, k: Optional[int]) -> Optional[StepFunction]:
+    """x in the ticks of 1/k of a prepared input, in one pass; None when some
+    breakpoint is no whole number of ticks.  With k None (the prepared
+    times are ints, or above the timebase bound) x is kept as it is when its
+    own times need no scaling either."""
+    if k is None:
+        return x if timebase(x.bps) is None else None
+    bps = []
+    for b in x.bps:
+        q, r = divmod(k, b.denominator)
+        if r:
+            return None
+        bps.append(b.numerator * q)
+    return x._with_bps(bps)
 
 
 # ---------------------------------------------------------------------------

@@ -233,7 +233,7 @@ def _witness(u: StepFunction, model: _Bounded, side) -> Optional[StepFunction]:
     delta = min((b - a for a, b in zip(ends, ends[1:])), default=Fraction(1))
     eps = Fraction(delta, len(chain) + 1)  # exact: in ticks, delta is an int
     x = StepFunction.from_toggles(u.leading, [v + k * eps for v, k in chain])
-    return None if any(vset for vset, _ in model._judge(side, x)) else x
+    return None if any(f._nonzero() for f, _ in model._judge(side, x)) else x
 
 
 def sample_bridc(u: StepFunction, p: BdcParams, r: RicParams,

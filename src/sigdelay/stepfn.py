@@ -16,14 +16,19 @@ Sliding-window infima/suprema are computed by Minkowski-summing the
 zero set (resp. support) of the input with the window interval, with
 explicit open/closed bookkeeping at every endpoint.  Window endpoint
 membership is exactly where the delay conditions differ from each
-other, so closures are never approximated.
+other, so closures are never approximated.  The sum is built as the
+level set is walked: ``StepFunction._runs`` yields the runs of a bit
+and ``_dilate`` shifts each and fuses it with the one before, so no
+level set is kept; a supremum is the indicator of the sum, an infimum
+the indicator of its complement.
 
-Cost is linear in the breakpoints involved: the Boolean operations merge
-the two breakpoint tuples in one two-pointer walk, each derivative keeps
-the breakpoints that pass one test in one pass, ``indicator`` builds
-a function from an interval set in one walk over its sorted, disjoint
-intervals, and level sets, Minkowski sums, complements and clips build
-their interval sets in one walk too.  Only the public ``IntervalSet``
+Cost is linear in the breakpoints involved.  The Boolean operations
+merge the two breakpoint tuples in one two-pointer walk; each derivative
+keeps the breakpoints that pass one test in one pass.  A window is one
+walk that dilates u's runs, a complement for an infimum, and one walk of
+``indicator``.  Level sets, Minkowski sums, complements and clips build
+their interval sets in one walk too, the first two from the same run
+generator and fusion as the windows.  Only the public ``IntervalSet``
 constructor sorts and merges, so a set built there from unsorted pieces
 adds a logarithmic factor; kernel-built sets and signals skip the
 validation of what they built themselves.  Each kernel result is
@@ -56,8 +61,8 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from itertools import chain, compress, repeat
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 Time = Fraction
 
@@ -264,31 +269,10 @@ class IntervalSet:
 
     def minkowski(self, lo_off: Fraction, lo_closed: bool,
                   hi_off: Fraction, hi_closed: bool) -> "IntervalSet":
-        """Minkowski sum with the interval <lo_off, hi_off>.
-
-        [p,q) + [a,b] = [p+a, q+b) and {p} + (0,d] = (p, p+d]; in general
-        each endpoint closure survives only if both contributing ends are
-        closed.  Shifting keeps the lower ends, and so the upper ends,
-        strictly increasing, so one pass fuses each sum with the previous
-        one where they now overlap or touch, the later upper end winning.
-        """
+        """Minkowski sum with the interval <lo_off, hi_off>, by ``_dilate``."""
         if lo_off > hi_off or (lo_off == hi_off and not (lo_closed and hi_closed)):
             raise ValueError("empty offset interval in Minkowski sum")
-        out: list[Interval] = []
-        for lo, lo_c, hi, hi_c in self.intervals:
-            if lo is not None:
-                lo += lo_off
-            lo_c = lo_c and lo_closed
-            if hi is not None:
-                hi += hi_off
-            hi_c = hi_c and hi_closed
-            if out:  # only the first sum starts at -oo, only the last ends at +oo
-                p_lo, p_lo_c, p_hi, p_hi_c = out[-1]
-                if lo < p_hi or (lo == p_hi and (p_hi_c or lo_c)):
-                    out[-1] = _new(Interval, (p_lo, p_lo_c, hi, hi_c))
-                    continue
-            out.append(_new(Interval, (lo, lo_c, hi, hi_c)))
-        return IntervalSet._canon(out)
+        return _dilate(self.intervals, lo_off, lo_closed, hi_off, hi_closed)
 
     def complement(self) -> "IntervalSet":
         """The gaps between the intervals; gaps between canonical intervals
@@ -318,6 +302,40 @@ class IntervalSet:
                 break
             out.append(iv)
         return IntervalSet._canon(out)
+
+
+def _dilate(runs: Iterable[tuple], lo_off, lo_closed: bool,
+            hi_off, hi_closed: bool) -> IntervalSet:
+    """The Minkowski sum of sorted, disjoint, non-touching runs (a canonical
+    set's intervals, or a level set as ``StepFunction._runs`` yields it)
+    with the non-empty interval <lo_off, hi_off>, in one pass.
+
+    [p,q) + [a,b] = [p+a, q+b) and {p} + (0,d] = (p, p+d]; in general
+    each endpoint closure survives only if both contributing ends are
+    closed.  Shifting keeps the lower ends, and so the upper ends,
+    strictly increasing, so each sum fuses with the one before where they
+    now overlap or touch, the later upper end winning; the sum being fused
+    is kept in locals and stored once it is complete.
+    """
+    out: list[Interval] = []
+    first = True  # only the first sum starts at -oo, only the last ends at +oo
+    for lo, lo_c, hi, hi_c in runs:
+        if lo is not None:
+            lo += lo_off
+        if hi is not None:
+            hi += hi_off
+        lo_c, hi_c = lo_c and lo_closed, hi_c and hi_closed
+        if first:
+            first = False
+        elif lo < p_hi or (lo == p_hi and (p_hi_c or lo_c)):
+            p_hi, p_hi_c = hi, hi_c
+            continue
+        else:
+            out.append(_new(Interval, (p_lo, p_lo_c, p_hi, p_hi_c)))
+        p_lo, p_lo_c, p_hi, p_hi_c = lo, lo_c, hi, hi_c
+    if not first:
+        out.append(_new(Interval, (p_lo, p_lo_c, p_hi, p_hi_c)))
+    return IntervalSet._canon(out)
 
 
 # ---------------------------------------------------------------------------
@@ -620,17 +638,18 @@ class StepFunction:
 
     def support(self) -> IntervalSet:
         """The set {t : f(t) = 1} with exact endpoint closures."""
-        return self._level_set(1)
+        return IntervalSet._canon(map(_new, repeat(Interval), self._runs(1)))
 
     def zero_set(self) -> IntervalSet:
-        return self._level_set(0)
+        return IntervalSet._canon(map(_new, repeat(Interval), self._runs(0)))
 
-    def _level_set(self, bit: int) -> IntervalSet:
-        """Maximal runs of ``bit`` in one walk: a run opens where the value
+    def _runs(self, bit: int) -> Iterator[tuple]:
+        """The maximal runs of ``bit``, in order, from one walk, each as the
+        plain tuple of an ``Interval``'s fields: a run opens where the value
         turns to ``bit`` and closes where it leaves it, closed at b if the
         point value there is ``bit``.  Runs that meet at a point outside the
-        set, as in (p, b) u (b, q), stay two intervals."""
-        out: list[Interval] = []
+        set, as in (p, b) u (b, q), stay two, so the runs are the canonical
+        intervals of the level set."""
         inside = self.leading == bit
         lo: Optional[Fraction] = None
         lo_closed = False
@@ -638,14 +657,13 @@ class StepFunction:
             if inside:
                 if a == bit == r:
                     continue
-                out.append(_new(Interval, (lo, lo_closed, b, a == bit)))
+                yield lo, lo_closed, b, a == bit
             elif a == bit != r:
-                out.append(_new(Interval, (b, True, b, True)))
+                yield b, True, b, True
             inside = r == bit
             lo, lo_closed = b, a == bit
         if inside:
-            out.append(_new(Interval, (lo, lo_closed, None, False)))
-        return IntervalSet._canon(out)
+            yield lo, lo_closed, None, False
 
     # -- classification -----------------------------------------------------
 
@@ -752,16 +770,17 @@ def window(u: StepFunction, op: str,
     window yields the empty-meet conventions (inf 1, sup 0).
 
     The result is exact: op(u) hits the off value exactly on the
-    Minkowski sum of u's relevant level set with the reflected window.
+    Minkowski sum of u's relevant level set with the reflected window,
+    which ``_dilate`` builds as ``_runs`` walks u: one walk, and no level
+    set is kept.
     """
     if op not in ("inf", "sup"):
         raise ValueError("op must be 'inf' or 'sup'")
     s, e = _as_offset(start_off), _as_offset(end_off)
     if s > e or (s == e and not (include_start and include_end)):
         return StepFunction.const(1 if op == "inf" else 0)
-    level = u.zero_set() if op == "inf" else u.support()
     # xi in <t+s, t+e>  <=>  t in <xi-e, xi-s>
-    hit = level.minkowski(-e, include_end, -s, include_start)
+    hit = _dilate(u._runs(0 if op == "inf" else 1), -e, include_end, -s, include_start)
     return indicator(hit.complement() if op == "inf" else hit)
 
 

@@ -17,6 +17,12 @@ leave sorting, dropping empties and merging to the public
 ``IntervalSet(...)`` constructor, where the library builds its results
 canonical in one walk.
 
+``minkowski_window`` chains the sorting operations into the window's
+former route, set by set, where the library dilates the runs of u as it
+walks them; ``interval_report`` reads each clause's infimum from its
+violation set, clipped to the horizon, where the library reads it from
+the first breakpoint of the clause's indicator.
+
 The routes at the end build on the kernel's Boolean operations and
 windows instead: the derivatives and the violation set of a ``_le``
 clause by their Boolean definitions, where the library builds a
@@ -35,10 +41,11 @@ from itertools import chain
 from typing import Optional, Sequence
 
 from sigdelay.conditions import (Bdc, BdcParams, CheckReport, Dbridc, DelayModel,
-                                 SdbridcPrime, _eq, _in_ticks, _in_time, _le, _report)
+                                 SdbridcPrime, Violation, _eq, _in_ticks, _in_time, _le,
+                                 _report, _violation_key)
 from sigdelay.solvers import forced_switch_windows
-from sigdelay.stepfn import (Interval, IntervalSet, StepFunction, as_signal, timebase,
-                             window_inf, window_sup)
+from sigdelay.stepfn import (Interval, IntervalSet, StepFunction, _as_offset, as_signal,
+                             timebase, window_inf, window_sup)
 
 
 def sorted_level_set(f: StepFunction, bit: int) -> IntervalSet:
@@ -120,6 +127,38 @@ def probe_indicator(intervals: IntervalSet) -> StepFunction:
         probe = b + 1 if i + 1 == len(endpoints) else (b + endpoints[i + 1]) / 2
         right.append(1 if member(probe) else 0)
     return StepFunction(leading, endpoints, at, right)
+
+
+def minkowski_window(u: StepFunction, op: str, start_off, end_off,
+                     include_start: bool = True, include_end: bool = True) -> StepFunction:
+    """``stepfn.window`` by the route it took before its runs were dilated
+    as they were walked: u's level set as a whole interval set, its
+    Minkowski sum with the reflected window, the complement for an
+    infimum, then the indicator -- each step by the references above."""
+    s, e = _as_offset(start_off), _as_offset(end_off)
+    if s > e or (s == e and not (include_start and include_end)):
+        return StepFunction.const(1 if op == "inf" else 0)
+    level = sorted_level_set(u, 0 if op == "inf" else 1)
+    hit = sorted_minkowski(level, -e, include_end, -s, include_start)
+    return probe_indicator(sorted_complement(hit) if op == "inf" else hit)
+
+
+def interval_report(violations: list[tuple[IntervalSet, str]],
+                    horizon: Optional[Fraction] = None) -> CheckReport:
+    """``conditions._report`` over violation sets (``model.clauses``) in
+    place of indicators: each set clipped to (-oo, horizon], its infimum
+    read from its first interval."""
+    best: Optional[Violation] = None
+    for vset, clause in violations:
+        if horizon is not None:
+            vset = vset.clipped_below(horizon)
+        if not vset:
+            continue
+        t, attained = vset.infimum()
+        cand = Violation(t, attained, clause)
+        if best is None or _violation_key(cand) < _violation_key(best):
+            best = cand
+    return CheckReport(best is None, best)
 
 
 def bisect_zip(f: StepFunction, g: StepFunction, op) -> StepFunction:
@@ -333,7 +372,7 @@ def _form_report(u: StepFunction, x: StepFunction, model: Dbridc, form: str) -> 
             _le(xl & ~x, b0, "fall-permit"),
         ])
     if form == "b":
-        return _report(model.clauses(u, x))
+        return _report(model._judge(model._input_side(u), x))
     if form == "e":
         return _report([_eq(x, a | (xl & upper), "recursion")])
     if form == "f":

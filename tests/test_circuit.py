@@ -281,6 +281,22 @@ def test_validate_judges_inputs_as_simulate_does(inputs, diags):
         "unknown gate kind 'FOO' driving 'x'"]
 
 
+def test_a_primary_input_declared_twice_is_reported_once(tmp_path, capsys):
+    n = parse_netlist("input u\ninput u\ndelay x u fixed d=1\n")
+    twice = ["primary input 'u' declared more than once"]
+    assert validate(n) == twice
+    assert validate(n, {"u": chi(0, None)}) == twice
+    assert validate(n, {}) == ["no waveform for primary input 'u'"]  # input faults come alone
+    with pytest.raises(ValidationError) as exc:
+        simulate(n, {"u": chi(0, None)}, 3)
+    assert exc.value.diagnostics == twice
+    path = tmp_path / "twice.net"
+    path.write_text(format_netlist(n))
+    assert main(["simulate", "--netlist", str(path), "--input", "u: 0 @ 1", "--until", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: primary input 'u' declared more than once\n"
+
+
 def test_three_valued_initials_resolve_c_element():
     n = builtin("c-element")
     zero = StepFunction.const(0)

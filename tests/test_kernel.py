@@ -17,12 +17,12 @@ import sigdelay as sd
 from sigdelay import stepfn
 from sigdelay.cli import main
 from sigdelay.conditions import _le, _prepare
-from sigdelay.stepfn import Interval, IntervalSet, StepFunction, chi, indicator
+from sigdelay.stepfn import Interval, IntervalSet, StepFunction, chi, indicator, window
 
 from conftest import counted_calls
 from reference_kernel import (bisect_zip, boolean_derivatives, boolean_le_violations,
-                              probe_indicator, sorted_clipped_below, sorted_complement,
-                              sorted_level_set, sorted_minkowski)
+                              minkowski_window, probe_indicator, sorted_clipped_below,
+                              sorted_complement, sorted_level_set, sorted_minkowski)
 
 # a coarse grid, so that random intervals often share endpoints
 grid = st.integers(-6, 6).map(lambda n: F(n, 2))
@@ -176,7 +176,7 @@ def test_derivatives_match_boolean_definitions(f, ticks):
 def test_le_violations_match_boolean_definition(lhs, rhs, ticks):
     if ticks:
         lhs, rhs = in_ticks(lhs, rhs)
-    assert _le(lhs, rhs, "clause") == (boolean_le_violations(lhs, rhs), "clause")
+    assert _le(lhs, rhs, "clause") == (indicator(boolean_le_violations(lhs, rhs)), "clause")
     assert (lhs <= rhs) == (not boolean_le_violations(lhs, rhs))
 
 
@@ -218,7 +218,7 @@ def canonical(s):
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(stepfns(), stepfns(mixed)), st.integers(0, 1))
 def test_level_set_matches_sorting_reference(f, bit):
-    s = f._level_set(bit)
+    s = f.support() if bit else f.zero_set()
     assert s == sorted_level_set(f, bit)
     assert canonical(s)
 
@@ -248,6 +248,43 @@ def test_clipped_below_matches_sorting_reference(s, t):
     c = s.clipped_below(t)
     assert c == sorted_clipped_below(s, t)
     assert canonical(c)
+
+
+@st.composite
+def window_specs(draw, points):
+    """A window <t+s, t+e>, each end closed or open: [t-d, t] (m = d),
+    [t-d, t-d] (m = 0, a point or, with an open end, empty everywhere), or
+    two free offsets in either order (reversed: empty everywhere)."""
+    d = abs(draw(points))
+    shape = draw(st.sampled_from(["m = d", "m = 0", "free"]))
+    if shape == "m = d":
+        s, e = -d, 0
+    elif shape == "m = 0":
+        s = e = -d
+    else:
+        s, e = draw(points), draw(points)
+    return s, e, draw(st.booleans()), draw(st.booleans())
+
+
+# arbitrary step functions, their derivatives and complements (windows of
+# both occur in the delay models), and the constants, whose level sets are
+# empty or the whole line
+window_inputs = st.one_of(any_stepfns, any_stepfns.map(StepFunction.derivative),
+                          any_stepfns.map(StepFunction.__invert__),
+                          st.sampled_from([StepFunction.const(0), StepFunction.const(1)]))
+
+
+@settings(max_examples=800, deadline=None)
+@given(window_inputs, st.sampled_from(["inf", "sup"]),
+       st.one_of(window_specs(grid), window_specs(mixed)))
+@example(chi(None, 1), "inf", (F(-2), F(0), True, False))  # leading 1, half-open
+@example(chi(0, None), "sup", (F(-1), F(-1), True, True))  # ends at +oo, a point window
+@example(StepFunction(0, [1], [1], [0]), "sup", (F(-1, 2), F(1, 2), False, False))  # open
+def test_window_matches_the_minkowski_route(u, op, spec):
+    s, e, inc_s, inc_e = spec
+    got = window(u, op, s, e, inc_s, inc_e)
+    assert got == minkowski_window(u, op, s, e, inc_s, inc_e)
+    assert is_canonical(got)
 
 
 def test_interval_is_an_immutable_hashable_tuple():
@@ -368,6 +405,29 @@ def test_membership_clauses_build_no_complemented_copies(monkeypatch, spec, x, m
     calls = {name: counted_calls(monkeypatch, StepFunction, name) for name in made}
     assert not sd.check_membership(SMALL_U, x, model, _input=prepared)
     assert {name: len(seen) for name, seen in calls.items()} == made
+
+
+# the interval-set route of a window and of a clause's infimum
+SET_ROUTE = [(StepFunction, "support"), (StepFunction, "zero_set"),
+             (IntervalSet, "minkowski"), (IntervalSet, "clipped_below")]
+
+
+@pytest.mark.parametrize("spec, x", [
+    ("aic dr=1/2 df=1/2", StepFunction.from_toggles(0, [F(2), F(5, 2), F(6)])),
+    ("dbridc mr=1 dr=2 mf=1 df=2", SMALL_U.shift(2)),
+])
+def test_membership_clauses_build_no_interval_set(monkeypatch, spec, x):
+    # the windows dilate u's runs as they walk them, and each clause is
+    # read from its violation indicator, with or without a horizon
+    calls = [counted_calls(monkeypatch, owner, name) for owner, name in SET_ROUTE]
+    model = sd.parse_model(spec)
+    for h in (None, F(9, 2)):
+        prepared = _prepare(SMALL_U, model, h, x.bps)
+        assert not sd.check_membership(SMALL_U, x, model, h, _input=prepared)
+    u, _ = long_pair()
+    for op in ("inf", "sup"):
+        assert window(u, op, -3, F(-11, 4)).bps
+    assert [len(seen) for seen in calls] == [0, 0, 0, 0]
 
 
 def long_pair():

@@ -3,10 +3,15 @@
 ``check_membership``, ``check_trace_conformance`` and ``simulate`` scale
 their times to integer ticks over one timebase and run the kernel on
 ints.  The same kernel run on the original Fractions is the oracle:
-``_report(model.clauses(u, x), h)``.  Times draw their denominators from
-pools that mix 1, 3 and 7 with large primes, some of which push the
-timebase past its bound, where the Fractions are kept.  The guards
-count Fraction comparisons instead of timing them, so they cannot flake.
+``fraction_report(model, u, x, h)``, the report of the clauses' violation
+indicators.  Times draw their denominators from pools that mix 1, 3 and
+7 with large primes, some of which push the timebase past its bound,
+where the Fractions are kept.  The guards count Fraction comparisons
+instead of timing them, so they cannot flake.
+
+``_report`` reads each clause's first violation from its indicator; the
+sets that ``model.clauses`` returns, clipped to the horizon, are its
+oracle (``interval_report``).
 
 ``check_membership`` keeps nothing between calls.  A caller that judges
 many outputs against one input prepares it once (``_prepare``) and
@@ -25,7 +30,7 @@ from sigdelay.conditions import MODELS, _in_time, _le, _prepare, _report
 from sigdelay.stepfn import StepFunction, _to_ticks, chi, format_time, timebase, window
 
 from conftest import brute_check, counted_calls
-from reference_kernel import dbridc_form_report
+from reference_kernel import dbridc_form_report, interval_report
 
 F = Fraction
 M4423, M9689 = 2 ** 4423 - 1, 2 ** 9689 - 1  # Mersenne primes
@@ -64,6 +69,11 @@ def models_in(draw, pool, keywords=tuple(sorted(MODELS))):
         assume(False)
 
 
+def fraction_report(model, u, x, h=None):
+    """The report of the model's clauses judged on the Fractions as given."""
+    return _report(model._judge(model._input_side(u), x), h)
+
+
 @st.composite
 def membership_cases(draw):
     pool = draw(st.sampled_from(POOLS))
@@ -83,7 +93,7 @@ def test_check_membership_in_ticks_matches_the_fraction_kernel(case):
             sd.check_membership(u, x, model, horizon=h)
         return
     got = sd.check_membership(u, x, model, horizon=h)
-    assert got == _report(model.clauses(u, x), h)
+    assert got == fraction_report(model, u, x, h)
     v = got.first_violation
     assert v is None or v.time is None or type(v.time) is Fraction
 
@@ -144,7 +154,7 @@ def test_repeated_checks_match_fresh_ones(case):
     for x, h in calls:
         report = sd.check_membership(u, x, model, horizon=h, _input=prepared[h])
         assert report == sd.check_membership(u, x, model, horizon=h)
-        assert report == _report(model.clauses(u, x), h)
+        assert report == fraction_report(model, u, x, h)
 
 
 def test_a_repeated_input_is_judged_once(monkeypatch):
@@ -174,6 +184,8 @@ def test_a_repeated_input_is_judged_once(monkeypatch):
     sd.check_membership(u, _ABOVE, model, _input=above)
     sd.check_membership(u, _ABOVE.shift(1), model, _input=above)
     assert len(misses) == 8
+    sd.check_membership(u, u.shift(1), model, _input=above)  # sixths: judged in ticks afresh
+    assert len(misses) == 9
 
 
 def test_checks_inspect_no_dataclass_fields(monkeypatch):
@@ -204,6 +216,26 @@ def stepfns_in(draw, pool):
     bps = sorted(draw(st.sets(times_in(pool), max_size=5)))
     bits = st.integers(0, 1)
     return StepFunction(draw(bits), bps, [draw(bits) for _ in bps], [draw(bits) for _ in bps])
+
+
+@settings(max_examples=300, deadline=None)
+@given(models_in(POOLS[0]), signals_in(POOLS[0]), signals_in(POOLS[0]),
+       st.lists(stepfns_in(POOLS[0]), max_size=3))
+@example(sd.Bdc(sd.BdcParams(1, 2, 1, 2)), chi(1, None), chi(2, None),
+         [StepFunction(0, [1], [0], [1]),   # open at 1
+          StepFunction(0, [1], [1], [0]),   # the point 1
+          StepFunction(1, [1], [0], [0]),   # from -oo
+          StepFunction.const(0)])           # none
+def test_report_reads_indicators_as_the_interval_route_reads_sets(model, u, x, extra):
+    # every model's clauses, and arbitrary indicators beside them, under
+    # horizons before, at and after each clause's first violation
+    clauses = model._judge(model._input_side(u), x)
+    assert [(f.support(), name) for f, name in clauses] == model.clauses(u, x)
+    clauses += [(f, f"extra-{i}") for i, f in enumerate(extra)]
+    sets = [(f.support(), name) for f, name in clauses]
+    firsts = [f.bps[0] for f, _ in clauses if f.bps]
+    for h in [None, *(t + off for t in firsts for off in (F(-1, 2), 0, F(1, 2)))]:
+        assert _report(clauses, h) == interval_report(sets, h)
 
 
 @st.composite
@@ -249,7 +281,7 @@ def test_above_the_bound_the_fractions_are_kept():
     u = StepFunction.from_toggles(0, [F(1, M9689), 1, F(5, 2)])
     x = u.shift(F(3, 2))
     model = sd.Dbridc(sd.BdcParams(F(1, 3), F(3, 2), F(1, 3), F(3, 2)))
-    assert sd.check_membership(u, x, model) == _report(model.clauses(u, x))
+    assert sd.check_membership(u, x, model) == fraction_report(model, u, x)
     net = builtin("delay-buffer", model=sd.Fixed(F(1, 7)))
     w = simulate(net, {"u": u}, 4)
     assert w.signals["x"] == u.shift(F(1, 7)) and type(w.horizon) is Fraction
