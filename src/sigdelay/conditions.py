@@ -23,10 +23,12 @@ read them from u's side, built in ticks by ``_prepare`` once per input
 and passed to each call: no call keeps one for the next.
 
 Consistency predicates (cc_*) are the closed-form parameter
-inequalities equivalent to "a solution exists for every input".  A
-checker invoked with inconsistent parameters raises
-InconsistentModelError rather than reporting a trace failure, so
-callers can tell a malformed model from a bad trace.
+inequalities equivalent to "a solution exists for every input".  Each is
+linear and homogeneous in the parameters, so a check judges it on the
+parameters in its ticks.  A checker invoked with inconsistent parameters
+raises InconsistentModelError, naming the model as given, rather than
+reporting a trace failure, so callers can tell a malformed model from a
+bad trace.
 """
 
 from __future__ import annotations
@@ -652,13 +654,15 @@ def _trusted(cls, items):
 
 def _in_ticks(model: DelayModel, k: Optional[int]) -> DelayModel:
     """The model with every parameter in ticks of 1/k (k None: as it is),
-    after ``require_consistent``: scaling by k > 0 keeps every consistency
-    inequality, and every check of ``__post_init__``."""
-    model.require_consistent()
-    if k is None:
-        return model
-    return _assemble(type(model), iter([_to_ticks(t, k) for t in model._parameters()]),
-                     _trusted)
+    judged consistent there: scaling by k > 0 keeps every consistency
+    inequality (each is homogeneous), its clause and every check of
+    ``__post_init__``.  If not, ``model.require_consistent()`` names it as given."""
+    ticked = model if k is None else _assemble(
+        type(model), iter([_to_ticks(t, k) for t in model._parameters()]), _trusted)
+    cc = ticked.consistency()
+    if cc is not None and not cc[1]:
+        model.require_consistent()
+    return ticked
 
 
 # ---------------------------------------------------------------------------
@@ -740,22 +744,17 @@ def cc_baidc(p: BdcParams, a: AicParams) -> bool:
 
 
 def cc_bridc(p: BdcParams, r: RicParams) -> tuple[bool, Optional[str]]:
-    """Four-case disjunction; returns the first satisfied clause a..d."""
+    """Four-case disjunction; returns the first satisfied clause a..d, tested in order."""
     mr, dr, mf, df = p.m_r, p.d_r, p.m_f, p.d_f
     ur, er, uf, ef = r.mu_r, r.delta_r, r.mu_f, r.delta_f
-    clauses = {
-        "a": (df - mf <= er <= dr <= er - ur + mr
-              and dr - mr <= ef <= df <= ef - uf + mf),
-        "b": (dr - mr + ur <= er <= df - mf <= dr
-              and df - mf + uf <= ef <= dr - mr <= df),
-        "c": (df - mf <= er <= dr - mr + ur <= dr
-              and dr - mr <= ef <= df - mf + uf <= df),
-        "d": (er <= df - mf <= er + mr - ur <= dr
-              and ef <= dr - mr <= ef + mf - uf <= df),
-    }
-    for name in "abcd":
-        if clauses[name]:
-            return True, name
+    if df - mf <= er <= dr <= er - ur + mr and dr - mr <= ef <= df <= ef - uf + mf:
+        return True, "a"
+    if dr - mr + ur <= er <= df - mf <= dr and df - mf + uf <= ef <= dr - mr <= df:
+        return True, "b"
+    if df - mf <= er <= dr - mr + ur <= dr and dr - mr <= ef <= df - mf + uf <= df:
+        return True, "c"
+    if er <= df - mf <= er + mr - ur <= dr and ef <= dr - mr <= ef + mf - uf <= df:
+        return True, "d"
     return False, None
 
 

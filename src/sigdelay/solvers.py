@@ -354,10 +354,12 @@ def enumerate_grid_solutions(u: Optional[StepFunction], model: DelayModel,
     """
     points = grid.points()
     # the checker's input, in ticks: every candidate fits its timebase
-    k, ticked, _, (bounds, permits, _), _ = prepared = _prepare(u, model, None, points)
-    if u is not None and not {b for b in as_signal(u).bps if b <= grid.horizon} <= set(points):
-        raise ValueError("input breakpoints must lie on the grid")
-    ticks = [_to_ticks(g, k) for g in points]
+    k, ticked, u_ticks, (bounds, permits, _), _ = prepared = _prepare(u, model, None, points)
+    ticks = [_to_ticks(g, k) for g in points]  # ticks[1] is the step
+    if u is not None:
+        as_signal(u)
+        if any(b % ticks[1] for b in u_ticks.bps if b <= ticks[-1]):  # off the grid
+            raise ValueError("input breakpoints must lie on the grid")
     cells = _forced_cells(bounds, ticks)
     if cells is None:
         return []

@@ -42,10 +42,10 @@ Fractions and on plain ints, which mix exactly.  A computation over
 many times first scales them all to integer ticks 1/k over their
 ``timebase`` k, the lcm of their denominators (the reduction of timed
 automata to integer constants), runs on ints, and scales the times it
-returns back to Fractions; ints count as ticks already.  Offsets and
-bounds (``shift``, ``truncate``, the windows) keep an int argument an
-int for that reason; ``as_time`` and everything that inserts a new
-breakpoint still make Fractions.
+returns back to Fractions; ints count as ticks already.  Offsets,
+bounds and point lookups (``shift``, ``truncate``, the windows, ``value``
+and its one-sided limits) keep an int argument an int for that reason;
+``as_time`` and every operation that inserts a breakpoint make Fractions.
 
 The signal literal format has one tokenizer, ``_read_signal_literal``,
 which reads a line into its initial bit and the integer numerators and
@@ -444,7 +444,7 @@ class StepFunction:
     # -- evaluation ---------------------------------------------------------
 
     def value(self, t: RationalLike) -> int:
-        t = as_time(t)
+        t = _as_offset(t)
         i = bisect.bisect_left(self.bps, t)
         if i < len(self.bps) and self.bps[i] == t:
             return self.at[i]
@@ -452,18 +452,17 @@ class StepFunction:
 
     def left_value(self, t: RationalLike) -> int:
         """f(t-0), the left limit at t."""
-        t = as_time(t)
+        t = _as_offset(t)
         i = bisect.bisect_left(self.bps, t)
         return self.leading if i == 0 else self.right[i - 1]
 
     def right_value(self, t: RationalLike) -> int:
         """f(t+0), the right limit at t."""
-        t = as_time(t)
+        t = _as_offset(t)
         i = bisect.bisect_right(self.bps, t)
         return self.leading if i == 0 else self.right[i - 1]
 
-    def __call__(self, t: RationalLike) -> int:
-        return self.value(t)
+    __call__ = value
 
     # -- identity -----------------------------------------------------------
 
@@ -671,8 +670,8 @@ class StepFunction:
         return self.at == self.right
 
     def is_signal(self) -> bool:
-        """Right-continuous with every switch at time >= 0."""
-        return self.is_right_continuous() and (not self.bps or self.bps[0] >= 0)
+        """Right-continuous with every switch at time >= 0 (a numerator's sign)."""
+        return self.is_right_continuous() and (not self.bps or self.bps[0].numerator >= 0)
 
     def limit_at_infinity(self) -> int:
         """Finitely many breakpoints make every function eventually constant."""

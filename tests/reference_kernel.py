@@ -32,6 +32,10 @@ time, where the library walks the sandwich's forced regions once; and the
 paper's alternative forms of the deterministic bounded relative
 inertial delay (section 9.5), which cross-check each other and the
 checker's form.
+
+``eager_cc_bridc`` evaluates all four clauses of CC_BRIDC, where the
+library's ``cc_bridc`` tests them in order and stops at the first that
+holds.
 """
 
 from __future__ import annotations
@@ -41,8 +45,8 @@ from itertools import chain
 from typing import Optional, Sequence
 
 from sigdelay.conditions import (Bdc, BdcParams, CheckReport, Dbridc, DelayModel,
-                                 SdbridcPrime, Violation, _eq, _in_ticks, _in_time, _le,
-                                 _report, _violation_key)
+                                 RicParams, SdbridcPrime, Violation, _eq, _in_ticks,
+                                 _in_time, _le, _report, _violation_key)
 from sigdelay.solvers import forced_switch_windows
 from sigdelay.stepfn import (Interval, IntervalSet, StepFunction, _as_offset, as_signal,
                              timebase, window_inf, window_sup)
@@ -339,6 +343,22 @@ def boolean_forced_cells(bounds: Optional[tuple[StepFunction, StepFunction]],
             return None
         cells.append(1 if up else 0 if down else None)
     return cells
+
+
+def eager_cc_bridc(p: BdcParams, r: RicParams) -> dict[str, bool]:
+    """Whether each clause a..d of CC_BRIDC holds, all of them evaluated."""
+    mr, dr, mf, df = p.m_r, p.d_r, p.m_f, p.d_f
+    ur, er, uf, ef = r.mu_r, r.delta_r, r.mu_f, r.delta_f
+    return {
+        "a": (df - mf <= er <= dr <= er - ur + mr
+              and dr - mr <= ef <= df <= ef - uf + mf),
+        "b": (dr - mr + ur <= er <= df - mf <= dr
+              and df - mf + uf <= ef <= dr - mr <= df),
+        "c": (df - mf <= er <= dr - mr + ur <= dr
+              and dr - mr <= ef <= df - mf + uf <= df),
+        "d": (er <= df - mf <= er + mr - ur <= dr
+              and ef <= dr - mr <= ef + mf - uf <= df),
+    }
 
 
 def dbridc_form_report(u: StepFunction, x: StepFunction, p: BdcParams,

@@ -551,6 +551,60 @@ def test_enumerate_requires_on_grid_input():
                                  GridSpec(F(1, 2), 6, 6))
 
 
+_HUGE = 2 ** 9689 - 1  # a Mersenne prime: the timebase is above its bound
+
+
+@pytest.mark.parametrize("toggles, on_grid", [
+    ([F(1, 2), 2, 4], True),            # the last at the horizon
+    ([F(1, 2), F(13, 3)], True),        # off the grid past the horizon
+    ([F(7, 2), F(11, 3)], False),
+    ([F(1, 4)], False),                 # on a finer grid, not this one
+    ([F(3, 2), F(1, _HUGE) + 5], True),  # the Fractions kept, past the horizon
+    ([F(1, _HUGE)], False),
+])
+def test_grid_membership_of_the_input(toggles, on_grid):
+    # judged on the input in ticks, as the definition on the Fractions
+    u, grid = StepFunction.from_toggles(0, toggles), GridSpec(F(1, 2), 4, 1)
+    points = set(grid.points())
+    assert on_grid == all(b in points for b in u.bps if b <= grid.horizon)
+    for model in (sd.Fixed(1), sd.parse_model("aic dr=1 df=1")):
+        if on_grid:
+            enumerate_grid_solutions(u, model, grid)
+        else:
+            with pytest.raises(ValueError, match="^input breakpoints must lie on the grid$"):
+                enumerate_grid_solutions(u, model, grid)
+
+
+def test_grid_enumeration_names_an_input_that_is_no_signal():
+    # aic reads no input, so only the grid's own check sees it
+    u = StepFunction.from_toggles(0, [F(-1, 2), 1])
+    with pytest.raises(ValueError) as exc:
+        enumerate_grid_solutions(u, sd.parse_model("aic dr=1 df=1"), GridSpec(F(1, 2), 4, 1))
+    assert str(exc.value) == f"not a signal (right-continuous with switches >= 0): {u!r}"
+    assert "-1/2" in str(exc.value)
+
+
+_SAMPLE_SPEC = "bridc mr=1 dr=3 mf=1 df=3 mur=0 deltar=2 muf=0 deltaf=2"
+
+
+def test_set_up_judges_consistency_and_permits_in_ticks(monkeypatch):
+    # the sampler's leading require_consistent judges CC_BRIDC on the
+    # Fractions, its set-up in ticks; grid enumeration judges it, and looks
+    # each grid point up in its permit table, in ticks only
+    model = sd.parse_model(_SAMPLE_SPEC)
+    ric, grid = sd.Ric(model.r), GridSpec(F(1, 2), 4, 3)
+    u = StepFunction.from_toggles(0, [F(1, 2), 2, F(5, 2)])
+    judged = counted_calls(monkeypatch, conditions, "cc_bridc")
+    times = counted_calls(monkeypatch, stepfn, "as_time")
+    assert sample_bridc(u, model.p, model.r, chi(1, None))
+    assert [type(p.d_r) for p, _ in judged] == [F, int]
+    for m in (model, ric):
+        del judged[:], times[:]
+        assert enumerate_grid_solutions(u, m, grid)
+        assert [type(p.d_r) for p, _ in judged] == ([int] if m is model else [])
+        assert times == []
+
+
 @pytest.mark.parametrize("model, max_toggles", [(sd.Bdc(sd.BdcParams(1, 2, 1, 2)), (2, 4, 6)),
                                                 (sd.Ric(sd.RicParams(0, 1, F(1, 2), 1)), (1, 2, 3))])
 def test_enumeration_builds_the_input_side_once(monkeypatch, model, max_toggles):

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import sigdelay as sd
+from sigdelay import stepfn
 from sigdelay.stepfn import (
     StepFunction,
     _read_time,
+    as_time,
     chi,
     chi_point,
     pulses,
@@ -22,7 +24,7 @@ from sigdelay.stepfn import (
 )
 from sigdelay.solvers import brute_left_value, brute_value, brute_window
 
-from conftest import probe_points, rand_signal, rand_stepfn
+from conftest import counted_calls, probe_points, rand_signal, rand_stepfn
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +359,39 @@ def test_is_signal_examples():
     assert not mixed_continuity_function().is_signal()
     assert chi(0, None).is_signal()
     assert StepFunction.const(1).is_signal()
+
+
+@pytest.mark.parametrize("first, signal", [
+    (F(-1, 3), False), (-1, False), (F(-1, 10 ** 30), False),
+    (0, True), (F(0), True), (F(1, 10 ** 30), True)])
+def test_is_signal_reads_the_sign_of_the_first_breakpoint(first, signal):
+    # Fraction and int (tick) breakpoints, down to a hair either side of 0
+    assert StepFunction._from_toggles(0, (first, 5)).is_signal() is signal
+
+
+_LOOKUPS = ("value", "left_value", "right_value")
+_POINTS = [-1, 0, 1, 2, 3, 5, 7, 8, F(-1, 2), F(1, 2), F(5, 2), F(7, 3), F(7, 2),
+           "5/2", "7/2", "1/3", "-1", "3"]
+
+
+@pytest.mark.parametrize("in_ticks", [False, True])
+def test_point_lookups_keep_an_int_and_agree_with_as_time(monkeypatch, in_ticks):
+    # a point value apart from both limits at 2, and breakpoints on halves
+    f = mixed_continuity_function() ^ chi(F(5, 2), F(7, 2), False, True)
+    g = f._to_ticks(2) if in_ticks else f
+    times = counted_calls(monkeypatch, stepfn, "as_time")
+    for name in _LOOKUPS:
+        for t in _POINTS:
+            got = getattr(g, name)(t)
+            assert got == getattr(g, name)(as_time(t))
+            if in_ticks:  # t ticks of 1/2 are the time t/2 of f
+                assert got == getattr(f, name)(as_time(t) / 2)
+        del times[:]
+        assert [getattr(g, name)(t) for t in _POINTS if type(t) is int]
+        assert times == []  # an int is looked up as it is
+        with pytest.raises(TypeError):
+            getattr(g, name)(0.5)
+    assert g(F(1, 2)) == g.value(F(1, 2))
 
 
 def test_limit_at_infinity(rng):

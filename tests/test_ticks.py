@@ -16,8 +16,14 @@ oracle (``interval_report``).
 ``check_membership`` keeps nothing between calls.  A caller that judges
 many outputs against one input prepares it once (``_prepare``) and
 passes it to every check; each such check must equal a fresh one.
+
+Each consistency condition is judged on the parameters in ticks; the
+same condition on the Fractions is its oracle, and ``eager_cc_bridc``,
+which evaluates all four clauses of CC_BRIDC, is the oracle of the
+library's clause-by-clause ``cc_bridc``.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -26,11 +32,12 @@ from hypothesis import assume, example, given, settings, strategies as st
 import sigdelay as sd
 from sigdelay import conditions
 from sigdelay.circuit import EventBudgetError, builtin, check_trace_conformance, simulate
-from sigdelay.conditions import MODELS, _in_time, _le, _prepare, _report
+from sigdelay.conditions import (MODELS, _assemble, _in_ticks, _in_time, _le, _prepare,
+                                 _report, _trusted, cc_bridc)
 from sigdelay.stepfn import StepFunction, _to_ticks, chi, format_time, timebase, window
 
 from conftest import brute_check, counted_calls
-from reference_kernel import dbridc_form_report, interval_report
+from reference_kernel import dbridc_form_report, eager_cc_bridc, interval_report
 
 F = Fraction
 M4423, M9689 = 2 ** 4423 - 1, 2 ** 9689 - 1  # Mersenne primes
@@ -285,6 +292,89 @@ def test_above_the_bound_the_fractions_are_kept():
     net = builtin("delay-buffer", model=sd.Fixed(F(1, 7)))
     w = simulate(net, {"u": u}, 4)
     assert w.signals["x"] == u.shift(F(1, 7)) and type(w.horizon) is Fraction
+
+
+# ---------------------------------------------------------------------------
+# Consistency judged in ticks
+# ---------------------------------------------------------------------------
+
+# each spec's verdict on the Fractions: CC_BRIDC holds by clause a (b
+# holds too), c or d, or fails; CC_BDC and CC_BAIDC hold with equality
+_CC_EXAMPLES = [
+    "bridc mr=1 dr=3 mf=1 df=3 mur=0 deltar=2 muf=0 deltaf=2",
+    "bridc mr=1 dr=3 mf=3/2 df=3 mur=1 deltar=3/2 muf=1/2 deltaf=2",
+    "bridc mr=1/2 dr=2 mf=2 df=3 mur=0 deltar=1/2 muf=0 deltaf=0",
+    "bridc mr=5/2 dr=3 mf=1 df=3/2 mur=2 deltar=3 muf=3/2 deltaf=2",
+    "bdc mr=1/2 dr=3/2 mf=1/3 df=1",
+    "bdc mr=0 dr=1/2 mf=0 df=1",
+    "baidc mr=1/7 dr=1 mf=2/3 df=1 deltar=1/2 deltaf=13/42",
+    "dbridc mr=0 dr=2/7 mf=1/7 df=3/7",
+]
+
+cc_times = st.builds(lambda w, n, d: w + F(n, d), st.integers(0, 3),
+                     st.integers(0, 2), st.sampled_from((1, 2, 3, 7)))
+
+
+@st.composite
+def consistency_models(draw):
+    """A model with a consistency condition: each key after a memory key
+    (m, mr, mur, ...) is that memory plus a time, so the parameters are in
+    range; small times and many whole ones make ties between both sides
+    of an inequality common."""
+    kw = draw(st.sampled_from(("bdc", "baidc", "bridc", "dbridc")))
+    vals, prev = [], None
+    for key in MODELS[kw].keys:
+        t = draw(cc_times)
+        vals.append(t if prev is None else prev + t)
+        prev = t if key.startswith("m") else None
+    return sd.parse_model(" ".join([kw] + [f"{k}={format_time(v)}"
+                                           for k, v in zip(MODELS[kw].keys, vals)]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(consistency_models(), st.integers(1, 6))
+@example(sd.parse_model(_CC_EXAMPLES[0]), 2)
+@example(sd.parse_model(_CC_EXAMPLES[1]), 1)
+@example(sd.parse_model(_CC_EXAMPLES[2]), 3)
+@example(sd.parse_model(_CC_EXAMPLES[3]), 5)
+@example(sd.parse_model(_CC_EXAMPLES[4]), 1)
+@example(sd.parse_model(_CC_EXAMPLES[5]), 4)
+@example(sd.parse_model(_CC_EXAMPLES[6]), 2)
+@example(sd.parse_model(_CC_EXAMPLES[7]), 1)
+def test_consistency_in_ticks_matches_the_fractions(model, multiple):
+    # k is any multiple of the lcm of the parameters' denominators
+    k = multiple * math.lcm(*[t.denominator for t in model._parameters()])
+    ticked = _assemble(type(model), iter([_to_ticks(t, k) for t in model._parameters()]),
+                       _trusted)
+    assert all(type(t) is int for t in ticked._parameters())
+    assert ticked.consistency() == model.consistency()  # name, verdict, clause
+    try:
+        model.require_consistent()
+    except sd.InconsistentModelError as exc:
+        with pytest.raises(sd.InconsistentModelError) as got:
+            _in_ticks(model, k)
+        assert str(got.value) == str(exc)
+    else:
+        assert _in_ticks(model, k) == ticked
+    if isinstance(model, sd.Bridc):
+        clauses = eager_cc_bridc(model.p, model.r)
+        first = next((c for c in "abcd" if clauses[c]), None)
+        assert cc_bridc(model.p, model.r) == (first is not None, first)
+        assert cc_bridc(ticked.p, ticked.r) == (first is not None, first)
+        assert not clauses["b"] or clauses["a"]  # b holds only where a does
+
+
+def test_the_consistency_examples_reach_every_clause():
+    seen = {}
+    for spec in _CC_EXAMPLES:
+        model = sd.parse_model(spec)
+        cc = model.consistency()
+        if isinstance(model, sd.Bridc):
+            seen[cc[2]] = eager_cc_bridc(model.p, model.r)
+    assert set(seen) == {"a", "c", "d", None}
+    assert seen["a"]["b"] and not seen[None]["b"]
+    assert [sd.parse_model(s).consistency()[1] for s in _CC_EXAMPLES[4:]] == \
+        [True, False, True, True]
 
 
 # ---------------------------------------------------------------------------
