@@ -20,7 +20,10 @@ clauses need; None where it has none), and ``_judge(side, x)`` the
 clauses from that and the output.  Input windows are built there only:
 the checker, the grid pruning, the sampler's candidates and its witness
 read them from u's side, built in ticks by ``_prepare`` once per input
-and passed to each call: no call keeps one for the next.
+and passed to each call: no call keeps one for the next.  No window is
+built over x either: the switch permits and the hold windows after a
+switch constrain x only at its switches, so the default judge reads
+them in one walk over x's breakpoints.
 
 Consistency predicates (cc_*) are the closed-form parameter
 inequalities equivalent to "a solution exists for every input".  Each is
@@ -33,6 +36,7 @@ bad trace.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
@@ -148,11 +152,12 @@ class _Model:
     ``clauses(u, x)`` is ``_judge(_input_side(u), x)``: the input stage
     builds the triple ``(sandwich, permits, own)`` from u alone, the output
     stage the clause list.  By default the side holds the declared
-    ``sandwich`` lower <= x <= upper and switch ``permits`` (own None), and
-    the clauses come from them, then from the hold windows on the
-    ``AicParams`` field ``a`` when ``hold`` is set (True: closed windows
-    [t, t+delta]; False: half-open [t, t+delta)).  A model whose clauses
-    take another shape overrides both stages, keeping what it has of both.
+    ``sandwich`` lower <= x <= upper and switch ``permits`` (own None); the
+    judge merges x with the bounds, and reads the permits, and the hold
+    windows on the ``AicParams`` field ``a`` when ``hold`` is set (True:
+    closed windows [t, t+delta]; False: half-open [t, t+delta)), at x's
+    switches in one walk.  A model whose clauses take another shape
+    overrides both stages, keeping what it has of both.
     """
 
     keyword: ClassVar[str]
@@ -195,20 +200,51 @@ class _Model:
 
     def _judge(self, side, x: StepFunction) -> list[tuple[StepFunction, str]]:
         """The violation indicator and name of each clause of the output x,
-        given the input side ``side``."""
+        given the input side ``side``.
+
+        The permit and hold clauses constrain x only at its switches, the
+        breakpoints b where x(b) differs from x(b-0), so one walk over x
+        builds them: each indicator is 0, but 1 at every switch that
+        violates it.  A switch to v at b violates its permit where the
+        permit is 0 at b, read by a pointer that only moves forward, and
+        its hold where x leaves v in [b, b+delta] ([b, b+delta) when
+        half-open): right of b when delta > 0, or at the next breakpoint b'
+        when b' < b+delta, or when b' = b+delta, the window is closed and
+        x(b') != v.  A canonical breakpoint changes x at it or right of it,
+        so b' < b+delta alone shows x leaving v, and no later one matters."""
         bounds, permits, _ = side
         out = []
         if bounds is not None:
             out += [_le(bounds[0], x, "lower-bound"), _le(x, bounds[1], "upper-bound")]
-        if permits is not None:
-            out += [_le(x.rises(), permits[0], "rise-permit"),
-                    _le(x.falls(), permits[1], "fall-permit")]
-        if self.hold is not None:
-            a = self.a
-            hold1 = window(x, "inf", 0, a.delta_r, include_end=self.hold)
-            ones = window(x, "sup", 0, a.delta_f, include_end=self.hold)  # a 1 in the window
-            out += [_le(x.rises(), hold1, "rise-hold"),
-                    (x.falls() & ones, "fall-hold")]
+        hold = self.hold
+        if permits is None and hold is None:
+            return out
+        # per edge, indexed by the bit switched to: (fall, rise)
+        tables = None if permits is None else permits[::-1]
+        gaps = None if hold is None else (self.a.delta_f, self.a.delta_r)
+        cursors, permit_hits, hold_hits = [0, 0], ([], []), ([], [])
+        bps, at, right = x.bps, x.at, x.right
+        last, left = len(bps) - 1, x.leading
+        for i, b in enumerate(bps):
+            v = at[i]
+            if v != left:
+                if tables is not None:
+                    p = tables[v]
+                    j = cursors[v] = bisect_left(p.bps, b, cursors[v])
+                    if not (p.at[j] if j < len(p.bps) and p.bps[j] == b
+                            else p.right[j - 1] if j else p.leading):
+                        permit_hits[v].append(b)
+                if gaps is not None:
+                    end = b + gaps[v]
+                    if right[i] != v and end > b or i < last and (
+                            bps[i + 1] < end or hold and bps[i + 1] == end and at[i + 1] != v):
+                        hold_hits[v].append(b)
+            left = right[i]
+        if tables is not None:
+            out += [(_points(permit_hits[1]), "rise-permit"),
+                    (_points(permit_hits[0]), "fall-permit")]
+        if gaps is not None:
+            out += [(_points(hold_hits[1]), "rise-hold"), (_points(hold_hits[0]), "fall-hold")]
         return out
 
     def zero_lookback(self) -> bool:
@@ -728,6 +764,15 @@ def _le(lhs: StepFunction, rhs: StepFunction, clause: str) -> tuple[StepFunction
 
 def _eq(lhs: StepFunction, rhs: StepFunction, clause: str) -> tuple[StepFunction, str]:
     return lhs ^ rhs, clause
+
+
+_ZERO = StepFunction._canon(0, (), (), ())  # shared: a clause that holds builds nothing
+
+
+def _points(times: Sequence) -> StepFunction:
+    """The indicator of the increasing ``times``: 0, but 1 at each."""
+    n = len(times)
+    return StepFunction._canon(0, times, (1,) * n, (0,) * n) if n else _ZERO
 
 
 # ---------------------------------------------------------------------------

@@ -27,11 +27,13 @@ The routes at the end build on the kernel's Boolean operations and
 windows instead: the derivatives and the violation set of a ``_le``
 clause by their Boolean definitions, where the library builds a
 derivative in one pass over the breakpoints and a clause in one merge
-with no complemented copy; the grid's forced cells taken one cell at a
-time, where the library walks the sandwich's forced regions once; and the
-paper's alternative forms of the deterministic bounded relative
-inertial delay (section 9.5), which cross-check each other and the
-checker's form.
+with no complemented copy; the permit and hold clauses by x's rises and
+falls merged against the permits and against sliding windows over x,
+where the library reads them at x's switches in one walk; the grid's
+forced cells taken one cell at a time, where the library walks the
+sandwich's forced regions once; and the paper's alternative forms of
+the deterministic bounded relative inertial delay (section 9.5), which
+cross-check each other and the checker's form.
 
 ``eager_cc_bridc`` evaluates all four clauses of CC_BRIDC, where the
 library's ``cc_bridc`` tests them in order and stops at the first that
@@ -49,7 +51,7 @@ from sigdelay.conditions import (Bdc, BdcParams, CheckReport, Dbridc, DelayModel
                                  _in_time, _le, _report, _violation_key)
 from sigdelay.solvers import forced_switch_windows
 from sigdelay.stepfn import (Interval, IntervalSet, StepFunction, _as_offset, as_signal,
-                             timebase, window_inf, window_sup)
+                             timebase, window, window_inf, window_sup)
 
 
 def sorted_level_set(f: StepFunction, bit: int) -> IntervalSet:
@@ -324,6 +326,27 @@ def boolean_derivatives(f: StepFunction) -> dict[str, StepFunction]:
 def boolean_le_violations(lhs: StepFunction, rhs: StepFunction) -> IntervalSet:
     """Where lhs <= rhs fails, by its Boolean definition: lhs . not rhs."""
     return (lhs & ~rhs).support()
+
+
+def window_judge(model: DelayModel, side, x: StepFunction) -> list[tuple[StepFunction, str]]:
+    """The default ``_judge`` by the window route: the sandwich clauses as
+    the library builds them, then x's rises and falls merged against the
+    permits and against the sliding inf and sup of x over its hold
+    windows [t, t+delta] (closed) or [t, t+delta) (half-open), where the
+    library reads all four clauses at x's switches in one walk."""
+    bounds, permits, _ = side
+    out = []
+    if bounds is not None:
+        out += [_le(bounds[0], x, "lower-bound"), _le(x, bounds[1], "upper-bound")]
+    if permits is not None:
+        out += [_le(x.rises(), permits[0], "rise-permit"),
+                _le(x.falls(), permits[1], "fall-permit")]
+    if model.hold is not None:
+        a = model.a
+        held = window(x, "inf", 0, a.delta_r, include_end=model.hold)
+        ones = window(x, "sup", 0, a.delta_f, include_end=model.hold)  # a 1 in the window
+        out += [_le(x.rises(), held, "rise-hold"), (x.falls() & ones, "fall-hold")]
+    return out
 
 
 def boolean_forced_cells(bounds: Optional[tuple[StepFunction, StepFunction]],

@@ -9,6 +9,7 @@ so they cannot flake.
 
 import operator
 from fractions import Fraction as F
+from itertools import chain
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -16,13 +17,14 @@ from hypothesis import example, given, settings, strategies as st
 import sigdelay as sd
 from sigdelay import stepfn
 from sigdelay.cli import main
-from sigdelay.conditions import _le, _prepare
+from sigdelay.conditions import MODELS, _assemble, _le, _prepare, _trusted
 from sigdelay.stepfn import Interval, IntervalSet, StepFunction, chi, indicator, window
 
 from conftest import counted_calls
 from reference_kernel import (bisect_zip, boolean_derivatives, boolean_le_violations,
                               minkowski_window, probe_indicator, sorted_clipped_below,
-                              sorted_complement, sorted_level_set, sorted_minkowski)
+                              sorted_complement, sorted_level_set, sorted_minkowski,
+                              window_judge)
 
 # a coarse grid, so that random intervals often share endpoints
 grid = st.integers(-6, 6).map(lambda n: F(n, 2))
@@ -391,9 +393,10 @@ SMALL_U = StepFunction.from_toggles(0, [F(1), F(3, 2), F(4)])
 @pytest.mark.parametrize("spec, x, made", [
     # the Boolean route made 5 complements and 4 merges: a limit, a
     # complement and a merge per semi-derivative, a complement per _le
-    # clause; the fall-hold window reads x itself, not its complement
+    # clause; the window route made 2 merges, one per hold clause, and
+    # the hold clauses are now read at x's switches with none
     ("aic dr=1/2 df=1/2", StepFunction.from_toggles(0, [F(2), F(5, 2), F(6)]),
-     {"__invert__": 0, "_zip": 2}),
+     {"__invert__": 0, "_zip": 0}),
     # the Boolean route made 3 complements and 6 merges
     ("dbridc mr=1 dr=2 mf=1 df=2", SMALL_U.shift(2), {"__invert__": 0, "_zip": 4}),
 ])
@@ -405,6 +408,74 @@ def test_membership_clauses_build_no_complemented_copies(monkeypatch, spec, x, m
     calls = {name: counted_calls(monkeypatch, StepFunction, name) for name in made}
     assert not sd.check_membership(SMALL_U, x, model, _input=prepared)
     assert {name: len(seen) for name, seen in calls.items()} == made
+
+
+@pytest.mark.parametrize("spec, u, ok", [
+    ("aic dr=1/2 df=1/2", None, False),  # a fall at 5/2, the end of the rise's hold
+    ("ric mur=0 deltar=1 muf=0 deltaf=1", SMALL_U, True),
+])
+def test_switch_clauses_build_no_window_over_x(monkeypatch, spec, u, ok):
+    # the permit and hold clauses are read at x's switches: an aic check
+    # has no input side, and a ric check's input is prepared first, so no
+    # level set is walked at all, and so no window is built over x
+    x = StepFunction.from_toggles(0, [F(2), F(5, 2), F(6)])
+    model = sd.parse_model(spec)
+    prepared = _prepare(u, model, None, x.bps)
+    runs = counted_calls(monkeypatch, StepFunction, "_runs")
+    assert bool(sd.check_membership(u, x, model, _input=prepared)) is ok
+    if u is None:
+        assert bool(sd.check_membership(u, x, model)) is ok
+    assert runs == []
+
+
+# the models whose clauses the default ``_judge`` builds
+JUDGED = ("bdc", "bdcprime", "aic", "aicprime", "ric", "ricprime", "baidc", "bridc")
+MEMORY_OF = {"dr": "mr", "df": "mf", "deltar": "mur", "deltaf": "muf"}
+halves = st.integers(0, 6).map(lambda n: F(n, 2))
+
+
+@st.composite
+def judged_models(draw):
+    """One of the eight models, its times on a grid of 1/2 so that a switch
+    often lands at b + delta; a zero delta is drawn often too."""
+    cls = MODELS[draw(st.sampled_from(JUDGED))]
+    vals = {key: draw(halves) for key in cls.keys}
+    for d, m in MEMORY_OF.items():
+        if m in vals:  # 0 <= m <= d
+            vals[m], vals[d] = sorted((vals[m], vals[d]))
+        elif d in vals and cls.keyword == "bdcprime":  # d > 0
+            vals[d] += F(1, 2)
+    return sd.parse_model(" ".join([cls.keyword, *(f"{k}={v}" for k, v in vals.items())]))
+
+
+signals = st.builds(StepFunction.from_toggles, st.integers(0, 1),
+                    st.lists(st.integers(0, 16).map(lambda n: F(n, 2)),
+                             unique=True, max_size=6).map(sorted))
+outputs = st.one_of(stepfns(), glitchy(grid), glitchy(), signals)
+
+
+@settings(max_examples=600, deadline=None)
+@given(judged_models(), signals, outputs, st.booleans())
+@example(sd.parse_model("aic dr=1 df=1"), SMALL_U,  # a fall exactly at b + delta
+         StepFunction.from_toggles(0, [1, 2]), False)
+@example(sd.parse_model("aicprime dr=1 df=1"), SMALL_U,
+         StepFunction.from_toggles(0, [1, 2]), True)
+@example(sd.parse_model("aic dr=0 df=0"), SMALL_U,  # point glitches, delta 0
+         StepFunction(0, [1, 2], [1, 0], [0, 1]), False)
+@example(sd.parse_model("aicprime dr=0 df=1/2"), SMALL_U,
+         StepFunction(1, [1, F(3, 2)], [0, 0], [1, 1]), True)
+@example(sd.parse_model("ric mur=0 deltar=1 muf=0 deltaf=1"), SMALL_U,
+         StepFunction.from_toggles(0, [F(3, 2), F(5, 2)]), True)
+def test_switch_clauses_match_the_window_route(model, u, x, ticks):
+    if ticks:  # every time in ticks of their timebase; the model need not be consistent
+        k = stepfn.timebase(chain(model._parameters(), u.bps, x.bps))
+        model = _assemble(type(model), iter([stepfn._to_ticks(t, k) for t in model._parameters()]),
+                          _trusted)
+        u, x = u._to_ticks(k), x._to_ticks(k)
+    side = model._input_side(u)
+    want = window_judge(model, side, x)
+    assert model._judge(side, x) == want
+    assert model.clauses(u, x) == [(f.support(), name) for f, name in want]
 
 
 # the interval-set route of a window and of a clause's infimum
