@@ -31,7 +31,8 @@ so runaway oscillation ends in an explicit error instead of a hang.
 Simulation runs on integer ticks over the timebase of its inputs,
 parameters and horizon (``stepfn.timebase``); a conformance check
 judges the times it is given and leaves the ticks to each element's
-``check_membership``.  Every time they return is a Fraction.
+``check_membership``.  ``simulate`` returns its waveforms as Fractions,
+or, to the CLI's writers, as the ticks it ran on (``WaveformSet.timebase``).
 
 The worked circuits (``builtin``) are netlist text, read by
 ``parse_netlist`` like any other netlist.
@@ -156,8 +157,19 @@ class Netlist:
 
 @dataclass(frozen=True)
 class WaveformSet:
+    """Named signals on (-oo, horizon].  With ``timebase`` k every time in
+    the set, the horizon included, is an int: a whole number of ticks 1/k."""
     signals: dict[str, StepFunction]
     horizon: Fraction
+    timebase: Optional[int] = None
+
+    def _in_time(self) -> "WaveformSet":
+        """This set with its times as Fractions."""
+        k = self.timebase
+        if k is None:
+            return self
+        return WaveformSet({net: f._to_time(k) for net, f in self.signals.items()},
+                           _to_time(self.horizon, k))
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +382,7 @@ def _eval_order(n: Netlist, nets: Collection[str]) -> tuple[list[str], Optional[
 
 
 def simulate(n: Netlist, inputs: dict[str, StepFunction],
-             horizon: RationalLike) -> WaveformSet:
+             horizon: RationalLike, *, _ticks: bool = False) -> WaveformSet:
     """Run the netlist on (-oo, horizon] by event-driven simulation.
 
     Inputs must provide a signal for every primary input and for no
@@ -381,10 +393,12 @@ def simulate(n: Netlist, inputs: dict[str, StepFunction],
 
     After validation the inputs, the delay parameters and the horizon
     are scaled to integer ticks over their ``timebase`` k: the queue, the
-    event forms, the gates and the self-check all run on ints, and the
-    result nets, the horizon and a budget error's time are scaled back
-    to Fractions.  Above the timebase bound the same code runs on the
-    Fractions themselves.
+    event forms, the gates and the self-check all run on ints, and a
+    budget error's time is scaled back to a Fraction.  The result is the
+    self-checked set in ticks, ``WaveformSet(..., timebase=k)``, with
+    ``_ticks``, for a writer that formats ticks; otherwise its nets and
+    horizon are scaled back to Fractions.  Above the timebase bound the
+    same code runs on the Fractions themselves.
     """
     h = as_time(horizon)
     if h < 0:
@@ -454,11 +468,12 @@ def simulate(n: Netlist, inputs: dict[str, StepFunction],
                 if s is not None and s <= ht:
                     heapq.heappush(queue, (s, rank[out], out))
 
-    signals = {net: StepFunction._from_toggles(init[net], switches[net]) for net in nets}
-    report = check_trace_conformance(n, models, WaveformSet(signals, ht))
+    w = WaveformSet({net: StepFunction._from_toggles(init[net], switches[net])
+                     for net in nets}, ht, k)
+    report = check_trace_conformance(n, models, w)
     if not report.ok:
         raise RuntimeError(f"simulation fails self-check: {_in_time(report, k)}")
-    return WaveformSet({net: f._to_time(k) for net, f in signals.items()}, h)
+    return w if _ticks else w._in_time()
 
 
 def check_trace_conformance(n: Netlist,
@@ -475,7 +490,9 @@ def check_trace_conformance(n: Netlist,
     Violations after the waveform horizon are ignored; the signals make
     no claim there.  Gate equations are judged on the times given; each
     delay element's ``check_membership`` scales its own check to integer
-    ticks and reports its violation time as a Fraction.
+    ticks and reports its violation time as a Fraction.  A set in ticks
+    (``timebase`` set) is judged in its ticks: the models must be in those
+    ticks too, as ``simulate`` passes them, and so is the report's time.
     """
     diags = [d for g in n.gates for d in _gate_diags(g)]
     if diags:

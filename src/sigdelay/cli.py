@@ -11,9 +11,13 @@ and json-report.
 
 ``check`` reads its signals into integer numerators and denominators
 (``stepfn._read_signal_literal``) and builds them straight in ticks of
-their common timebase, so it makes Fractions only for its report;
-``simulate`` and ``sample`` parse Fractions.  ``sample`` hands any model
-one route, ``solvers._sample``, which judges the model's own candidates.
+their common timebase, so it makes Fractions only for its report.
+``simulate`` parses its inputs as Fractions and writes its waveforms
+from the simulator's integer ticks (``simulate(..., _ticks=True)``): the
+JSON and VCD writers reduce each tick against the timebase with one gcd
+and make no Fraction per toggle; the ASCII lanes scale the set back to
+Fractions once.  ``sample`` parses Fractions and hands any model one
+route, ``solvers._sample``, which judges the model's own candidates.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from typing import Optional
 
 from .stepfn import (
     StepFunction,
+    _format_ticks,
     _lcm_within_bound,
     _read_signal_file,
     _read_signal_literal,
@@ -80,6 +85,7 @@ def render_ascii(w: WaveformSet) -> str:
     The switch mark leans toward the attained value; exact switch times
     follow each lane, since columns quantize time.
     """
+    w = w._in_time()
     names = list(w.signals)
     pad = max((len(n) for n in names), default=0)
     h = w.horizon if w.horizon > 0 else Fraction(1)
@@ -102,12 +108,13 @@ def render_ascii(w: WaveformSet) -> str:
 
 
 def waveforms_json(w: WaveformSet) -> str:
+    k = w.timebase
     nets = {
         name: {"initial": sig.leading,
-               "toggles": [format_time(t) for t in sig.bps]}
+               "toggles": [_format_ticks(t, k) for t in sig.bps]}
         for name, sig in w.signals.items()
     }
-    return json.dumps({"horizon": format_time(w.horizon), "nets": nets},
+    return json.dumps({"horizon": _format_ticks(w.horizon, k), "nets": nets},
                       indent=2) + "\n"
 
 
@@ -208,7 +215,7 @@ def cmd_simulate(args) -> int:
     for literal in args.input or ():
         name, sig = parse_signal_literal(literal)
         inputs[name] = sig
-    w = simulate(netlist, inputs, as_time(args.until))
+    w = simulate(netlist, inputs, as_time(args.until), _ticks=True)
     if args.format == "ascii":
         _write(render_ascii(w), args.out)
     elif args.format == "vcd":

@@ -49,6 +49,7 @@ from .stepfn import (
     RationalLike,
     StepFunction,
     _as_offset,
+    _read_fraction,
     _read_ratio,
     _to_ticks,
     _to_time,
@@ -986,7 +987,7 @@ def parse_model(text: str) -> DelayModel:
             raise ValueError(f"duplicate parameter {key!r}")
         try:
             ratio = _read_ratio(num)  # one Fraction per number, decimals too
-            vals[key] = Fraction(*ratio) if ratio else Fraction(num)
+            vals[key] = Fraction(*ratio) if ratio else _read_fraction(num)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad number {num!r} for {key!r}: {exc}") from exc
     missing = [k for k in cls.keys if k not in vals]

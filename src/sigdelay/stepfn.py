@@ -77,9 +77,27 @@ def as_time(value: RationalLike) -> Fraction:
     if isinstance(value, float):
         raise TypeError("float times are not exact; pass Fraction, int or a 'p/q' string")
     try:
-        return Fraction(value)
+        return _read_fraction(value) if type(value) is str else Fraction(value)
     except ZeroDivisionError as exc:
         raise ValueError(f"time {value!r} has a zero denominator") from exc
+
+
+# CPython's default limit on the digits of an int read from or written as a
+# string.  A decimal exponent beyond it makes a short token a huge number:
+# Fraction('1e10000000') takes seconds, and '1e999999999' has a billion digits.
+_EXPONENT_LIMIT = 4300
+
+
+def _read_fraction(tok: str) -> Fraction:
+    """``Fraction(tok)``, the one reader of every time and parameter that
+    is text; it refuses a decimal exponent outside -4300..4300 before it
+    builds anything, naming the token."""
+    _, e, exp = tok.lower().partition("e")
+    digits = exp.strip().lstrip("+-").replace("_", "").lstrip("0")
+    if e and digits.isdecimal() and (len(digits) > 4 or int(digits) > _EXPONENT_LIMIT):
+        raise ValueError(f"{tok!r} has a decimal exponent outside "
+                         f"-{_EXPONENT_LIMIT}..{_EXPONENT_LIMIT}")
+    return Fraction(tok)
 
 
 def _as_offset(value: RationalLike) -> Union[Fraction, int]:
@@ -850,7 +868,7 @@ _Reading = tuple[int, list[int], list[int]]
 def _read_time(tok: str) -> tuple[int, int]:
     """The numerator and (positive) denominator of a time token, raising as
     ``Fraction(tok)`` does; p/q is kept as written."""
-    return _read_ratio(tok) or Fraction(tok).as_integer_ratio()
+    return _read_ratio(tok) or _read_fraction(tok).as_integer_ratio()
 
 
 def _read_ratio(tok: str) -> Optional[tuple[int, int]]:
@@ -954,6 +972,15 @@ def _read_signal_file(text: str) -> dict[str, _Reading]:
 
 def format_time(t: Fraction) -> str:
     return str(t.numerator) if t.denominator == 1 else f"{t.numerator}/{t.denominator}"
+
+
+def _format_ticks(t, k: Optional[int]) -> str:
+    """``format_time`` of t ticks of 1/k, reduced by one gcd and with no
+    Fraction; k None: t is a time already."""
+    if k is None:
+        return format_time(t)
+    g = math.gcd(t, k)
+    return str(t // g) if g == k else f"{t // g}/{k // g}"
 
 
 def format_signal_literal(name: str, f: StepFunction) -> str:

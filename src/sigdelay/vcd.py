@@ -1,8 +1,12 @@
 """Value-change-dump export and scalar import for waveform sets.
 
 Rational switch times are scaled by L, the lcm of every breakpoint
-denominator, so all VCD timestamps are integers; L is recorded in a
-``$comment`` and undone on import.  The initial dump at #0 carries the
+denominator and the horizon's, so all VCD timestamps are integers; L is
+recorded in a ``$comment`` and undone on import.  A set in ticks 1/k
+(``WaveformSet.timebase``, as the CLI's ``simulate`` writes it) is
+written from its ints: with g the gcd of k and every tick, L is k/g and
+a stamp is a tick over g, so no time becomes a Fraction; a set in time
+is first scaled to ticks of the lcm.  The initial dump at #0 carries the
 values at 0-0; a net that switches at time 0 gets a second change at
 timestamp 0 after the dump section.  VCD orders values within a
 timestamp, so point values at switch instants survive the round trip
@@ -13,9 +17,9 @@ not signals are not exportable.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
-from .stepfn import StepFunction, _to_ticks, as_signal
+from .stepfn import StepFunction, _format_ticks, _read_fraction, _to_ticks, as_signal
 from .circuit import WaveformSet
 
 _ID_CHARS = [chr(c) for c in range(33, 127)]
@@ -36,13 +40,19 @@ def export_vcd(w: WaveformSet) -> str:
         if not sig.is_signal():
             raise ValueError(f"net {name!r} is not exportable to VCD "
                              "(not right-continuous or switches before 0)")
-    denoms = [b.denominator for sig in w.signals.values() for b in sig.bps]
-    denoms.append(w.horizon.denominator)
-    scale = lcm(*denoms)
+    k = w.timebase
+    if k is None:  # a set in time: to ticks over the lcm of its denominators
+        k = lcm(w.horizon.denominator,
+                *(b.denominator for sig in w.signals.values() for b in sig.bps))
+        w = WaveformSet({name: sig._to_ticks(k) for name, sig in w.signals.items()},
+                        _to_ticks(w.horizon, k), k)
+    # the lcm of the denominators of every t/k, reduced, is k // step
+    step = gcd(k, w.horizon, *(t for sig in w.signals.values() for t in sig.bps))
     names = list(w.signals)
     ids = {name: _ident(i) for i, name in enumerate(names)}
     lines = [
-        "$comment sigdelay scale lcm=%d horizon=%s $end" % (scale, w.horizon),
+        "$comment sigdelay scale lcm=%d horizon=%s $end"
+        % (k // step, _format_ticks(w.horizon, k)),
         "$timescale 1 s $end",
         "$scope module top $end",
     ]
@@ -59,7 +69,7 @@ def export_vcd(w: WaveformSet) -> str:
     for name in names:
         sig = w.signals[name]
         for t, v in zip(sig.bps, sig.at):
-            events.setdefault(_to_ticks(t, scale), []).append(f"{v}{ids[name]}")
+            events.setdefault(t // step, []).append(f"{v}{ids[name]}")
     for stamp in sorted(events):
         lines.append(f"#{stamp}")
         lines.extend(events[stamp])
@@ -88,7 +98,7 @@ def import_vcd(text: str) -> WaveformSet:
                         raise ValueError(f"line {lineno}: scale {tok!r} is not a positive integer")
                 elif tok.startswith("horizon="):
                     try:
-                        horizon = Fraction(tok[8:])
+                        horizon = _read_fraction(tok[8:])
                     except (ValueError, ZeroDivisionError):
                         horizon = Fraction(-1)
                     if horizon < 0:
