@@ -103,7 +103,8 @@ def render_ascii(w: WaveformSet) -> str:
                 cells.append("^" if (sig.right[j - 1] if j else sig.leading) == 1 else "_")
         times = ", ".join(format_time(b) for b in sig.bps) or "none"
         lines.append(f"{name.ljust(pad)} {''.join(cells)}  switches: {times}")
-    lines.append(f"{' ' * pad} 0{' ' * (_ASCII_WIDTH - len(str(h)) - 1)}{h}")
+    label = format_time(h)
+    lines.append(f"{' ' * pad} 0{' ' * (_ASCII_WIDTH - len(label) - 1)}{label}")
     return "\n".join(lines) + "\n"
 
 

@@ -912,17 +912,16 @@ def check_membership(u: Optional[StepFunction], x: StepFunction,
     and the horizon are scaled by their ``timebase`` k, and the
     violation time is scaled back to a Fraction.  Above the timebase
     bound the same clauses run on the Fractions themselves.
-    ``_input``, ``_prepare``'s result for the same u, model and horizon, is
-    used when x's times are whole ticks of its timebase; otherwise the
-    input is prepared afresh, so no report depends on it.
+    ``_input``, ``_prepare``'s result for the same u, model and horizon,
+    makes this a trusted private entry, as ``StepFunction._canon`` is: x is
+    then already in its ticks, whole ones, and is judged as it is.
     """
     as_signal(x)
-    xt = None if _input is None else _scaled(x, _input.k)
-    if xt is None:
+    if _input is None:
         _input = _prepare(u, model, horizon, x.bps)
-        xt = x._to_ticks(_input.k)
+        x = x._to_ticks(_input.k)
     k, ticked, _, side, h = _input
-    return _in_time(_report(ticked._judge(side, xt), h), k)
+    return _in_time(_report(ticked._judge(side, x), h), k)
 
 
 def _prepare(u: Optional[StepFunction], model: DelayModel,
@@ -940,22 +939,6 @@ def _prepare(u: Optional[StepFunction], model: DelayModel,
     ticked = _in_ticks(model, k)
     u = None if u is None else u._to_ticks(k)
     return _Input(k, ticked, u, ticked._input_side(u), _to_ticks(h, k))
-
-
-def _scaled(x: StepFunction, k: Optional[int]) -> Optional[StepFunction]:
-    """x in the ticks of 1/k of a prepared input, in one pass; None when some
-    breakpoint is no whole number of ticks.  With k None (the prepared
-    times are ints, or above the timebase bound) x is kept as it is when its
-    own times need no scaling either."""
-    if k is None:
-        return x if timebase(x.bps) is None else None
-    bps = []
-    for b in x.bps:
-        q, r = divmod(k, b.denominator)
-        if r:
-            return None
-        bps.append(b.numerator * q)
-    return x._with_bps(bps)
 
 
 # ---------------------------------------------------------------------------

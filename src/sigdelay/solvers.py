@@ -250,8 +250,8 @@ def _sample(u: StepFunction, model: DelayModel, free: StepFunction,
     out (the other models list only members) or the witness found none.
     A candidate's error propagates: none raises on a consistent model.
     The input is prepared once, in ticks over ``free``'s times, and each
-    attempt reads its side: a candidate, scaled back, is judged by the
-    checker on it, and the witness judges its own member there.  Private,
+    attempt reads its side: the checker judges a candidate in those ticks,
+    the witness its own member, and only the member returned is scaled back.  Private,
     as the benchmark's tracer counts the checks under the public
     ``sample_bridc`` as its attempts."""
     model.require_consistent()  # first: ``sample`` reports it before a bad input
@@ -260,9 +260,8 @@ def _sample(u: StepFunction, model: DelayModel, free: StepFunction,
     tried = 0
     for x in islice(model._candidates(prepared, free._to_ticks(k)), max(retries, 0)):
         tried += 1
-        x = x._to_time(k)
         if check_membership(u, x, model, _input=prepared).ok:
-            return x
+            return x._to_time(k)
     witness = isinstance(model, _Bounded)
     why = "the attempt budget ran out" + " before the switch-window witness was tried" * witness
     if witness and tried < retries:
@@ -353,7 +352,7 @@ def enumerate_grid_solutions(u: Optional[StepFunction], model: DelayModel,
     whatever the input.
     """
     points = grid.points()
-    # the checker's input, in ticks: every candidate fits its timebase
+    # the checker's input, in ticks: candidates are judged on them, members built on the points
     k, ticked, u_ticks, (bounds, permits, _), _ = prepared = _prepare(u, model, None, points)
     ticks = [_to_ticks(g, k) for g in points]  # ticks[1] is the step
     if u is not None:
@@ -392,9 +391,9 @@ def enumerate_grid_solutions(u: Optional[StepFunction], model: DelayModel,
             budget -= 1
             if budget < 0:
                 raise BudgetExceededError("grid enumeration budget exceeded")
-            x = StepFunction._from_toggles(x0, [points[i] for i in toggles])
+            x = StepFunction._from_toggles(x0, [ticks[i] for i in toggles])
             if check_membership(u, x, model, _input=prepared).ok:
-                found.append((x0, toggles, x))
+                found.append((x0, toggles))
                 if stop_after is not None and len(found) >= stop_after:
                     break
         if len(toggles) >= grid.max_toggles:
@@ -406,8 +405,8 @@ def enumerate_grid_solutions(u: Optional[StepFunction], model: DelayModel,
         for i in range(lo, min(end, n)):
             if cells[i + 1] != v and (permit is None or permit[i]):
                 stack.append((i + 1, 1 - v, x0, toggles + (i,)))
-    found.sort(key=lambda f: f[:2])  # on grid indices: the points rise with them
-    return [x for _, _, x in found]
+    found.sort()  # on grid indices: the points rise with them
+    return [StepFunction._from_toggles(x0, [points[i] for i in toggles]) for x0, toggles in found]
 
 
 # ---------------------------------------------------------------------------

@@ -970,8 +970,22 @@ def _read_signal_file(text: str) -> dict[str, _Reading]:
     return out
 
 
+def _decimal(n: int) -> str:
+    """``str(n)`` for an int of any length: CPython writes at most 4,300
+    digits, so a longer one is written as two halves around a power of ten."""
+    try:
+        return str(n)
+    except ValueError:
+        if n < 0:
+            return "-" + _decimal(-n)
+        half = n.bit_length() * 3 // 20  # about half its digits: log10(2) > 3/10
+        high, low = divmod(n, 10 ** half)
+        return _decimal(high) + _decimal(low).zfill(half)
+
+
 def format_time(t: Fraction) -> str:
-    return str(t.numerator) if t.denominator == 1 else f"{t.numerator}/{t.denominator}"
+    n = _decimal(t.numerator)
+    return n if t.denominator == 1 else f"{n}/{_decimal(t.denominator)}"
 
 
 def _format_ticks(t, k: Optional[int]) -> str:
@@ -980,7 +994,8 @@ def _format_ticks(t, k: Optional[int]) -> str:
     if k is None:
         return format_time(t)
     g = math.gcd(t, k)
-    return str(t // g) if g == k else f"{t // g}/{k // g}"
+    n = _decimal(t // g)
+    return n if g == k else f"{n}/{_decimal(k // g)}"
 
 
 def format_signal_literal(name: str, f: StepFunction) -> str:

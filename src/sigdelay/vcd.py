@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .stepfn import StepFunction, _format_ticks, _read_fraction, _to_ticks, as_signal
+from .stepfn import StepFunction, _decimal, _format_ticks, _read_fraction, _to_ticks, as_signal
 from .circuit import WaveformSet
 
 _ID_CHARS = [chr(c) for c in range(33, 127)]
@@ -51,8 +51,8 @@ def export_vcd(w: WaveformSet) -> str:
     names = list(w.signals)
     ids = {name: _ident(i) for i, name in enumerate(names)}
     lines = [
-        "$comment sigdelay scale lcm=%d horizon=%s $end"
-        % (k // step, _format_ticks(w.horizon, k)),
+        "$comment sigdelay scale lcm=%s horizon=%s $end"
+        % (_decimal(k // step), _format_ticks(w.horizon, k)),
         "$timescale 1 s $end",
         "$scope module top $end",
     ]
@@ -71,7 +71,7 @@ def export_vcd(w: WaveformSet) -> str:
         for t, v in zip(sig.bps, sig.at):
             events.setdefault(t // step, []).append(f"{v}{ids[name]}")
     for stamp in sorted(events):
-        lines.append(f"#{stamp}")
+        lines.append(f"#{_decimal(stamp)}")
         lines.extend(events[stamp])
     return "\n".join(lines) + "\n"
 

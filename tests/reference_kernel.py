@@ -38,18 +38,23 @@ cross-check each other and the checker's form.
 ``eager_cc_bridc`` evaluates all four clauses of CC_BRIDC, where the
 library's ``cc_bridc`` tests them in order and stops at the first that
 holds.
+
+``scaled_back_sample`` is the sampler with each candidate scaled back to
+time and judged by a fresh ``check_membership``, where the library judges
+it in the prepared ticks; then the witness runs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from typing import Optional, Sequence
 
 from sigdelay.conditions import (Bdc, BdcParams, CheckReport, Dbridc, DelayModel,
-                                 RicParams, SdbridcPrime, Violation, _eq, _in_ticks,
-                                 _in_time, _le, _report, _violation_key)
-from sigdelay.solvers import forced_switch_windows
+                                 RicParams, SdbridcPrime, Violation, _Bounded, _eq,
+                                 _in_ticks, _in_time, _le, _prepare, _report,
+                                 _violation_key, check_membership, format_model)
+from sigdelay.solvers import SampleRetryError, _witness, forced_switch_windows
 from sigdelay.stepfn import (Interval, IntervalSet, StepFunction, _as_offset, as_signal,
                              timebase, window, window_inf, window_sup)
 
@@ -426,3 +431,29 @@ def _form_report(u: StepFunction, x: StepFunction, model: Dbridc, form: str) -> 
                | (~xl & ~x & ~a) | (xl & x & ~b0))
         return _report([_eq(big, StepFunction.const(1), "tautology")])
     raise ValueError(f"unknown form {form!r}; expected one of a, b, e, f, g")
+
+
+def scaled_back_sample(u: StepFunction, model: DelayModel, free: StepFunction,
+                       retries: int) -> StepFunction:
+    """``solvers._sample`` with each candidate scaled back to time and
+    judged by a fresh ``check_membership``; the witness, the budget and the
+    error text as there."""
+    model.require_consistent()
+    k, ticked, u_ticks, side, _ = prepared = _prepare(u, model, None, free.bps)
+    as_signal(free)
+    tried = 0
+    for x in islice(model._candidates(prepared, free._to_ticks(k)), max(retries, 0)):
+        tried += 1
+        x = x._to_time(k)
+        if check_membership(u, x, model).ok:
+            return x
+    witness = isinstance(model, _Bounded)
+    why = "the attempt budget ran out" + " before the switch-window witness was tried" * witness
+    if witness and tried < retries:
+        tried += 1
+        x = _witness(u_ticks, ticked, side)
+        if x is not None:
+            return x._to_time(k)
+        why = "the switch-window witness found no member"
+    raise SampleRetryError(
+        f"no verified member found in {tried} attempts for {format_model(model)!r}: {why}")

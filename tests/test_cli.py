@@ -595,6 +595,14 @@ def test_sample_writes_the_switch_window_witness(monkeypatch, seed):
     assert run(["check", *_WITNESSED, "--state", out.strip()]) == (0, "ok\n", "")
 
 
+def test_the_witness_sample_scales_only_its_member(monkeypatch):
+    # both candidates fail and are judged in the prepared ticks as they
+    # are; only the witness's member is scaled back to time
+    scaled = counted_calls(monkeypatch, StepFunction, "_to_time")
+    assert run(["sample", *_WITNESSED]) == (0, "x: 0 @ 5, 8\n", "")
+    assert len(scaled) == 1
+
+
 def _random_free_by_fraction(rng, span):
     """The free signal as drawn when each draw was compared with Fraction(1, 3)."""
     cells = min(int(span * 2) + 4, cli._FREE_CELLS)

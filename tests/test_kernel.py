@@ -405,6 +405,7 @@ def test_membership_clauses_build_no_complemented_copies(monkeypatch, spec, x, m
     # prepared once, as grid enumeration and the sampler judge them
     model = sd.parse_model(spec)
     prepared = _prepare(SMALL_U, model, None, x.bps)
+    x = x._to_ticks(prepared.k)  # a prepared check judges x in the input's ticks
     calls = {name: counted_calls(monkeypatch, StepFunction, name) for name in made}
     assert not sd.check_membership(SMALL_U, x, model, _input=prepared)
     assert {name: len(seen) for name, seen in calls.items()} == made
@@ -422,7 +423,7 @@ def test_switch_clauses_build_no_window_over_x(monkeypatch, spec, u, ok):
     model = sd.parse_model(spec)
     prepared = _prepare(u, model, None, x.bps)
     runs = counted_calls(monkeypatch, StepFunction, "_runs")
-    assert bool(sd.check_membership(u, x, model, _input=prepared)) is ok
+    assert bool(sd.check_membership(u, x._to_ticks(prepared.k), model, _input=prepared)) is ok
     if u is None:
         assert bool(sd.check_membership(u, x, model)) is ok
     assert runs == []
@@ -494,7 +495,8 @@ def test_membership_clauses_build_no_interval_set(monkeypatch, spec, x):
     model = sd.parse_model(spec)
     for h in (None, F(9, 2)):
         prepared = _prepare(SMALL_U, model, h, x.bps)
-        assert not sd.check_membership(SMALL_U, x, model, h, _input=prepared)
+        assert not sd.check_membership(SMALL_U, x._to_ticks(prepared.k), model, h,
+                                       _input=prepared)
     u, _ = long_pair()
     for op in ("inf", "sup"):
         assert window(u, op, -3, F(-11, 4)).bps

@@ -25,7 +25,7 @@ from sigdelay.solvers import (
 from sigdelay.stepfn import StepFunction, chi, window, window_inf, window_sup
 
 from conftest import brute_check, counted_calls, rand_bdc_params, rand_signal
-from reference_kernel import boolean_forced_cells, margin_witness
+from reference_kernel import boolean_forced_cells, margin_witness, scaled_back_sample
 
 
 # ---------------------------------------------------------------------------
@@ -445,6 +445,62 @@ def test_sample_bridc_exhaustion_says_why(monkeypatch, retries, witness, why):
         sample_bridc(_HARD_U, _HARD_P, _HARD_R, chi(1, None), retries=retries)
     assert str(info.value).endswith(why)
     assert len(witnesses) == (retries > 2)
+
+
+# every model with candidates: bdcprime has none
+SAMPLED = sorted(set(conditions.MODELS) - {"bdcprime"})
+MEMORY_OF = {"d": "m", "dr": "mr", "df": "mf", "deltar": "mur", "deltaf": "muf"}
+on_sevenths = st.builds(F, st.integers(0, 16), st.sampled_from((1, 2, 3, 7)))
+signals_on_sevenths = st.builds(lambda bit, ts: StepFunction.from_toggles(bit, sorted(ts)),
+                                st.integers(0, 1), st.sets(on_sevenths, max_size=6))
+M9689 = 2 ** 9689 - 1  # a prime denominator of 9,689 bits: above the timebase bound
+
+
+@st.composite
+def sampled_models(draw):
+    """A consistent model that can sample, its times on denominators 1, 2,
+    3 and 7, each memory at most its delay.  The bounded models with holds
+    or permits, whose candidates may fail and leave the witness to try,
+    are drawn about half of the time.  Bounds keep CC_BDC (each memory at
+    least the excess of its delay over the other), and a bridc's holds
+    are often its bounds' delays, where CC_BRIDC's clause a is CC_BDC."""
+    kw = draw(st.one_of(st.sampled_from(("baidc", "bridc")), st.sampled_from(SAMPLED)))
+    vals = {key: draw(on_sevenths) for key in conditions.MODELS[kw].keys}
+    for d, m in MEMORY_OF.items():
+        if m in vals:
+            vals[m], vals[d] = sorted((vals[m], vals[d]))
+    if "mr" in vals:
+        vals["mr"] = max(vals["mr"], vals["dr"] - vals["df"])
+        vals["mf"] = max(vals["mf"], vals["df"] - vals["dr"])
+    if kw == "bridc" and draw(st.booleans()):
+        vals.update(mur=min(vals["mur"], vals["mr"]), deltar=vals["dr"],
+                    muf=min(vals["muf"], vals["mf"]), deltaf=vals["df"])
+    try:
+        model = sd.parse_model(" ".join([kw, *(f"{k}={v}" for k, v in vals.items())]))
+    except ValueError:  # sdbridc needs a positive delay
+        assume(False)
+    cc = model.consistency()
+    assume(cc is None or cc[1])
+    return model
+
+
+def _sampled(sample, u, model, free, retries):
+    try:
+        return "member", sample(u, model, free, retries)
+    except SampleRetryError as exc:
+        return "exhausted", str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sampled_models(), signals_on_sevenths, signals_on_sevenths, st.integers(0, 3))
+@example(sd.Bridc(_HARD_P, _HARD_R), _HARD_U, chi(1, None), 3)  # the witness's member
+@example(sd.parse_model("bdc mr=1 dr=2 mf=1 df=2"),  # above the bound: k is None
+         StepFunction.from_toggles(0, [F(1, M9689), 3]), chi(F(1, 2), None), 1)
+def test_sample_in_ticks_matches_candidates_scaled_back(model, u, free, retries):
+    # the candidates are judged in the prepared ticks; the oracle scales
+    # each back and judges it afresh
+    assert _sampled(solvers._sample, u, model, free, retries) \
+        == _sampled(scaled_back_sample, u, model, free, retries)
 
 
 def _rand_bridc(rng, denom, p):

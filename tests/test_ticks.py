@@ -14,8 +14,10 @@ sets that ``model.clauses`` returns, clipped to the horizon, are its
 oracle (``interval_report``).
 
 ``check_membership`` keeps nothing between calls.  A caller that judges
-many outputs against one input prepares it once (``_prepare``) and
-passes it to every check; each such check must equal a fresh one.
+many outputs against one input prepares it once (``_prepare``) over the
+times of all of them, puts each output in the prepared ticks and passes
+both to the check, which trusts them as ``StepFunction._canon`` trusts
+its data; each such check must equal a fresh one.
 
 Each consistency condition is judged on the parameters in ticks; the
 same condition on the Fractions is its oracle, and ``eager_cc_bridc``,
@@ -115,8 +117,8 @@ elevenths = st.integers(0, 90).map(lambda n: F(n, 11))
 @st.composite
 def repeated_checks(draw):
     """One model and one input against 2 to 6 outputs.  Most outputs come
-    from the input's pool, the others from any pool, so some need a finer
-    timebase than the one before or one above the bound; most horizons
+    from the input's pool, the others from any pool, so some make the
+    timebase they share finer or push it above the bound; most horizons
     repeat the first, the others are none or in elevenths."""
     pool = draw(st.sampled_from(POOLS))
     model = draw(models_in(pool))
@@ -141,14 +143,13 @@ _ABOVE = StepFunction.from_toggles(1, [F(1, M9689), F(5, 2)])
           [(_THIRDS, None), (_THIRDS.shift(1), None)]))
 @example((sd.Dbridc(sd.BdcParams(F(1, 3), F(3, 2), F(1, 3), F(3, 2))), _ABOVE,  # above the bound
           [(_ABOVE.shift(F(3, 2)), None), (chi(F(1, 3), 2), None), (_ABOVE, F(40, 11))]))
-@example((sd.Ric(sd.RicParams(0, 1, F(1, 2), 1)), _THIRDS,  # x above the bound, then back
+@example((sd.Ric(sd.RicParams(0, 1, F(1, 2), 1)), _THIRDS,  # one x above the bound: all of them
           [(_THIRDS, 4), (_ABOVE, 4), (_THIRDS.shift(F(1, 7)), 4), (chi(1, 2), 4)]))
 def test_repeated_checks_match_fresh_ones(case):
-    # the input is prepared once per horizon, over the first output's
-    # times: later outputs fit its timebase, need a finer one or lie above
-    # the bound, where the check prepares afresh
+    # the input is prepared once per horizon, over the times of every
+    # output, and each output is judged in its ticks
     model, u, calls = case
-    times = calls[0][0].bps
+    times = [t for x, _ in calls for t in x.bps]
     cc = model.consistency()
     if cc is not None and not cc[1]:
         for x, h in calls:
@@ -159,7 +160,8 @@ def test_repeated_checks_match_fresh_ones(case):
         return
     prepared = {h: _prepare(u, model, h, times) for _, h in calls}
     for x, h in calls:
-        report = sd.check_membership(u, x, model, horizon=h, _input=prepared[h])
+        ticked = x._to_ticks(prepared[h].k)
+        report = sd.check_membership(u, ticked, model, horizon=h, _input=prepared[h])
         assert report == sd.check_membership(u, x, model, horizon=h)
         assert report == fraction_report(model, u, x, h)
 
@@ -169,30 +171,25 @@ def test_a_repeated_input_is_judged_once(monkeypatch):
     model = sd.Bdc(sd.BdcParams(1, 2, 1, 2))
     u = _THIRDS
     outputs = [u.shift(d) for d in (1, F(3, 2), F(4, 3), 2)]
-    prepared = _prepare(u, model, None, outputs[0].bps)
-    for x in outputs:  # x in sixths: one timebase for all of them
-        sd.check_membership(u, x, model, _input=prepared)
+    times = [t for x in outputs for t in x.bps]  # in sixths: one timebase for all of them
+    prepared = _prepare(u, model, None, times)
+    for x in outputs:
+        sd.check_membership(u, x._to_ticks(prepared.k), model, _input=prepared)
     assert len(misses) == 1
-    cut = _prepare(u, model, F(3, 11), outputs[0].bps)  # another horizon
-    sd.check_membership(u, u.shift(1), model, horizon=F(3, 11), _input=cut)
-    sd.check_membership(u, u.shift(1), model, horizon=F(3, 11), _input=cut)
+    cut = _prepare(u, model, F(3, 11), times)  # another horizon
+    sd.check_membership(u, u.shift(1)._to_ticks(cut.k), model, horizon=F(3, 11), _input=cut)
+    sd.check_membership(u, u.shift(1)._to_ticks(cut.k), model, horizon=F(3, 11), _input=cut)
     assert len(misses) == 2
-    sd.check_membership(u, u.shift(F(1, 5)), model, horizon=F(3, 11), _input=cut)  # fifths
-    assert len(misses) == 3
     equal = StepFunction(u.leading, u.bps, u.at, u.right)
     assert equal == u and sd.check_membership(equal, u.shift(1), model) \
         == sd.check_membership(u, u.shift(1), model)  # no input passed: each prepares
-    assert len(misses) == 5
+    assert len(misses) == 4
     sd.check_membership(u, u.shift(1), sd.Bdc(model.p))
+    assert len(misses) == 5
+    above = _prepare(u, model, None, [*_ABOVE.bps, *_ABOVE.shift(1).bps])  # k None: as they are
+    sd.check_membership(u, _ABOVE._to_ticks(above.k), model, _input=above)
+    sd.check_membership(u, _ABOVE.shift(1)._to_ticks(above.k), model, _input=above)
     assert len(misses) == 6
-    sd.check_membership(u, _ABOVE, model, _input=prepared)  # x above the bound
-    assert len(misses) == 7
-    above = _prepare(u, model, None, _ABOVE.bps)
-    sd.check_membership(u, _ABOVE, model, _input=above)
-    sd.check_membership(u, _ABOVE.shift(1), model, _input=above)
-    assert len(misses) == 8
-    sd.check_membership(u, u.shift(1), model, _input=above)  # sixths: judged in ticks afresh
-    assert len(misses) == 9
 
 
 def test_checks_inspect_no_dataclass_fields(monkeypatch):

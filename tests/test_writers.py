@@ -8,6 +8,7 @@ public ``simulate`` result, in Fractions, as the writers did before.
 
 import contextlib
 import io
+import json
 import time
 from fractions import Fraction as F
 
@@ -17,8 +18,8 @@ from hypothesis import example, given, settings, strategies as st
 import sigdelay as sd
 from sigdelay import cli
 from sigdelay.circuit import WaveformSet, builtin, format_netlist, parse_netlist, simulate
-from sigdelay.stepfn import (StepFunction, _format_ticks, _read_fraction, _to_ticks, as_time,
-                             format_signal_literal, format_time)
+from sigdelay.stepfn import (StepFunction, _decimal, _format_ticks, _read_fraction, _to_ticks,
+                             as_time, format_signal_literal, format_time)
 from sigdelay.vcd import export_vcd, import_vcd
 
 import reference_writers
@@ -215,3 +216,72 @@ def test_a_netlist_parameter_with_a_huge_exponent_names_its_line(tmp_path):
                           "--input", "u: 0 @ 1"])
     assert (code, out) == (2, "")
     assert err.startswith("error: line 2: bad number '1e999999999' for 'd': ")
+
+
+# ---------------------------------------------------------------------------
+# Times past CPython's limit on writing an int as text
+# ---------------------------------------------------------------------------
+
+_BIG = "1" + "0" * 4300  # 10**4300: 4,301 digits, one over the limit
+_BIG_PLUS_1 = _BIG[:-1] + "1"
+
+
+def _long_int(text):
+    """The int a decimal text stands for, read 1,000 digits at a time."""
+    digits = text.lstrip("-")
+    n = 0
+    for i in range(0, len(digits), 1000):
+        n = n * 10 ** len(digits[i:i + 1000]) + int(digits[i:i + 1000])
+    return -n if text.startswith("-") else n
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 9000), st.integers(0, 10 ** 30))
+@example(4300, 0)
+@example(4299, 10 ** 4299 * 8)  # 4,300 nines: at the limit, written by str
+@example(13000, 7)
+def test_decimal_writes_an_int_of_any_length(e, n):
+    for m in (10 ** e + n, -(10 ** e) - n):
+        text = _decimal(m)
+        assert _long_int(text) == m and text.lstrip("-")[0] != "0"
+        if e < 4000:
+            assert text == str(m)
+
+
+def test_a_check_sample_and_compose_past_the_digit_limit_print_every_digit():
+    state = ["check", "--model", "fixed d=1", "--input", "u: 0", "--state", "x: 0 @ 1e4300"]
+    assert run(state) == (1, f"violation at t={_BIG}: fixed\n", "")
+    code, out, err = run([*state, "--format", "json-report"])
+    assert (code, err) == (1, "") and json.loads(out)["violations"][0]["time"] == _BIG
+    assert run(["sample", "--model", "fixed d=1", "--input", "u: 0 @ 1e4300"]) \
+        == (0, f"x: 0 @ {_BIG_PLUS_1}\n", "")
+    assert run(["compose", "--a", "bdc mr=1 dr=1e4300 mf=1 df=1e4300",
+                "--b", "bdc mr=1 dr=1 mf=1 df=1"]) \
+        == (0, f"mr=2 dr={_BIG_PLUS_1} mf=2 df={_BIG_PLUS_1}\n", "")
+    # one digit fewer is written as before
+    assert run([*state[:-1], "x: 0 @ 1e4299"]) == (1, f"violation at t={_BIG[:-1]}: fixed\n", "")
+
+
+@pytest.mark.parametrize("fmt", ["ascii", "vcd", "json-report"])
+def test_a_simulation_past_the_digit_limit_prints_every_digit(tmp_path, fmt):
+    # a timebase of 10**4300 and a horizon of 10**4300: the VCD's lcm,
+    # horizon and stamps, the JSON's times and the ASCII axis all pass the limit
+    path = tmp_path / "buf.net"
+    path.write_text("input u\ndelay x u fixed d=1\n")
+    code, out, err = run(["simulate", "--netlist", str(path), "--input", "u: 0 @ 1e-4300, 1",
+                          "--until", "1e4300", "--format", fmt])
+    assert (code, err) == (0, "")
+    u_times, x_times = [f"1/{_BIG}", "1"], [f"{_BIG_PLUS_1}/{_BIG}", "2"]
+    if fmt == "json-report":
+        nets = json.loads(out)
+        assert nets["horizon"] == _BIG
+        assert [nets["nets"][n]["toggles"] for n in "ux"] == [u_times, x_times]
+    elif fmt == "vcd":
+        assert out.startswith(f"$comment sigdelay scale lcm={_BIG} horizon={_BIG} $end\n")
+        stamps = [line for line in out.splitlines() if line.startswith("#")]
+        assert stamps == ["#0", "#1", f"#{_BIG}", f"#{_BIG_PLUS_1}", f"#2{_BIG[1:]}"]
+    else:
+        lanes = out.splitlines()
+        assert [lane.split("switches: ")[1] for lane in lanes[:2]] \
+            == [", ".join(u_times), ", ".join(x_times)]
+        assert lanes[2] == f"  0{_BIG}"  # wider than the lanes: no gap before the label
