@@ -14,10 +14,10 @@ and json-report.
 their common timebase, so it makes Fractions only for its report.
 ``simulate`` parses its inputs as Fractions and writes its waveforms
 from the simulator's integer ticks (``simulate(..., _ticks=True)``): the
-JSON and VCD writers reduce each tick against the timebase with one gcd
-and make no Fraction per toggle; the ASCII lanes scale the set back to
-Fractions once.  ``sample`` parses Fractions and hands any model one
-route, ``solvers._sample``, which judges the model's own candidates.
+ASCII, JSON and VCD writers format each tick against the timebase with
+one gcd (``format_time(t, k)``) and make no Fraction per toggle.
+``sample`` parses Fractions and hands any model one route,
+``solvers._sample``, which judges the model's own candidates.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from typing import Optional
 
 from .stepfn import (
     StepFunction,
-    _format_ticks,
     _lcm_within_bound,
     _read_signal_file,
     _read_signal_literal,
@@ -85,37 +84,31 @@ def render_ascii(w: WaveformSet) -> str:
     The switch mark leans toward the attained value; exact switch times
     follow each lane, since columns quantize time.
     """
-    w = w._in_time()
-    names = list(w.signals)
-    pad = max((len(n) for n in names), default=0)
-    h = w.horizon if w.horizon > 0 else Fraction(1)
-    dt = Fraction(h, _ASCII_WIDTH)
+    tb = w.timebase
+    pad = max(map(len, w.signals), default=0)
+    h = w.horizon or tb or 1  # a horizon of 0 draws one unit
+    ends = [Fraction(k * h, _ASCII_WIDTH) for k in range(_ASCII_WIDTH + 1)]
     lines = []
-    for name in names:
-        sig = w.signals[name]
+    for name, sig in w.signals.items():
         cells = []
         for k in range(_ASCII_WIDTH):
-            lo, hi = k * dt, (k + 1) * dt
-            j = bisect_left(sig.bps, hi)  # the breakpoints before the column's end
-            if j and sig.bps[j - 1] >= lo:  # the last switch in the column
+            j = bisect_left(sig.bps, ends[k + 1])  # the breakpoints before the column's end
+            if j and sig.bps[j - 1] >= ends[k]:  # the last switch in the column
                 cells.append("/" if sig.at[j - 1] == 1 else "\\")
             else:
                 cells.append("^" if (sig.right[j - 1] if j else sig.leading) == 1 else "_")
-        times = ", ".join(format_time(b) for b in sig.bps) or "none"
+        times = ", ".join(format_time(b, tb) for b in sig.bps) or "none"
         lines.append(f"{name.ljust(pad)} {''.join(cells)}  switches: {times}")
-    label = format_time(h)
+    label = format_time(h, tb)
     lines.append(f"{' ' * pad} 0{' ' * (_ASCII_WIDTH - len(label) - 1)}{label}")
     return "\n".join(lines) + "\n"
 
 
 def waveforms_json(w: WaveformSet) -> str:
     k = w.timebase
-    nets = {
-        name: {"initial": sig.leading,
-               "toggles": [_format_ticks(t, k) for t in sig.bps]}
-        for name, sig in w.signals.items()
-    }
-    return json.dumps({"horizon": _format_ticks(w.horizon, k), "nets": nets},
+    nets = {name: {"initial": sig.leading, "toggles": [format_time(t, k) for t in sig.bps]}
+            for name, sig in w.signals.items()}
+    return json.dumps({"horizon": format_time(w.horizon, k), "nets": nets},
                       indent=2) + "\n"
 
 

@@ -49,9 +49,9 @@ and its one-sided limits) keep an int argument an int for that reason;
 
 The signal literal format has one tokenizer, ``_read_signal_literal``,
 which reads a line into its initial bit and the integer numerators and
-denominators of its times.  ``parse_signal_literal`` builds Fractions
-from them; the CLI's ``check`` builds its signals from them straight in
-ticks, so it makes Fractions only for its report.
+denominators of its times, and times have one writer, ``format_time``
+(of a time, or of t ticks of 1/k).  ``parse_signal_literal`` builds
+Fractions; the CLI's ``check`` builds its signals straight in ticks.
 """
 
 from __future__ import annotations
@@ -91,13 +91,18 @@ _EXPONENT_LIMIT = 4300
 def _read_fraction(tok: str) -> Fraction:
     """``Fraction(tok)``, the one reader of every time and parameter that
     is text; it refuses a decimal exponent outside -4300..4300 before it
-    builds anything, naming the token."""
+    builds anything, and more digits than CPython reads, naming the token."""
     _, e, exp = tok.lower().partition("e")
     digits = exp.strip().lstrip("+-").replace("_", "").lstrip("0")
     if e and digits.isdecimal() and (len(digits) > 4 or int(digits) > _EXPONENT_LIMIT):
         raise ValueError(f"{tok!r} has a decimal exponent outside "
                          f"-{_EXPONENT_LIMIT}..{_EXPONENT_LIMIT}")
-    return Fraction(tok)
+    try:
+        return Fraction(tok)
+    except ValueError as exc:  # the only one that does not quote tok: too many digits
+        if repr(tok) in str(exc):
+            raise
+        raise ValueError(f"{tok!r} has more than {_EXPONENT_LIMIT} digits") from None
 
 
 def _as_offset(value: RationalLike) -> Union[Fraction, int]:
@@ -672,8 +677,6 @@ class StepFunction:
         lo_closed = False
         for b, a, r in zip(self.bps, self.at, self.right):
             if inside:
-                if a == bit == r:
-                    continue
                 yield lo, lo_closed, b, a == bit
             elif a == bit != r:
                 yield b, True, b, True
@@ -983,19 +986,15 @@ def _decimal(n: int) -> str:
         return _decimal(high) + _decimal(low).zfill(half)
 
 
-def format_time(t: Fraction) -> str:
-    n = _decimal(t.numerator)
-    return n if t.denominator == 1 else f"{n}/{_decimal(t.denominator)}"
-
-
-def _format_ticks(t, k: Optional[int]) -> str:
-    """``format_time`` of t ticks of 1/k, reduced by one gcd and with no
-    Fraction; k None: t is a time already."""
+def format_time(t, k: Optional[int] = None) -> str:
+    """The time t, or t ticks of 1/k, as n or n/d in lowest terms; ticks
+    are reduced by one gcd, with no Fraction."""
     if k is None:
-        return format_time(t)
-    g = math.gcd(t, k)
-    n = _decimal(t // g)
-    return n if g == k else f"{n}/{_decimal(k // g)}"
+        n, d = t.numerator, t.denominator
+    else:
+        g = math.gcd(t, k)
+        n, d = t // g, k // g
+    return _decimal(n) if d == 1 else f"{_decimal(n)}/{_decimal(d)}"
 
 
 def format_signal_literal(name: str, f: StepFunction) -> str:

@@ -2,16 +2,16 @@
 
 Rational switch times are scaled by L, the lcm of every breakpoint
 denominator and the horizon's, so all VCD timestamps are integers; L is
-recorded in a ``$comment`` and undone on import.  A set in ticks 1/k
-(``WaveformSet.timebase``, as the CLI's ``simulate`` writes it) is
-written from its ints: with g the gcd of k and every tick, L is k/g and
-a stamp is a tick over g, so no time becomes a Fraction; a set in time
-is first scaled to ticks of the lcm.  The initial dump at #0 carries the
-values at 0-0; a net that switches at time 0 gets a second change at
-timestamp 0 after the dump section.  VCD orders values within a
-timestamp, so point values at switch instants survive the round trip
-for signals (right-continuous by definition); step functions that are
-not signals are not exportable.
+recorded in a ``$comment``.  A set in ticks 1/k (``WaveformSet.timebase``,
+as the CLI's ``simulate`` writes it) is written from its ints: with g
+the gcd of k and every tick, L is k/g and a stamp is a tick over g; a
+set in time is first scaled to ticks of the lcm.  Import reads L and the
+stamps as ints, builds each net in ticks 1/L and scales it to time once.
+The initial dump at #0 carries the values at 0-0; a net that switches at
+time 0 gets a second change at timestamp 0 after the dump section.  VCD
+orders values within a timestamp, so point values at switch instants
+survive the round trip for signals (right-continuous by definition);
+step functions that are not signals are not exportable.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .stepfn import StepFunction, _decimal, _format_ticks, _read_fraction, _to_ticks, as_signal
+from .stepfn import (StepFunction, _EXPONENT_LIMIT, _decimal, _read_fraction, _to_ticks,
+                     format_time)
 from .circuit import WaveformSet
 
 _ID_CHARS = [chr(c) for c in range(33, 127)]
@@ -52,7 +53,7 @@ def export_vcd(w: WaveformSet) -> str:
     ids = {name: _ident(i) for i, name in enumerate(names)}
     lines = [
         "$comment sigdelay scale lcm=%s horizon=%s $end"
-        % (_decimal(k // step), _format_ticks(w.horizon, k)),
+        % (_decimal(k // step), format_time(w.horizon, k)),
         "$timescale 1 s $end",
         "$scope module top $end",
     ]
@@ -76,14 +77,21 @@ def export_vcd(w: WaveformSet) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _whole(digits: str, tok: str, lineno: int) -> int:
+    """The int of decimal digits, -1 for other text; refuses what CPython won't read."""
+    if len(digits) > _EXPONENT_LIMIT and digits.isdecimal():
+        raise ValueError(f"line {lineno}: {tok!r} has more than {_EXPONENT_LIMIT} digits")
+    return int(digits) if digits.isdecimal() else -1
+
+
 def import_vcd(text: str) -> WaveformSet:
     """Parse scalar VCD produced by export_vcd back into a waveform set."""
     scale = 1
     horizon: Fraction | None = None
     names: dict[str, str] = {}  # id -> net name
     initial: dict[str, int] = {}
-    changes: dict[str, list[tuple[Fraction, int]]] = {}
-    now = Fraction(0)
+    changes: dict[str, list[tuple[int, int]]] = {}  # net -> (stamp, bit), in ticks 1/scale
+    now = last = 0
     in_dump = False
     seen_defs = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -93,8 +101,8 @@ def import_vcd(text: str) -> WaveformSet:
         if line.startswith("$comment"):
             for tok in line.split():
                 if tok.startswith("lcm="):
-                    scale = int(tok[4:]) if tok[4:].isdecimal() else 0
-                    if scale == 0:
+                    scale = _whole(tok[4:], tok, lineno)
+                    if scale <= 0:
                         raise ValueError(f"line {lineno}: scale {tok!r} is not a positive integer")
                 elif tok.startswith("horizon="):
                     try:
@@ -125,7 +133,7 @@ def import_vcd(text: str) -> WaveformSet:
         if line.startswith("$"):
             continue
         if line.startswith("#"):
-            stamp = Fraction(int(line[1:]), scale) if line[1:].isdecimal() else -1
+            stamp = _whole(line[1:], line, lineno)
             if stamp < now:
                 raise ValueError(f"line {lineno}: timestamp {line!r} is not a whole "
                                  "number at or after the one before")
@@ -142,24 +150,21 @@ def import_vcd(text: str) -> WaveformSet:
                 initial[net] = bit
             else:
                 changes[net].append((now, bit))
+                last = now
             continue
         if line[0] in "bBrR":
             raise ValueError(f"line {lineno}: vector and real values are not supported")
         raise ValueError(f"line {lineno}: unrecognized VCD line {line!r}")
     signals = {}
-    last_t = Fraction(0)
-    for net, ident in ((v, k) for k, v in names.items()):
+    for net in names.values():
         if net not in initial:
             raise ValueError(f"no initial dump for net {net!r}")
-        toggles = []
-        v = initial[net]
+        toggles, v = [], initial[net]  # toggles from 0, strictly increasing: a signal
         for t, bit in changes[net]:
             if bit != v:
+                if toggles and toggles[-1] == t:
+                    raise ValueError(f"net {net!r} makes a zero-width pulse at #{t}")
                 toggles.append(t)
                 v = bit
-            last_t = max(last_t, t)
-        signals[net] = StepFunction.from_toggles(initial[net], toggles)
-        as_signal(signals[net])
-    if horizon is None:
-        horizon = last_t
-    return WaveformSet(signals, horizon)
+        signals[net] = StepFunction._from_toggles(initial[net], toggles)._to_time(scale)
+    return WaveformSet(signals, Fraction(last, scale) if horizon is None else horizon)

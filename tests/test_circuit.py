@@ -704,3 +704,35 @@ output y
     assert n.inputs == ["u"] and n.outputs == ["y"]
     w = simulate(n, {"u": chi(0, None)}, 4)
     assert w.signals["y"] == chi(None, F(1, 2))
+
+
+_LOOPS = "".join(f"gate AND a{i} b{i} b{i}\ndelay b{i} a{i} fixed d=1\n" for i in range(17))
+
+
+@pytest.mark.parametrize("text, extra, msg", [
+    ("input u\ndelay x u bdc mr=1 dr=2 mf=1 df=2\n", [],
+     "delay 'x' uses non-simulatable model 'bdc mr=1 dr=2 mf=1 df=2'"),
+    ("input u\ngate NOT x u\ngate NOT x u\n", [], "net 'x' driven more than once"),
+    ("input u\ngate NOT u u\n", [], "primary input 'u' is also driven"),
+    ("input u\ninit u 1\ndelay x u fixed d=1\n", [],
+     "primary input 'u' takes its initial value from its waveform, not from an init override"),
+    ("input u\ndelay x u fixed d=1\noutput y\n", [], "output 'y' is not a net of the circuit"),
+    ("input u\ndelay x u fixed d=1\n", ["--init", "zz=1"], "init override on unknown net 'zz'"),
+    ("input u\ndelay x u fixed d=1\n", ["--init", "x=2"], "--init takes net=0 or net=1, got 'x=2'"),
+    ("input u\ngate AND x u\n", [], "gate 'x' (AND) needs at least two inputs"),
+    ("input u\ndelay x u fixed d=1\ninit x 0\ninit x 0\n", [], "line 4: duplicate init for 'x'"),
+    ("input u\ndelay x u fixed d=1\noutput x y\n", [], "line 3: output takes one net name"),
+    (_LOOPS, [], "too many unresolved initial values; add init overrides"),
+], ids=["bdc-delay", "two-drivers", "driven-input", "init-on-input", "unknown-output",
+        "init-unknown-net", "init-not-a-bit", "and-of-one", "duplicate-init", "output-of-two",
+        "17-loops"])
+def test_simulate_refuses_a_bad_netlist_naming_the_fault(tmp_path, capsys, text, extra, msg):
+    path = tmp_path / "bad.net"
+    path.write_text(text)
+    argv = ["simulate", "--netlist", str(path), "--until", "4", *extra]
+    if text.startswith("input u"):
+        argv += ["--input", "u: 0 @ 1"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and msg in err
+    assert "Traceback" not in err

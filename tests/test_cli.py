@@ -289,6 +289,18 @@ def test_consistent_outputs(capsys):
                  "baidc mr=1 dr=2 mf=1 df=2 deltar=2 deltaf=1"]) == 2
 
 
+@pytest.mark.parametrize("argv, answer", [
+    (["consistent", "--model", "aic dr=1 df=1"], (0, "consistent by construction\n", "")),
+    (["check", "--model", "fixed d=1", "--state", "nonexistentfile"],
+     (2, "", "error: --state 'nonexistentfile' is neither a file nor "
+             "a 'name: v @ times' literal\n")),
+    (["consistent", "--model", "bdc mr=1 dr"], (2, "", "error: expected key=value, got 'dr'\n")),
+])
+def test_cli_answers_and_refusals_of_its_arguments(tmp_path, monkeypatch, argv, answer):
+    monkeypatch.chdir(tmp_path)  # so that no file of that name is found
+    assert run(argv) == answer
+
+
 def test_compose_output(capsys):
     assert main(["compose", "--a", "bdc mr=1 dr=2 mf=1 df=2",
                  "--b", "bdc mr=1 dr=3 mf=2 df=4"]) == 0
@@ -696,6 +708,35 @@ def test_vcd_import_names_the_line_of_a_bad_scale_or_timestamp(fields, line):
     good = import_vcd(_VCD.format(lcm="2", horizon="6", stamp="#4", var=""))
     assert good.signals["x"] == StepFunction.from_toggles(0, [2, F(9, 2)])
     assert good.horizon == 6
+
+
+_DIGITS = "1" + "0" * 4300  # 4,301 digits: more than CPython reads as an int
+
+
+@pytest.mark.parametrize("fields, msg", [
+    ({"var": '$var wire 8 " bus $end\n'}, "^line 3: only scalar wires are supported$"),
+    ({"var": "1!\n"}, "^line 3: value change before definitions$"),
+    ({"stamp": "#4\n1?"}, "^line 9: unknown identifier '\\?'$"),
+    ({"stamp": "#4\nb1 !"}, "^line 9: vector and real values are not supported$"),
+    ({"stamp": "#4\nz!"}, "^line 9: unrecognized VCD line 'z!'$"),
+    ({"var": '$var wire 1 " y $end\n'}, "^no initial dump for net 'y'$"),
+    ({"stamp": "#4\n1!\n0!"}, "^net 'x' makes a zero-width pulse at #4$"),
+    ({"lcm": _DIGITS}, f"^line 1: 'lcm={_DIGITS}' has more than 4300 digits$"),
+    ({"stamp": f"#{_DIGITS}"}, f"^line 8: '#{_DIGITS}' has more than 4300 digits$"),
+], ids=["vector-var", "change-before-definitions", "unknown-id", "vector-value",
+        "unrecognized", "no-initial-dump", "zero-width-pulse", "long-lcm", "long-stamp"])
+def test_vcd_import_refuses_what_it_cannot_read(fields, msg):
+    text = _VCD.format(**{"lcm": "2", "horizon": "6", "stamp": "#4", "var": "", **fields})
+    with pytest.raises(ValueError, match=msg):
+        import_vcd(text)
+
+
+def test_vcd_import_without_a_horizon_ends_at_the_last_change():
+    text = _VCD.format(lcm="2", horizon="6", stamp="#4", var="").replace(" horizon=6", "")
+    assert import_vcd(text).horizon == F(9, 2)
+    # a change that repeats the value still counts; no change at all leaves 0
+    assert import_vcd(text + "#11\n0!\n").horizon == F(11, 2)
+    assert import_vcd(text.split("#4")[0]).horizon == 0
 
 
 def test_vcd_conformance_round_trip(rng):

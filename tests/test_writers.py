@@ -18,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 import sigdelay as sd
 from sigdelay import cli
 from sigdelay.circuit import WaveformSet, builtin, format_netlist, parse_netlist, simulate
-from sigdelay.stepfn import (StepFunction, _decimal, _format_ticks, _read_fraction, _to_ticks,
+from sigdelay.stepfn import (StepFunction, _decimal, _read_fraction, _to_ticks,
                              as_time, format_signal_literal, format_time)
 from sigdelay.vcd import export_vcd, import_vcd
 
@@ -127,11 +127,22 @@ def test_simulate_makes_no_fraction_per_toggle(tmp_path, monkeypatch):
         assert code == 0
         return count, out
 
-    for fmt in ("vcd", "json-report"):
+    for fmt in ("ascii", "vcd", "json-report"):
         short, out = made("9/4", fmt)
         long, _ = made("600", fmt)
         assert short == long, fmt
     assert out.count('"') > 8  # the short run printed toggles
+
+
+def test_import_vcd_makes_one_fraction_per_toggle(monkeypatch):
+    def made(n):
+        w = WaveformSet({"x": StepFunction.from_toggles(0, [F(i, 3) for i in range(n)])}, F(n))
+        text = export_vcd(w)
+        back, count = fractions_made(monkeypatch, lambda: import_vcd(text))
+        assert back == w
+        return count
+
+    assert made(400) - made(100) <= 300
 
 
 @pytest.mark.parametrize("w", [
@@ -157,8 +168,8 @@ def test_export_vcd_of_a_ticked_set_is_export_vcd_of_the_set_in_time(w):
 def test_format_ticks_reduces_like_a_fraction():
     for k in (1, 2, 6, 7, 12, 2 ** 70):
         for t in (0, 1, 2, 3, 5, 6, 12, 35, 2 ** 71 + 6):
-            assert _format_ticks(t, k) == format_time(F(t, k))
-    assert _format_ticks(F(5, 2), None) == "5/2"
+            assert format_time(t, k) == format_time(F(t, k))
+    assert format_time(F(5, 2), None) == "5/2"
 
 
 # ---------------------------------------------------------------------------
@@ -285,3 +296,26 @@ def test_a_simulation_past_the_digit_limit_prints_every_digit(tmp_path, fmt):
         assert [lane.split("switches: ")[1] for lane in lanes[:2]] \
             == [", ".join(u_times), ", ".join(x_times)]
         assert lanes[2] == f"  0{_BIG}"  # wider than the lanes: no gap before the label
+
+
+def test_a_vcd_past_the_digit_limit_is_refused_naming_the_line_and_token(tmp_path):
+    path = tmp_path / "buf.net"
+    path.write_text("input u\ndelay x u fixed d=1\n")
+    code, out, err = run(["simulate", "--netlist", str(path), "--input", "u: 0 @ 1e-4300, 1",
+                          "--until", "1e4300", "--format", "vcd"])
+    assert (code, err) == (0, "")
+    with pytest.raises(ValueError) as exc:
+        import_vcd(out)
+    assert str(exc.value) == f"line 1: 'lcm={_BIG}' has more than 4300 digits"
+
+
+@pytest.mark.parametrize("command", ["check", "simulate"])
+def test_an_until_past_the_digit_limit_exits_2_naming_the_token(tmp_path, command):
+    path = tmp_path / "ring.net"
+    path.write_text(_ring)
+    until = "1" * 4301
+    argv = (["check", "--model", "fixed d=1", "--input", "u: 0", "--state", "x: 0"]
+            if command == "check" else ["simulate", "--netlist", str(path)])
+    code, out, err = run([*argv, "--until", until])
+    assert (code, out) == (2, "")
+    assert err == f"error: {until!r} has more than 4300 digits\n"
