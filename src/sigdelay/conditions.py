@@ -15,15 +15,17 @@ and horizon (``stepfn.timebase``) and reports its times as Fractions.
 
 Each model judges a trace in two stages: ``_input_side(u)`` builds the
 triple ``(sandwich, permits, own)`` from the input alone (the bounds
-lower <= x <= upper, the rise and fall permits, and whatever else its
-clauses need; None where it has none), and ``_judge(side, x)`` the
-clauses from that and the output.  Input windows are built there only:
-the checker, the grid pruning, the sampler's candidates and its witness
-read them from u's side, built in ticks by ``_prepare`` once per input
-and passed to each call: no call keeps one for the next.  No window is
-built over x either: the switch permits and the hold windows after a
-switch constrain x only at its switches, so the default judge reads
-them in one walk over x's breakpoints.
+lower <= x <= upper, u with the model's switch permit specs, and
+whatever else its clauses need; None where it has none), and
+``_judge(side, x)`` the clauses from that and the output.  Input windows
+are built there only: the checker, the grid pruning, the sampler's
+candidates and its witness read u's side, built in ticks by
+``_prepare`` once per input and passed to each call: no call keeps one
+for the next.  The switch permits and the hold windows after a switch
+constrain x only at its switches, so the default judge reads them in
+one walk over x's breakpoints, probing u there for the permits: no
+window is built over x, and none for a permit.  Only the witness and
+the public ``permits(u)`` build the permit windows, from the same specs.
 
 Consistency predicates (cc_*) are the closed-form parameter
 inequalities equivalent to "a solution exists for every input".  Each is
@@ -153,12 +155,13 @@ class _Model:
     ``clauses(u, x)`` is ``_judge(_input_side(u), x)``: the input stage
     builds the triple ``(sandwich, permits, own)`` from u alone, the output
     stage the clause list.  By default the side holds the declared
-    ``sandwich`` lower <= x <= upper and switch ``permits`` (own None); the
-    judge merges x with the bounds, and reads the permits, and the hold
+    ``sandwich`` lower <= x <= upper and, for a model with
+    ``_permit_specs``, the pair (u, specs) (own None); the judge merges x
+    with the bounds, and reads the permits, probing u, and the hold
     windows on the ``AicParams`` field ``a`` when ``hold`` is set (True:
     closed windows [t, t+delta]; False: half-open [t, t+delta)), at x's
-    switches in one walk.  A model whose clauses take another shape
-    overrides both stages, keeping what it has of both.
+    switches in one walk (``_switch_hits``).  A model whose clauses take
+    another shape overrides both stages, keeping what it has of both.
     """
 
     keyword: ClassVar[str]
@@ -185,9 +188,18 @@ class _Model:
         """Bounds lower <= x <= upper that every member x obeys."""
         return None
 
-    def permits(self, u: StepFunction) -> Optional[tuple[StepFunction, StepFunction]]:
-        """Where a member may rise and where it may fall."""
+    def _permit_specs(self) -> Optional[tuple[tuple, tuple]]:
+        """The switch permits, per edge indexed by the bit v switched to
+        (fall, rise): (delta, width, closed), saying that x may switch to v
+        at t only if u is v over [t-delta, t-delta+width], or over
+        [t-delta, t-delta+width) when not ``closed``; None without permits."""
         return None
+
+    def permits(self, u: StepFunction) -> Optional[tuple[StepFunction, StepFunction]]:
+        """Where a member may rise and where it may fall: the windows of
+        ``_permit_specs`` over u."""
+        specs = self._permit_specs()
+        return None if specs is None else _permit_windows(u, specs)
 
     def clauses(self, u: Optional[StepFunction], x: StepFunction
                 ) -> list[tuple[IntervalSet, str]]:
@@ -197,22 +209,14 @@ class _Model:
 
     def _input_side(self, u: Optional[StepFunction]):
         """What the clauses need from the input alone: (sandwich, permits, own)."""
-        return self.sandwich(u), self.permits(u), None
+        specs = self._permit_specs()
+        return self.sandwich(u), None if specs is None else (u, specs), None
 
     def _judge(self, side, x: StepFunction) -> list[tuple[StepFunction, str]]:
         """The violation indicator and name of each clause of the output x,
-        given the input side ``side``.
-
-        The permit and hold clauses constrain x only at its switches, the
-        breakpoints b where x(b) differs from x(b-0), so one walk over x
-        builds them: each indicator is 0, but 1 at every switch that
-        violates it.  A switch to v at b violates its permit where the
-        permit is 0 at b, read by a pointer that only moves forward, and
-        its hold where x leaves v in [b, b+delta] ([b, b+delta) when
-        half-open): right of b when delta > 0, or at the next breakpoint b'
-        when b' < b+delta, or when b' = b+delta, the window is closed and
-        x(b') != v.  A canonical breakpoint changes x at it or right of it,
-        so b' < b+delta alone shows x leaving v, and no later one matters."""
+        given the input side ``side``: the sandwich merged with x, and the
+        permit and hold clauses, each 0 but 1 at every switch of x that
+        violates it (``_switch_hits``)."""
         bounds, permits, _ = side
         out = []
         if bounds is not None:
@@ -220,28 +224,9 @@ class _Model:
         hold = self.hold
         if permits is None and hold is None:
             return out
-        # per edge, indexed by the bit switched to: (fall, rise)
-        tables = None if permits is None else permits[::-1]
         gaps = None if hold is None else (self.a.delta_f, self.a.delta_r)
-        cursors, permit_hits, hold_hits = [0, 0], ([], []), ([], [])
-        bps, at, right = x.bps, x.at, x.right
-        last, left = len(bps) - 1, x.leading
-        for i, b in enumerate(bps):
-            v = at[i]
-            if v != left:
-                if tables is not None:
-                    p = tables[v]
-                    j = cursors[v] = bisect_left(p.bps, b, cursors[v])
-                    if not (p.at[j] if j < len(p.bps) and p.bps[j] == b
-                            else p.right[j - 1] if j else p.leading):
-                        permit_hits[v].append(b)
-                if gaps is not None:
-                    end = b + gaps[v]
-                    if right[i] != v and end > b or i < last and (
-                            bps[i + 1] < end or hold and bps[i + 1] == end and at[i + 1] != v):
-                        hold_hits[v].append(b)
-            left = right[i]
-        if tables is not None:
+        permit_hits, hold_hits = _switch_hits(x, permits, gaps, hold)
+        if permits is not None:
             out += [(_points(permit_hits[1]), "rise-permit"),
                     (_points(permit_hits[0]), "fall-permit")]
         if gaps is not None:
@@ -524,11 +509,12 @@ class AicPrime(_Model):
 
 
 class _Relative(_Model):
-    """Relative inertia's switch permits from the windows of its parameters ``r``."""
+    """Relative inertia's switch permits over the closed windows of its
+    parameters ``r``: [t-delta, t-delta+mu]."""
 
-    def permits(self, u):
+    def _permit_specs(self):
         r = self.r
-        return window_inf(u, r.delta_r, r.mu_r), window_inf(~u, r.delta_f, r.mu_f)
+        return (r.delta_f, r.mu_f, True), (r.delta_r, r.mu_r, True)
 
 
 @dataclass(frozen=True)
@@ -546,9 +532,9 @@ class RicPrime(_Model):
     keyword = "ricprime"
     keys = ("mur", "deltar", "muf", "deltaf")
 
-    def permits(self, u):
-        return (window(u, "inf", -self.r.delta_r, 0, include_end=False),
-                window(~u, "inf", -self.r.delta_f, 0, include_end=False))
+    def _permit_specs(self):
+        r = self.r
+        return (r.delta_f, r.delta_f, False), (r.delta_r, r.delta_r, False)
 
 
 @dataclass(frozen=True)
@@ -586,17 +572,19 @@ class Dbridc(_Bounded, _Driven):
     keyword = "dbridc"
     keys = ("mr", "dr", "mf", "df")
 
-    def permits(self, u):
-        return self._input_side(u)[1]
+    def _permit_specs(self):
+        p = self.p
+        return (p.d_f, p.m_f, True), (p.d_r, p.m_r, True)
 
     def _input_side(self, u):
         a, upper = self.sandwich(u)
-        # the fall permit: window_inf(~u, d_f, m_f) is ~window_sup(u, d_f, m_f)
-        return (a, upper), (a, ~upper), None
+        # its own: the permit windows, the fall permit window_inf(~u, d_f, m_f)
+        # built as ~window_sup(u, d_f, m_f)
+        return (a, upper), (u, self._permit_specs()), (a, ~upper)
 
     def _judge(self, side, x):
         # equality form: a switch happens exactly when the shared window demands
-        a, b0 = side[1]
+        a, b0 = side[2]
         xl = x.left_limit()
         return [_eq(x.rises(), a._zip(xl, gt), "rise-equality"),  # a and not xl
                 _eq(x.falls(), xl & b0, "fall-equality")]
@@ -774,6 +762,60 @@ def _points(times: Sequence) -> StepFunction:
     """The indicator of the increasing ``times``: 0, but 1 at each."""
     n = len(times)
     return StepFunction._canon(0, times, (1,) * n, (0,) * n) if n else _ZERO
+
+
+def _permit_windows(u: StepFunction, specs) -> tuple[StepFunction, StepFunction]:
+    """The rise and fall permits of the ``_permit_specs`` ``specs`` as windows
+    over u: where u, and where ~u, is 1 over each edge's window."""
+    (d0, w0, c0), (d1, w1, c1) = specs
+    return (window(u, "inf", -d1, w1 - d1, True, c1),
+            window(~u, "inf", -d0, w0 - d0, True, c0))
+
+
+def _switch_hits(x: StepFunction, permits, gaps, closed: Optional[bool]):
+    """The switches of x that break a permit and that break a hold, each
+    per edge indexed by the bit switched to: (fall, rise).
+
+    ``permits`` is an input side's (u, specs) or None.  A switch to v at b
+    is permitted when u is v over the window [s, s+w] ([s, s+w) when not
+    closed), s = b-delta: u is v at s and, for w > 0, just right of s, no
+    breakpoint of u lies in (s, s+w), and u(s+w) = v when the end is
+    closed; an empty window permits all.  Each edge reads u by a pointer
+    that only moves forward.  ``gaps`` is the hold per edge or None: x
+    breaks its hold where it leaves v in [b, b+delta] ([b, b+delta) when
+    not ``closed``): right of b when delta > 0, or at the next breakpoint
+    b' when b' < b+delta, or when b' = b+delta, the window is closed and
+    x(b') != v.  A canonical breakpoint changes its function at it or right
+    of it, so a breakpoint inside a window alone shows the value leaving
+    v there, and no later one matters."""
+    cursors, permit_hits, hold_hits = [0, 0], ([], []), ([], [])
+    if permits is not None:
+        u, specs = permits
+        ubps, uat, uright, lead, n = u.bps, u.at, u.right, u.leading, len(u.bps)
+    bps, at, right = x.bps, x.at, x.right
+    last, left = len(bps) - 1, x.leading
+    for i, b in enumerate(bps):
+        v = at[i]
+        if v != left:
+            if permits is not None:
+                delta, w, closed_end = specs[v]
+                if w or closed_end:
+                    s = b - delta
+                    j = cursors[v] = bisect_left(ubps, s, cursors[v])
+                    if j < n and ubps[j] == s:
+                        here, after, j = uat[j], uright[j], j + 1
+                    else:
+                        here = after = uright[j - 1] if j else lead
+                    if here != v or w and (after != v or j < n and (
+                            ubps[j] < s + w or closed_end and ubps[j] == s + w and uat[j] != v)):
+                        permit_hits[v].append(b)
+            if gaps is not None:
+                end = b + gaps[v]
+                if right[i] != v and end > b or i < last and (
+                        bps[i + 1] < end or closed and bps[i + 1] == end and at[i + 1] != v):
+                    hold_hits[v].append(b)
+        left = right[i]
+    return permit_hits, hold_hits
 
 
 # ---------------------------------------------------------------------------

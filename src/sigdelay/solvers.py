@@ -48,7 +48,9 @@ from .conditions import (
     RicParams,
     SdbridcPrime,
     _Bounded,
+    _permit_windows,
     _prepare,
+    _switch_hits,
     check_membership,
     format_model,
 )
@@ -194,7 +196,8 @@ def _witness(u: StepFunction, model: _Bounded, side) -> Optional[StepFunction]:
     """``alternating_witness`` on the input side ``side`` of u, in the unit
     that u, the model, the side and the member returned share.
 
-    The model's switch permits and closed hold windows narrow the chain.
+    The model's switch permits, whose windows are built here from the
+    side's specs, and its closed hold windows narrow the chain.
     Infeasibility is exact: any solution must place its k-th forced
     switch inside the k-th window (and permit set), above the propagated
     bound -- the hold constraints apply to all later opposite switches,
@@ -214,7 +217,8 @@ def _witness(u: StepFunction, model: _Bounded, side) -> Optional[StepFunction]:
     sandwich, permits, _ = side
     compared = {Fraction(0)}
     if permits is not None:
-        permits = {"rise": permits[0].support(), "fall": permits[1].support()}
+        rise, fall = _permit_windows(*permits)
+        permits = {"rise": rise.support(), "fall": fall.support()}
         compared.update(end for s in permits.values() for iv in s.intervals
                         for end in (iv.lo, iv.hi) if end is not None)
     chain: list[tuple[Fraction, int]] = []
@@ -328,6 +332,20 @@ def _forced_cells(bounds: Optional[tuple[StepFunction, StepFunction]],
     return cells
 
 
+def _may_switch(permits, times: Sequence) -> list:
+    """may[v][i]: may x switch to v at ``times[i]`` under an input side's
+    permits (u, specs), as the checker probes u for a signal that switches
+    to v at each of the increasing ``times``; [None, None] without permits."""
+    if permits is None:
+        return [None, None]
+    n, may = len(times), []
+    for v in (0, 1):
+        train = StepFunction._canon(1 - v, times, (v,) * n, (1 - v,) * n)
+        barred = set(_switch_hits(train, permits, None, None)[0][v])
+        may.append([t not in barred for t in times])
+    return may
+
+
 def enumerate_grid_solutions(u: Optional[StepFunction], model: DelayModel,
                              grid: GridSpec,
                              stop_after: Optional[int] = None) -> list[StepFunction]:
@@ -368,9 +386,7 @@ def enumerate_grid_solutions(u: Optional[StepFunction], model: DelayModel,
     for c in reversed(range(n + 1)):
         for w in (0, 1):
             first[w][c] = c if cells[c] == w else first[w][c + 1]
-    # may_switch[v][i]: may x switch to v at points[i]; the permits are (rise, fall)
-    may_switch = [None, None] if permits is None else \
-        [[permit.value(g) for g in ticks] for permit in reversed(permits)]
+    may_switch = _may_switch(permits, ticks)
     # gap[v]: how long x holds v after switching to it (closed windows: a
     # next switch lies past the gap; half-open: at its end or past it)
     gap = None if model.hold is None else (ticked.a.delta_f, ticked.a.delta_r)

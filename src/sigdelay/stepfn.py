@@ -876,10 +876,14 @@ def _read_time(tok: str) -> tuple[int, int]:
 
 def _read_ratio(tok: str) -> Optional[tuple[int, int]]:
     """ASCII digits, or two such runs around a '/', read by ``int`` with no
-    Fraction; None for any other token."""
+    Fraction; None for any other token, and for a run longer than CPython
+    reads, which ``_read_fraction`` then refuses by name."""
     num, slash, den = tok.partition("/")
     if tok.isascii() and num.isdigit() and (not slash or den.isdigit()):
-        n, d = int(num), int(den or 1)
+        try:
+            n, d = int(num), int(den or 1)
+        except ValueError:
+            return None
         if not d:
             raise ZeroDivisionError(f"Fraction({n}, 0)")
         return n, d

@@ -69,6 +69,14 @@ def counted_calls(monkeypatch, owner, name) -> list:
     return calls
 
 
+def counted_windows(monkeypatch) -> list:
+    """The positional argument tuples of every ``window`` call from here
+    on, through ``stepfn``'s binding or the one ``conditions`` imports."""
+    calls = counted_calls(monkeypatch, sd.stepfn, "window")
+    monkeypatch.setattr(sd.conditions, "window", sd.stepfn.window)
+    return calls
+
+
 def fractions_made(monkeypatch, call) -> tuple:
     """``call()``'s result and the number of Fractions it constructs."""
     made = 0

@@ -333,13 +333,15 @@ def boolean_le_violations(lhs: StepFunction, rhs: StepFunction) -> IntervalSet:
     return (lhs & ~rhs).support()
 
 
-def window_judge(model: DelayModel, side, x: StepFunction) -> list[tuple[StepFunction, str]]:
+def window_judge(model: DelayModel, u: Optional[StepFunction],
+                 x: StepFunction) -> list[tuple[StepFunction, str]]:
     """The default ``_judge`` by the window route: the sandwich clauses as
     the library builds them, then x's rises and falls merged against the
-    permits and against the sliding inf and sup of x over its hold
-    windows [t, t+delta] (closed) or [t, t+delta) (half-open), where the
-    library reads all four clauses at x's switches in one walk."""
-    bounds, permits, _ = side
+    permit windows of the public ``permits(u)`` and against the sliding
+    inf and sup of x over its hold windows [t, t+delta] (closed) or
+    [t, t+delta) (half-open), where the library reads all four clauses at
+    x's switches in one walk, probing u for the permits."""
+    bounds, permits = model.sandwich(u), model.permits(u)
     out = []
     if bounds is not None:
         out += [_le(bounds[0], x, "lower-bound"), _le(x, bounds[1], "upper-bound")]

@@ -841,11 +841,13 @@ def test_no_function_keeps_module_state():
 
 
 # The calls through which `solvers` may build input windows itself: the
-# public extremal members of the bounded delay, and the switch-window
-# witness's one input side on the Fractions.
+# public extremal members of the bounded delay, the switch-window
+# witness's one input side on the Fractions, and the witness's permit
+# windows from the specs of the side it is given.
 _ALLOWED_INPUT_WINDOW_CALLS = {("bdc_bounds", "sandwich"),
-                               ("alternating_witness", "_input_side")}
-_INPUT_SIDE_CALLS = ("sandwich", "permits", "_input_side")
+                               ("alternating_witness", "_input_side"),
+                               ("_witness", "_permit_windows")}
+_INPUT_SIDE_CALLS = ("sandwich", "permits", "_permit_windows", "_input_side")
 
 
 def _called_names(node):
@@ -886,11 +888,14 @@ _half_bdc = st.builds(lambda mr, dr, mf, df: sd.BdcParams(mr, mr + dr, mf, mf + 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(st.tuples(_half_signals, _half_bdc), st.tuples(signals, _bdc)))
 def test_dbridc_side_is_the_bounded_delays_sandwich_and_its_permits(case):
-    # the fall permit window_inf(~u, d_f, m_f) is built as ~window_sup(u, d_f, m_f)
+    # its own windows for the equality judge: the permits, the fall permit
+    # window_inf(~u, d_f, m_f) built as ~window_sup(u, d_f, m_f)
     u, p = case
-    sandwich, permits, _ = sd.Dbridc(p)._input_side(u)
+    model = sd.Dbridc(p)
+    sandwich, (reader, specs), own = model._input_side(u)
     assert sandwich == sd.Bdc(p).sandwich(u)
-    assert permits == (window_inf(u, p.d_r, p.m_r), window_inf(~u, p.d_f, p.m_f))
+    assert (reader, specs) == (u, model._permit_specs())
+    assert own == model.permits(u) == (window_inf(u, p.d_r, p.m_r), window_inf(~u, p.d_f, p.m_f))
 
 
 @settings(max_examples=300, deadline=None)

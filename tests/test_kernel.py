@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 import sigdelay as sd
 from sigdelay import stepfn
 from sigdelay.cli import main
-from sigdelay.conditions import MODELS, _assemble, _le, _prepare, _trusted
+from sigdelay.conditions import MODELS, _Model, _assemble, _le, _prepare, _trusted
 from sigdelay.stepfn import Interval, IntervalSet, StepFunction, chi, indicator, window
 
 from conftest import counted_calls
@@ -436,10 +436,10 @@ halves = st.integers(0, 6).map(lambda n: F(n, 2))
 
 
 @st.composite
-def judged_models(draw):
-    """One of the eight models, its times on a grid of 1/2 so that a switch
-    often lands at b + delta; a zero delta is drawn often too."""
-    cls = MODELS[draw(st.sampled_from(JUDGED))]
+def judged_models(draw, keywords=JUDGED):
+    """One of the models ``keywords``, its times on a grid of 1/2 so that a
+    switch often lands at b + delta; a zero delta is drawn often too."""
+    cls = MODELS[draw(st.sampled_from(keywords))]
     vals = {key: draw(halves) for key in cls.keys}
     for d, m in MEMORY_OF.items():
         if m in vals:  # 0 <= m <= d
@@ -473,10 +473,42 @@ def test_switch_clauses_match_the_window_route(model, u, x, ticks):
         model = _assemble(type(model), iter([stepfn._to_ticks(t, k) for t in model._parameters()]),
                           _trusted)
         u, x = u._to_ticks(k), x._to_ticks(k)
-    side = model._input_side(u)
-    want = window_judge(model, side, x)
-    assert model._judge(side, x) == want
+    want = window_judge(model, u, x)
+    assert model._judge(model._input_side(u), x) == want
     assert model.clauses(u, x) == [(f.support(), name) for f, name in want]
+
+
+# the models with switch permits; dbridc's own judge is its equality form,
+# so its permits are read by the default judge on its side
+RELATIVE = ("ric", "ricprime", "bridc", "dbridc")
+U_AT_1_2 = StepFunction.from_toggles(0, [1, 2])
+
+
+@settings(max_examples=600, deadline=None)
+@given(judged_models(RELATIVE), signals, outputs, st.booleans())
+@example(sd.parse_model("ric mur=0 deltar=0 muf=0 deltaf=0"), U_AT_1_2,  # delta 0: the point t
+         StepFunction(0, [1, 2, 3], [1, 0, 1], [0, 1, 1]), False)
+@example(sd.parse_model("ricprime mur=0 deltar=0 muf=0 deltaf=0"), U_AT_1_2,  # empty windows
+         StepFunction(1, [1, 2], [0, 0], [1, 0]), True)
+@example(sd.parse_model("ric mur=1 deltar=1 muf=1/2 deltaf=1/2"), U_AT_1_2,  # mu = delta
+         StepFunction.from_toggles(0, [2, F(5, 2), 3]), True)
+@example(sd.parse_model("ric mur=1 deltar=2 muf=0 deltaf=1"), U_AT_1_2,  # u switches at e
+         StepFunction.from_toggles(0, [3]), False)
+@example(sd.parse_model("ricprime mur=0 deltar=1 muf=0 deltaf=1"), U_AT_1_2,  # at the open e
+         StepFunction.from_toggles(0, [2, 3]), True)
+@example(sd.parse_model("bridc mr=1 dr=2 mf=1 df=2 mur=1/2 deltar=1 muf=1/2 deltaf=1"),
+         StepFunction(0, [1, 2], [1, 1], [0, 1]), StepFunction.from_toggles(0, [2, 3]), False)
+@example(sd.parse_model("dbridc mr=1 dr=2 mf=1 df=2"), U_AT_1_2,  # u switches at s
+         StepFunction(0, [3, 4], [1, 0], [1, 1]), True)
+def test_permit_probe_matches_the_permit_windows(model, u, x, ticks):
+    # the default judge probes u at x's switches; the windows of the public
+    # permits(u) are the oracle, on ticks and on the Fractions alike
+    if ticks:
+        k = stepfn.timebase(chain(model._parameters(), u.bps, x.bps))
+        model = _assemble(type(model), iter([stepfn._to_ticks(t, k) for t in model._parameters()]),
+                          _trusted)
+        u, x = u._to_ticks(k), x._to_ticks(k)
+    assert _Model._judge(model, model._input_side(u), x) == window_judge(model, u, x)
 
 
 # the interval-set route of a window and of a clause's infimum

@@ -24,7 +24,7 @@ from sigdelay.solvers import (
 )
 from sigdelay.stepfn import StepFunction, chi, window, window_inf, window_sup
 
-from conftest import brute_check, counted_calls, rand_bdc_params, rand_signal
+from conftest import brute_check, counted_calls, counted_windows, rand_bdc_params, rand_signal
 from reference_kernel import boolean_forced_cells, margin_witness, scaled_back_sample
 
 
@@ -412,11 +412,12 @@ _HARD_U = StepFunction.from_toggles(0, [F(3, 2), F(5, 2), F(7, 2), F(11, 2)])
 
 def test_sample_bridc_builds_the_input_side_once(monkeypatch):
     # both candidates fail until the switch-window witness, the third, which
-    # reads the prepared side and judges its member there
+    # reads the prepared side, builds its permit windows from the side's
+    # specs, and judges its member there
     sides = counted_calls(monkeypatch, conditions._Model, "_input_side")
     misses = counted_calls(monkeypatch, conditions, "_in_ticks")
     checks = counted_calls(monkeypatch, solvers, "check_membership")
-    windows = counted_calls(monkeypatch, stepfn, "window")
+    windows = counted_windows(monkeypatch)
     witness, in_witness = solvers._witness, []
 
     def counted_witness(u, model, side):
@@ -429,8 +430,8 @@ def test_sample_bridc_builds_the_input_side_once(monkeypatch):
     assert sd.format_signal_literal("x", x) == "x: 0 @ 5, 8"
     assert len(checks) == 2 and len(misses) == 1
     assert len(sides) == 1  # the prepared one, in ticks
-    assert len(windows) == 4  # its sandwich and its permits, each built once
-    assert in_witness == [0]
+    assert in_witness == [2]  # the permit windows: only the witness builds them
+    assert len(windows) - in_witness[0] == 2  # the prepared side's sandwich, built once
     assert brute_check(_HARD_U, x, sd.Bridc(_HARD_P, _HARD_R))
 
 
@@ -665,9 +666,11 @@ def test_set_up_judges_consistency_and_permits_in_ticks(monkeypatch):
                                                 (sd.Ric(sd.RicParams(0, 1, F(1, 2), 1)), (1, 2, 3))])
 def test_enumeration_builds_the_input_side_once(monkeypatch, model, max_toggles):
     # more candidates, the same windows: the pruning and the checks read
-    # one input side in ticks, built once per enumeration
+    # one input side in ticks, built once per enumeration; bdc's side holds
+    # its sandwich's two windows, and ric's none, as its permits probe u
+    built = {"bdc": 2, "ric": 0}[model.keyword]
     sides = counted_calls(monkeypatch, conditions._Model, "_input_side")
-    windows = counted_calls(monkeypatch, stepfn, "window")
+    windows = counted_windows(monkeypatch)
     checks = counted_calls(monkeypatch, solvers, "check_membership")
     u = StepFunction.from_toggles(0, [F(1, 2), 2])
     seen = []
@@ -676,7 +679,7 @@ def test_enumeration_builds_the_input_side_once(monkeypatch, model, max_toggles)
         enumerate_grid_solutions(u, model, GridSpec(F(1, 2), 4, toggles))
         seen.append((len(sides) - before[0], len(windows) - before[1], len(checks) - before[2]))
     assert [s for s, _, _ in seen] == [1, 1, 1]
-    assert [w for _, w, _ in seen] == [2, 2, 2]
+    assert [w for _, w, _ in seen] == [built] * 3
     assert seen[0][2] < seen[1][2] < seen[2][2]
 
 
@@ -912,6 +915,38 @@ def test_forced_cells_against_the_boolean_route(lower, upper, points, shift, tic
     bounds = (lower, upper)
     assert solvers._forced_cells(bounds, points) == boolean_forced_cells(bounds, points)
     assert solvers._forced_cells(None, points) == [None] * (len(points) + 1)
+
+
+_cell_spans = st.builds(F, st.integers(0, 21), st.sampled_from((1, 3, 7)))
+
+
+@st.composite
+def _permit_models(draw):
+    """A model with switch permits, its times on ``_cell_spans`` (0 often),
+    each memory at most its delay: its keys come in (memory, delay) pairs."""
+    cls = conditions.MODELS[draw(st.sampled_from(("ric", "ricprime", "bridc", "dbridc")))]
+    span = st.one_of(st.just(F(0)), _cell_spans)
+    nums = [t for _ in cls.keys[::2] for t in sorted(draw(st.tuples(span, span)))]
+    return sd.parse_model(" ".join([cls.keyword, *(f"{k}={v}" for k, v in zip(cls.keys, nums))]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(model=_permit_models(), u=_any_stepfns(), points=st.sets(_cell_times, max_size=10),
+       ticks=st.booleans())
+@example(model=sd.parse_model("ric mur=1 deltar=2 muf=0 deltaf=1"),
+         u=StepFunction.from_toggles(0, [1, 2]), points={F(3), F(4)}, ticks=False)
+def test_grid_switch_table_reads_the_permit_windows(model, u, points, ticks):
+    # the grid's may_switch probes u as the checker does; the permit
+    # windows' point values are the oracle
+    points = sorted(points)
+    if ticks:
+        u, points = u._to_ticks(21), [stepfn._to_ticks(t, 21) for t in points]
+        model = conditions._assemble(type(model), iter(
+            [stepfn._to_ticks(t, 21) for t in model._parameters()]), conditions._trusted)
+    rise, fall = model.permits(u)
+    want = [[bool(fall.value(t)) for t in points], [bool(rise.value(t)) for t in points]]
+    assert solvers._may_switch(model._input_side(u)[1], points) == want
+    assert solvers._may_switch(None, points) == [None, None]
 
 
 def test_grid_set_up_walks_the_bounds_once(monkeypatch):

@@ -319,3 +319,27 @@ def test_an_until_past_the_digit_limit_exits_2_naming_the_token(tmp_path, comman
     code, out, err = run([*argv, "--until", until])
     assert (code, out) == (2, "")
     assert err == f"error: {until!r} has more than 4300 digits\n"
+
+
+_RUN = "1" * 4301  # a digit run of 4,301 digits
+
+
+@pytest.mark.parametrize("argv, prefix", [
+    (["--input", "u: 0", "--state", f"x: 0 @ {_RUN}"], f"bad time {_RUN!r} in signal 'x'"),
+    (["--input", "u: 0", "--state", f"x: 0 @ 1/{_RUN}"], f"bad time '1/{_RUN}' in signal 'x'"),
+    (["--input", f"u: 0 @ {_RUN}", "--state", "x: 0"], f"bad time {_RUN!r} in signal 'u'"),
+], ids=["state", "state-ratio", "input"])
+def test_a_signal_time_past_the_digit_limit_exits_2_naming_the_token(argv, prefix):
+    code, out, err = run(["check", "--model", "fixed d=1", *argv])
+    token = prefix.split()[2]
+    assert (code, out) == (2, "")
+    assert err == f"error: {prefix}: {token} has more than 4300 digits\n"
+
+
+@pytest.mark.parametrize("number", [_RUN, f"{_RUN}/3", f"3/{_RUN}"],
+                         ids=["run", "numerator", "denominator"])
+def test_a_model_number_past_the_digit_limit_exits_2_naming_the_token(number):
+    code, out, err = run(["check", "--model", f"fixed d={number}", "--input", "u: 0",
+                          "--state", "x: 0"])
+    assert (code, out) == (2, "")
+    assert err == f"error: bad number {number!r} for 'd': {number!r} has more than 4300 digits\n"
