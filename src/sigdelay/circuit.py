@@ -29,10 +29,13 @@ its input before that instant.  Work grows with the switches made, not
 with the horizon, and an event budget bounds the switches of every net,
 so runaway oscillation ends in an explicit error instead of a hang.
 Simulation runs on integer ticks over the timebase of its inputs,
-parameters and horizon (``stepfn.timebase``); a conformance check
-judges the times it is given and leaves the ticks to each element's
-``check_membership``.  ``simulate`` returns its waveforms as Fractions,
-or, to the CLI's writers, as the ticks it ran on (``WaveformSet.timebase``).
+parameters and horizon (``stepfn.timebase``), and gates switch from a
+table built once per call (``_gate_table``).  A conformance check judges
+the times it is given and leaves the ticks to each element's
+``check_membership``, except ``simulate``'s self-check, which judges
+its own set in its own ticks.  ``simulate`` returns its waveforms as
+Fractions, or, to the CLI's writers, as the ticks it ran on
+(``WaveformSet.timebase``).
 
 The worked circuits (``builtin``) are netlist text, read by
 ``parse_netlist`` like any other netlist.
@@ -55,6 +58,7 @@ from .conditions import (
     MODELS,
     CheckReport,
     DelayModel,
+    _Input,
     _eq,
     _in_ticks,
     _in_time,
@@ -345,6 +349,12 @@ def _solve_delay(model: DelayModel, leading: int):
     return model.events(leading)
 
 
+def _gate_table(gates: list[Gate]) -> dict[str, tuple]:
+    """How ``simulate`` switches each gate, by its output: the fold, the
+    inputs and the inversion of its ``GATES`` entry, read on known bits."""
+    return {g.out: (GATES[g.kind].op, g.ins, GATES[g.kind].invert) for g in gates}
+
+
 def _clamped_gate(kind: str, ins: list[StepFunction], y0: int) -> StepFunction:
     """The gate's output: ``y0`` before time 0, the gate of its inputs from 0 on."""
     return _gate_signal(kind, ins).truncate_before(0, y0)
@@ -389,7 +399,8 @@ def simulate(n: Netlist, inputs: dict[str, StepFunction],
     other net.  Raises ValidationError with ``validate``'s diagnostics
     for a malformed netlist or inputs and EventBudgetError at the first
     switch that takes a non-input net past the event budget.  The result
-    is re-judged by ``check_trace_conformance`` before it is returned.
+    is re-judged by ``check_trace_conformance(..., _own=True)`` before it
+    is returned: every gate and every delay, on the set as built.
 
     After validation the inputs, the delay parameters and the horizon
     are scaled to integer ticks over their ``timebase`` k: the queue, the
@@ -416,7 +427,7 @@ def simulate(n: Netlist, inputs: dict[str, StepFunction],
     rank = {net: i for i, net in enumerate(order)}
     value = dict(init)
     switches: dict[str, list] = {net: [] for net in order}  # in ticks
-    gate_by_out = {g.out: g for g in n.gates}
+    gates = _gate_table(n.gates)  # every value is known: two-valued gates
     # the next switches of every input and delay output, in time order
     pending: dict[str, deque] = {}
     # per net, who reads it: (gate output, None) or (delay output, event form)
@@ -442,11 +453,14 @@ def simulate(n: Netlist, inputs: dict[str, StepFunction],
 
     budget = n.event_budget
     primary = set(n.inputs)
+    get = value.__getitem__
+    push, pop = heapq.heappush, heapq.heappop
     while queue:
-        t, _, net = heapq.heappop(queue)
-        g = gate_by_out.get(net)
-        if g is not None:
-            bit = _gate_value(g.kind, [value[i] for i in g.ins])
+        t, _, net = pop(queue)
+        gate = gates.get(net)
+        if gate is not None:
+            op, ins, invert = gate
+            bit = reduce(op, map(get, ins)) ^ invert
             if bit == value[net]:
                 continue
         else:
@@ -462,15 +476,15 @@ def simulate(n: Netlist, inputs: dict[str, StepFunction],
         value[net] = bit
         for out, form in readers[net]:
             if form is None:
-                heapq.heappush(queue, (t, rank[out], out))
+                push(queue, (t, rank[out], out))
             else:
                 s = form.feed(t, bit)
                 if s is not None and s <= ht:
-                    heapq.heappush(queue, (s, rank[out], out))
+                    push(queue, (s, rank[out], out))
 
     w = WaveformSet({net: StepFunction._from_toggles(init[net], switches[net])
                      for net in nets}, ht, k)
-    report = check_trace_conformance(n, models, w)
+    report = check_trace_conformance(n, models, w, _own=True)
     if not report.ok:
         raise RuntimeError(f"simulation fails self-check: {_in_time(report, k)}")
     return w if _ticks else w._in_time()
@@ -478,7 +492,7 @@ def simulate(n: Netlist, inputs: dict[str, StepFunction],
 
 def check_trace_conformance(n: Netlist,
                             nondet_models: dict[str, DelayModel],
-                            w: WaveformSet) -> CheckReport:
+                            w: WaveformSet, *, _own: bool = False) -> CheckReport:
     """Judge a waveform set against the netlist: every gate equation must
     hold and every delay element's trace must satisfy its model, with
     nondet_models (keyed by delay output net) overriding per element.
@@ -493,26 +507,36 @@ def check_trace_conformance(n: Netlist,
     ticks and reports its violation time as a Fraction.  A set in ticks
     (``timebase`` set) is judged in its ticks: the models must be in those
     ticks too, as ``simulate`` passes them, and so is the report's time.
+
+    ``_own=True`` marks ``simulate``'s own set: built from the analysed
+    netlist, every switch by the horizon, the models in the set's unit.
+    The gates, nets and truncation are not checked again, and each delay
+    is judged on the input side prepared here (``check_membership(...,
+    _input=...)``), with no timebase scan or second consistency test.
     """
-    diags = [d for g in n.gates for d in _gate_diags(g)]
-    if diags:
-        raise ValidationError(diags)
-    nets = n.nets()
-    missing = [net for net in nets if net not in w.signals]
-    if missing:
-        raise ValueError("waveform set lacks signals for "
-                         + ", ".join(repr(m) for m in missing))
     h = w.horizon
-    signals = {net: w.signals[net].truncate(h) for net in nets}
+    if _own:
+        signals = w.signals
+    else:
+        diags = [d for g in n.gates for d in _gate_diags(g)]
+        if diags:
+            raise ValidationError(diags)
+        nets = n.nets()
+        missing = [net for net in nets if net not in w.signals]
+        if missing:
+            raise ValueError("waveform set lacks signals for "
+                             + ", ".join(repr(m) for m in missing))
+        signals = {net: w.signals[net].truncate(h) for net in nets}
     reports = []
     for g in n.gates:
         out = signals[g.out]
         expect = _clamped_gate(g.kind, [signals[i] for i in g.ins], out.leading)
         reports.append((g.out, _report([_eq(out, expect, "gate-equation")], h)))
     for d in n.delays:
-        reports.append((d.out, check_membership(signals[d.src], signals[d.out],
-                                                nondet_models.get(d.out, d.model),
-                                                horizon=h)))
+        u, model = signals[d.src], nondet_models.get(d.out, d.model)
+        own = _Input(None, model, u, model._input_side(u), h) if _own else None
+        reports.append((d.out, check_membership(u, signals[d.out], model, horizon=h,
+                                                _input=own)))
     worst = min((replace(r.first_violation, net=net) for net, r in reports if not r.ok),
                 key=_violation_key, default=None)
     return CheckReport(worst is None, worst)

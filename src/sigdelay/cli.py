@@ -11,11 +11,14 @@ and json-report.
 
 ``check`` reads its signals into integer numerators and denominators
 (``stepfn._read_signal_literal``) and builds them straight in ticks of
-their common timebase, so it makes Fractions only for its report.
-``simulate`` parses its inputs as Fractions and writes its waveforms
-from the simulator's integer ticks (``simulate(..., _ticks=True)``): the
-ASCII, JSON and VCD writers format each tick against the timebase with
-one gcd (``format_time(t, k)``) and make no Fraction per toggle.
+their common timebase, so it makes Fractions only for its report; it
+prepares the input side in those ticks and hands it to the check
+(``check_membership(..., _input=...)``).  ``simulate`` parses its inputs
+as Fractions and writes its waveforms from the simulator's integer ticks
+(``simulate(..., _ticks=True)``): the ASCII, JSON and VCD writers format
+each tick against the timebase with one gcd (``format_time(t, k)``) and
+make no Fraction per toggle.  The JSON is ``json.dumps(..., indent=2)``'s
+layout, written directly.
 ``sample`` parses Fractions and hands any model one route,
 ``solvers._sample``, which judges the model's own candidates.
 """
@@ -38,6 +41,7 @@ from .stepfn import (
     _read_signal_literal,
     _signal_of,
     _to_ticks,
+    as_signal,
     as_time,
     format_signal_literal,
     format_time,
@@ -48,8 +52,8 @@ from .conditions import (
     Bdc,
     CheckReport,
     DelayModel,
+    _Input,
     _in_ticks,
-    _in_time,
     check_membership,
     compose_bdc,
     parse_model,
@@ -105,11 +109,19 @@ def render_ascii(w: WaveformSet) -> str:
 
 
 def waveforms_json(w: WaveformSet) -> str:
+    """The set's horizon and nets as ``json.dumps(..., indent=2)`` lays
+    them out, written directly: only the net names go through
+    ``json.dumps``, and each time is the quoted ``format_time``, which
+    needs no escaping."""
     k = w.timebase
-    nets = {name: {"initial": sig.leading, "toggles": [format_time(t, k) for t in sig.bps]}
-            for name, sig in w.signals.items()}
-    return json.dumps({"horizon": format_time(w.horizon, k), "nets": nets},
-                      indent=2) + "\n"
+    nets = []
+    for name, sig in w.signals.items():
+        toggles = '",\n        "'.join([format_time(t, k) for t in sig.bps])
+        toggles = f'[\n        "{toggles}"\n      ]' if sig.bps else "[]"
+        nets.append(f'    {json.dumps(name)}: {{\n      "initial": {sig.leading},\n'
+                    f'      "toggles": {toggles}\n    }}')
+    body = "{\n" + ",\n".join(nets) + "\n  }" if nets else "{}"
+    return f'{{\n  "horizon": "{format_time(w.horizon, k)}",\n  "nets": {body}\n}}\n'
 
 
 def report_json(report: CheckReport, parameters: str) -> str:
@@ -148,9 +160,12 @@ def _check_readings(u, x, model: DelayModel, horizon: Optional[Fraction]) -> Che
     and u (None: no input), their signals built straight in integer ticks
     of 1/k, k the lcm of the denominators of their times, the model's
     parameters and the horizon: only the report's time becomes a Fraction.
-    Above the timebase bound, and where the checker rejects the trace (a
-    missing input, a time below 0), the signals are Fractions, so that
-    its messages quote the times as typed."""
+    The input is prepared here, in those ticks, and handed to the check
+    (``_input``), which then scans no timebase and tests the model's
+    consistency once.  Above the timebase bound, and where the checker
+    rejects the trace (a missing input, a time below 0), the signals are
+    Fractions and go through the public check, so that its messages
+    quote the times as typed."""
     readings = (x,) if u is None else (x, u)
     dens = set().union(*[reading[2] for reading in readings],
                        [t.denominator for t in model._parameters()])
@@ -160,10 +175,14 @@ def _check_readings(u, x, model: DelayModel, horizon: Optional[Fraction]) -> Che
     if (u is None and model.needs_input) or any(
             nums and nums[0] < 0 for _, nums, _ in readings):
         k = None
-    report = check_membership(None if u is None else _signal_of(u, k), _signal_of(x, k),
-                              model if k is None else _in_ticks(model, k),
-                              horizon=_to_ticks(horizon, k))
-    return _in_time(report, k)
+    u = None if u is None else _signal_of(u, k)
+    if k is None:
+        return check_membership(u, _signal_of(x, None), model, horizon=horizon)
+    ticked = _in_ticks(model, k)
+    if u is not None:
+        as_signal(u)
+    prepared = _Input(k, ticked, u, ticked._input_side(u), _to_ticks(horizon, k))
+    return check_membership(u, _signal_of(x, k), ticked, _input=prepared)
 
 
 def _write(text: str, out: Optional[str]) -> None:

@@ -992,13 +992,17 @@ def _decimal(n: int) -> str:
 
 def format_time(t, k: Optional[int] = None) -> str:
     """The time t, or t ticks of 1/k, as n or n/d in lowest terms; ticks
-    are reduced by one gcd, with no Fraction."""
+    are reduced by one gcd, with no Fraction.  An int of more than 4,300
+    digits, which ``str`` refuses, is written by ``_decimal``."""
     if k is None:
         n, d = t.numerator, t.denominator
     else:
         g = math.gcd(t, k)
         n, d = t // g, k // g
-    return _decimal(n) if d == 1 else f"{_decimal(n)}/{_decimal(d)}"
+    try:
+        return str(n) if d == 1 else f"{n}/{d}"
+    except ValueError:
+        return _decimal(n) if d == 1 else f"{_decimal(n)}/{_decimal(d)}"
 
 
 def format_signal_literal(name: str, f: StepFunction) -> str:

@@ -69,10 +69,16 @@ def export_vcd(w: WaveformSet) -> str:
     events: dict[int, list[str]] = {}
     for name in names:
         sig = w.signals[name]
+        marks = ("0" + ids[name], "1" + ids[name])
         for t, v in zip(sig.bps, sig.at):
-            events.setdefault(t // step, []).append(f"{v}{ids[name]}")
-    for stamp in sorted(events):
-        lines.append(f"#{_decimal(stamp)}")
+            events.setdefault(t // step, []).append(marks[v])
+    stamps = sorted(events)
+    try:
+        texts = list(map(str, stamps))
+    except ValueError:  # a stamp of more than 4,300 digits, which str refuses
+        texts = list(map(_decimal, stamps))
+    for stamp, text in zip(stamps, texts):
+        lines.append("#" + text)
         lines.extend(events[stamp])
     return "\n".join(lines) + "\n"
 

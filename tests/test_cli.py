@@ -14,7 +14,7 @@ from sigdelay import cli, solvers
 from sigdelay.cli import _random_free, main, report_json
 from sigdelay.conditions import MODELS
 from sigdelay.circuit import WaveformSet, builtin, format_netlist, simulate
-from sigdelay.stepfn import StepFunction, chi, format_time
+from sigdelay.stepfn import StepFunction, _read_signal_literal, chi, format_time
 from sigdelay.vcd import export_vcd, import_vcd
 
 from conftest import brute_check, counted_calls, fractions_made, rand_signal, rand_stepfn
@@ -83,12 +83,61 @@ def test_simulate_event_budget_exits_3(netfile, capsys):
 def test_simulate_failed_self_check_exits_5(netfile, capsys, monkeypatch):
     failing = sd.CheckReport(False, sd.Violation(F(0), True, "gate-equation", "x"))
     monkeypatch.setattr("sigdelay.circuit.check_trace_conformance",
-                        lambda *args: failing)
+                        lambda *args, **kwargs: failing)
     code = main(["simulate", "--netlist", netfile("loop.net", NOT_LOOP),
                  "--until", "6"])
     assert code == 5
     err = capsys.readouterr().err
     assert err.startswith("error: internal: ") and "Traceback" not in err
+
+
+class _DropsFirstSwitch:
+    """An element's event form that loses the first output switch it adds."""
+
+    def __init__(self, form):
+        self.form, self.pending, self.dropped = form, form.pending, False
+
+    def feed(self, t, bit):
+        s = self.form.feed(t, bit)
+        if s is None or self.dropped:
+            return s
+        self.dropped = True
+        self.pending.remove(s)
+        return None
+
+
+def _inverts_one_gate(table):
+    """``circuit._gate_table`` with the first gate's inversion flipped."""
+    def wrong(gates):
+        out = table(gates)
+        op, ins, invert = out[gates[0].out]
+        out[gates[0].out] = (op, ins, not invert)
+        return out
+    return wrong
+
+
+@pytest.mark.parametrize("fault", ["delay", "gate"])
+@pytest.mark.parametrize("circuit", ["not-feedback", "c-element"])
+def test_a_simulation_gone_wrong_fails_its_self_check_and_exits_5(
+        netfile, capsys, monkeypatch, fault, circuit):
+    # the simulator itself errs, so the self-check, not a stub, must see it
+    inputs = {} if circuit == "not-feedback" else {"u": "u: 0 @ 1, 6", "v": "v: 0 @ 1, 6"}
+    n = builtin(circuit)
+    if fault == "delay":
+        monkeypatch.setattr(sd.circuit, "_solve_delay",
+                            lambda model, leading: _DropsFirstSwitch(model.events(leading)))
+    else:
+        monkeypatch.setattr(sd.circuit, "_gate_table", _inverts_one_gate(sd.circuit._gate_table))
+    signals = {name: sd.parse_signal_literal(text)[1] for name, text in inputs.items()}
+    with pytest.raises(RuntimeError, match="^simulation fails self-check"):
+        simulate(n, signals, 12)
+    argv = ["simulate", "--netlist", netfile("c.net", format_netlist(n)), "--until", "12"]
+    for text in inputs.values():
+        argv += ["--input", text]
+    assert main(argv) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: internal: simulation fails self-check")
 
 
 @pytest.mark.parametrize("extra", [
@@ -439,12 +488,38 @@ def test_check_agrees_with_the_library_on_fractions(signal_dir, spec, state, inp
     assert run(argv) == library_check(spec, x_text, u_text, until_text, fmt)
 
 
+@settings(max_examples=200, deadline=None)
+@given(spec=st.sampled_from(CHECK_SPECS + ["aicprime dr=2/3 df=1/2", "sc"]),
+       state=signal_readings, input_=st.one_of(st.none(), signal_readings),
+       until=st.one_of(st.none(), st.builds(F, st.integers(0, 60), st.sampled_from([1, 2, 5, 7]))))
+@example(spec="bdc mr=1/2 dr=3 mf=1/3 df=3", state=(0, [(F(7, 2), "pq")]),
+         input_=(0, [(F(1, _HUGE), "pq")]), until=None)  # above the timebase bound
+def test_check_readings_report_what_the_public_check_reports(spec, state, input_, until):
+    # check prepares the input in its ticks and hands it to check_membership;
+    # the public route, on Fractions, prepares it itself
+    x_text = signal_text("x", state)
+    u_text = None if input_ is None else signal_text("u", input_)
+    model = sd.parse_model(spec)
+
+    def outcome(check):
+        try:
+            return check()
+        except ValueError as exc:
+            return type(exc), str(exc)
+    readings = [None if text is None else _read_signal_literal(text)[1]
+                for text in (u_text, x_text)]
+    signals = [None if text is None else sd.parse_signal_literal(text)[1]
+               for text in (u_text, x_text)]
+    assert outcome(lambda: cli._check_readings(*readings, model, until)) \
+        == outcome(lambda: sd.check_membership(*signals, model, horizon=until))
+
+
 def test_check_falls_back_to_fractions_above_the_timebase_bound(monkeypatch):
     seen = []
 
-    def spy(u, x, model, horizon=None):
+    def spy(u, x, model, horizon=None, **prepared):
         seen.append(type(x.bps[0]))
-        return sd.check_membership(u, x, model, horizon=horizon)
+        return sd.check_membership(u, x, model, horizon=horizon, **prepared)
     monkeypatch.setattr(cli, "check_membership", spy)
     for state in ("x: 0 @ 5/6", f"x: 0 @ 1/{_HUGE}, 5/6"):
         assert run(["check", "--model", "fixed d=1/2", "--input", "u: 0 @ 1/3",

@@ -9,6 +9,8 @@ public ``simulate`` result, in Fractions, as the writers did before.
 import contextlib
 import io
 import json
+import math
+import sys
 import time
 from fractions import Fraction as F
 
@@ -163,6 +165,51 @@ def test_export_vcd_of_a_ticked_set_is_export_vcd_of_the_set_in_time(w):
         assert import_vcd(text) == w
         assert cli.waveforms_json(ticked) == reference_writers.waveforms_json(w)
         assert cli.render_ascii(ticked) == reference_writers.render_ascii(w)
+
+
+@contextlib.contextmanager
+def _int_digits(limit):
+    """CPython's limit on the digits of an int written as text set to
+    ``limit`` (0: none) for the block, where the interpreter has one."""
+    setter = getattr(sys, "set_int_max_str_digits", None)
+    if setter is None:
+        yield
+        return
+    before = sys.get_int_max_str_digits()
+    setter(limit)
+    try:
+        yield
+    finally:
+        setter(before)
+
+
+_WRITERS = [(cli.waveforms_json, reference_writers.waveforms_json),
+            (export_vcd, reference_writers.export_vcd),
+            (cli.render_ascii, reference_writers.render_ascii)]
+
+
+@pytest.mark.parametrize("w", [
+    WaveformSet({'a"b': StepFunction.from_toggles(0, [F(1, 3), 2]),
+                 "a\\b": StepFunction.const(1),
+                 "\u00fc": StepFunction.from_toggles(1, [0, F(5, 2)])}, F(3)),
+    WaveformSet({}, F(0)),
+    WaveformSet({}, F(7, 2)),
+    WaveformSet({"b": StepFunction.const(0)}, F(5, 6)),
+    WaveformSet({"x": StepFunction.from_toggles(0, [F(1, 10 ** 4300), 1])}, F(10 ** 4300)),
+], ids=["escaped-names", "empty-at-0", "empty", "no-toggles", "4301-digits"])
+def test_writers_match_the_reference_on_names_empty_sets_and_long_times(w):
+    # the last set's denominator and horizon have 4,301 digits, past what
+    # str writes under CPython's default limit: the writers take _decimal
+    with _int_digits(0):  # the reference writers call str on every int
+        expected = [reference(w) for _, reference in _WRITERS]
+    k = 6 * math.lcm(w.horizon.denominator,
+                     *(b.denominator for f in w.signals.values() for b in f.bps))
+    ticked = WaveformSet({net: f._to_ticks(k) for net, f in w.signals.items()},
+                         _to_ticks(w.horizon, k), k)
+    with _int_digits(4300):
+        assert [write(w) for write, _ in _WRITERS] == expected
+        assert [write(ticked) for write, _ in _WRITERS] == expected
+    assert list(json.loads(expected[0])["nets"]) == list(w.signals)
 
 
 def test_format_ticks_reduces_like_a_fraction():
