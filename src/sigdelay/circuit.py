@@ -31,10 +31,9 @@ so runaway oscillation ends in an explicit error instead of a hang.
 Simulation runs on integer ticks over the timebase of its inputs,
 parameters and horizon (``stepfn.timebase``), and gates switch from a
 table built once per call (``_gate_table``).  A conformance check judges
-the times it is given and leaves the ticks to each element's
-``check_membership``, except ``simulate``'s self-check, which judges
-its own set in its own ticks.  ``simulate`` returns its waveforms as
-Fractions, or, to the CLI's writers, as the ticks it ran on
+a whole set in one timebase, and ``simulate``'s self-check is one such
+check of its set in its own ticks.  ``simulate`` returns its waveforms
+as Fractions, or, to the CLI's writers, as the ticks it ran on
 (``WaveformSet.timebase``).
 
 The worked circuits (``builtin``) are netlist text, read by
@@ -52,13 +51,13 @@ from functools import reduce
 from itertools import chain
 from typing import Callable, Collection, NamedTuple, Optional
 
-from .stepfn import (RationalLike, StepFunction, _to_ticks, _to_time, as_time,
-                     format_time, timebase)
+from .stepfn import (RationalLike, StepFunction, _to_ticks, _to_time, as_signal,
+                     as_time, format_time, timebase)
 from .conditions import (
     MODELS,
     CheckReport,
     DelayModel,
-    _Input,
+    _build_input,
     _eq,
     _in_ticks,
     _in_time,
@@ -114,12 +113,6 @@ def _gate_value(kind: str, values: list[Optional[int]]) -> Optional[int]:
     else:
         out = reduce(g.op, values)
     return out ^ g.invert
-
-
-def _gate_signal(kind: str, inputs: list[StepFunction]) -> StepFunction:
-    g = GATES[kind]
-    out = reduce(g.op, inputs)
-    return ~out if g.invert else out
 
 
 @dataclass(frozen=True)
@@ -357,7 +350,9 @@ def _gate_table(gates: list[Gate]) -> dict[str, tuple]:
 
 def _clamped_gate(kind: str, ins: list[StepFunction], y0: int) -> StepFunction:
     """The gate's output: ``y0`` before time 0, the gate of its inputs from 0 on."""
-    return _gate_signal(kind, ins).truncate_before(0, y0)
+    g = GATES[kind]
+    out = reduce(g.op, ins)
+    return (~out if g.invert else out).truncate_before(0, y0)
 
 
 def _eval_order(n: Netlist, nets: Collection[str]) -> tuple[list[str], Optional[list[str]]]:
@@ -399,8 +394,8 @@ def simulate(n: Netlist, inputs: dict[str, StepFunction],
     other net.  Raises ValidationError with ``validate``'s diagnostics
     for a malformed netlist or inputs and EventBudgetError at the first
     switch that takes a non-input net past the event budget.  The result
-    is re-judged by ``check_trace_conformance(..., _own=True)`` before it
-    is returned: every gate and every delay, on the set as built.
+    is re-judged by ``check_trace_conformance`` before it is returned:
+    every gate and every delay, on the set as built.
 
     After validation the inputs, the delay parameters and the horizon
     are scaled to integer ticks over their ``timebase`` k: the queue, the
@@ -484,7 +479,7 @@ def simulate(n: Netlist, inputs: dict[str, StepFunction],
 
     w = WaveformSet({net: StepFunction._from_toggles(init[net], switches[net])
                      for net in nets}, ht, k)
-    report = check_trace_conformance(n, models, w, _own=True)
+    report = check_trace_conformance(n, models, w)
     if not report.ok:
         raise RuntimeError(f"simulation fails self-check: {_in_time(report, k)}")
     return w if _ticks else w._in_time()
@@ -492,54 +487,61 @@ def simulate(n: Netlist, inputs: dict[str, StepFunction],
 
 def check_trace_conformance(n: Netlist,
                             nondet_models: dict[str, DelayModel],
-                            w: WaveformSet, *, _own: bool = False) -> CheckReport:
-    """Judge a waveform set against the netlist: every gate equation must
-    hold and every delay element's trace must satisfy its model, with
+                            w: WaveformSet) -> CheckReport:
+    """Judge a waveform set against the netlist: every gate equation must hold
+    and every delay element's trace must satisfy its model, with
     nondet_models (keyed by delay output net) overriding per element.
 
-    Of the structure only the gates are judged, raising ValidationError
-    for an unknown kind or arity; nondeterministic models and zero-lookback
-    cycles are legitimate here.
+    Of the structure only the gates are judged, raising ValidationError for
+    an unknown kind or arity; nondeterministic models and zero-lookback
+    cycles are legitimate here.  Then a missing net, a nondet key that is no
+    delay output, and per delay a non-signal output or input and an
+    inconsistent model raise ValueError, quoting them as given.
 
-    Violations after the waveform horizon are ignored; the signals make
-    no claim there.  Gate equations are judged on the times given; each
-    delay element's ``check_membership`` scales its own check to integer
-    ticks and reports its violation time as a Fraction.  A set in ticks
-    (``timebase`` set) is judged in its ticks: the models must be in those
-    ticks too, as ``simulate`` passes them, and so is the report's time.
-
-    ``_own=True`` marks ``simulate``'s own set: built from the analysed
-    netlist, every switch by the horizon, the models in the set's unit.
-    The gates, nets and truncation are not checked again, and each delay
-    is judged on the input side prepared here (``check_membership(...,
-    _input=...)``), with no timebase scan or second consistency test.
+    Violations after the waveform horizon are ignored; the signals make no
+    claim there.  The set is judged in one timebase: a set in ticks
+    (``timebase`` set, as ``simulate`` hands it) in its own, its models and
+    its report's time in those ticks too; a set in time is scaled once over
+    the ``timebase`` of its nets, models and horizon, and its report back.
+    That k can pass the bound where each element's own would not; the set is
+    then judged on its Fractions.
     """
+    diags = [d for g in n.gates for d in _gate_diags(g)]
+    if diags:
+        raise ValidationError(diags)
+    nets = n.nets()
+    missing = [net for net in nets if net not in w.signals]
+    if missing:
+        raise ValueError("waveform set lacks signals for "
+                         + ", ".join(repr(m) for m in missing))
+    outs = {d.out for d in n.delays}
+    for out in nondet_models:
+        if out not in outs:
+            raise ValueError(f"nondet model for {out!r}, which is not a delay output")
     h = w.horizon
-    if _own:
-        signals = w.signals
-    else:
-        diags = [d for g in n.gates for d in _gate_diags(g)]
-        if diags:
-            raise ValidationError(diags)
-        nets = n.nets()
-        missing = [net for net in nets if net not in w.signals]
-        if missing:
-            raise ValueError("waveform set lacks signals for "
-                             + ", ".join(repr(m) for m in missing))
-        signals = {net: w.signals[net].truncate(h) for net in nets}
+    signals = {net: w.signals[net].truncate(h) for net in nets}
+    models = [nondet_models.get(d.out, d.model) for d in n.delays]
+    k = None if w.timebase is not None else timebase(chain(
+        [h], *(f.bps for f in signals.values()), *(m._parameters() for m in models)))
+    for i, (d, model) in enumerate(zip(n.delays, models)):  # refused before scaling
+        as_signal(signals[d.out])
+        if model.needs_input:
+            as_signal(signals[d.src])
+        models[i] = _in_ticks(model, k)
+    signals = {net: f._to_ticks(k) for net, f in signals.items()}
+    h = _to_ticks(h, k)
     reports = []
     for g in n.gates:
         out = signals[g.out]
         expect = _clamped_gate(g.kind, [signals[i] for i in g.ins], out.leading)
         reports.append((g.out, _report([_eq(out, expect, "gate-equation")], h)))
-    for d in n.delays:
-        u, model = signals[d.src], nondet_models.get(d.out, d.model)
-        own = _Input(None, model, u, model._input_side(u), h) if _own else None
-        reports.append((d.out, check_membership(u, signals[d.out], model, horizon=h,
-                                                _input=own)))
+    for d, model in zip(n.delays, models):
+        u = signals[d.src]
+        reports.append((d.out, check_membership(u, signals[d.out], model,
+                                                _input=_build_input(None, model, u, h))))
     worst = min((replace(r.first_violation, net=net) for net, r in reports if not r.ok),
                 key=_violation_key, default=None)
-    return CheckReport(worst is None, worst)
+    return _in_time(CheckReport(worst is None, worst), k)
 
 
 # ---------------------------------------------------------------------------

@@ -11,14 +11,14 @@ and json-report.
 
 ``check`` reads its signals into integer numerators and denominators
 (``stepfn._read_signal_literal``) and builds them straight in ticks of
-their common timebase, so it makes Fractions only for its report; it
-prepares the input side in those ticks and hands it to the check
-(``check_membership(..., _input=...)``).  ``simulate`` parses its inputs
-as Fractions and writes its waveforms from the simulator's integer ticks
-(``simulate(..., _ticks=True)``): the ASCII, JSON and VCD writers format
-each tick against the timebase with one gcd (``format_time(t, k)``) and
-make no Fraction per toggle.  The JSON is ``json.dumps(..., indent=2)``'s
-layout, written directly.
+their common timebase, so it makes Fractions only for its report; its
+input side is built in those ticks by ``conditions._build_input``, as
+every prepared input is, and handed to the check.  ``simulate`` parses
+its inputs as Fractions and writes its waveforms from the simulator's
+integer ticks (``simulate(..., _ticks=True)``): the ASCII, JSON and VCD
+writers format each tick against the timebase with one gcd
+(``format_time(t, k)``) and make no Fraction per toggle.  The JSON is
+``json.dumps(..., indent=2)``'s layout, written directly.
 ``sample`` parses Fractions and hands any model one route,
 ``solvers._sample``, which judges the model's own candidates.
 """
@@ -41,7 +41,6 @@ from .stepfn import (
     _read_signal_literal,
     _signal_of,
     _to_ticks,
-    as_signal,
     as_time,
     format_signal_literal,
     format_time,
@@ -52,7 +51,7 @@ from .conditions import (
     Bdc,
     CheckReport,
     DelayModel,
-    _Input,
+    _build_input,
     _in_ticks,
     check_membership,
     compose_bdc,
@@ -160,12 +159,12 @@ def _check_readings(u, x, model: DelayModel, horizon: Optional[Fraction]) -> Che
     and u (None: no input), their signals built straight in integer ticks
     of 1/k, k the lcm of the denominators of their times, the model's
     parameters and the horizon: only the report's time becomes a Fraction.
-    The input is prepared here, in those ticks, and handed to the check
-    (``_input``), which then scans no timebase and tests the model's
-    consistency once.  Above the timebase bound, and where the checker
-    rejects the trace (a missing input, a time below 0), the signals are
-    Fractions and go through the public check, so that its messages
-    quote the times as typed."""
+    The input is prepared here, in those ticks (``_build_input``), and
+    handed to the check (``_input``), which then scans no timebase and
+    tests the model's consistency once.  Above the timebase bound, and
+    where the checker rejects the trace (a missing input, a time below
+    0), the signals are Fractions and go through the public check, so
+    that its messages quote the times as typed."""
     readings = (x,) if u is None else (x, u)
     dens = set().union(*[reading[2] for reading in readings],
                        [t.denominator for t in model._parameters()])
@@ -179,10 +178,8 @@ def _check_readings(u, x, model: DelayModel, horizon: Optional[Fraction]) -> Che
     if k is None:
         return check_membership(u, _signal_of(x, None), model, horizon=horizon)
     ticked = _in_ticks(model, k)
-    if u is not None:
-        as_signal(u)
-    prepared = _Input(k, ticked, u, ticked._input_side(u), _to_ticks(horizon, k))
-    return check_membership(u, _signal_of(x, k), ticked, _input=prepared)
+    return check_membership(u, _signal_of(x, k), ticked, _input=_build_input(
+        k, ticked, u, _to_ticks(horizon, k)))
 
 
 def _write(text: str, out: Optional[str]) -> None:

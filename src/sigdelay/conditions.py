@@ -20,12 +20,12 @@ whatever else its clauses need; None where it has none), and
 ``_judge(side, x)`` the clauses from that and the output.  Input windows
 are built there only: the checker, the grid pruning, the sampler's
 candidates and its witness read u's side, built in ticks by
-``_prepare`` once per input and passed to each call: no call keeps one
-for the next.  The switch permits and the hold windows after a switch
-constrain x only at its switches, so the default judge reads them in
-one walk over x's breakpoints, probing u there for the permits: no
-window is built over x, and none for a permit.  Only the witness and
-the public ``permits(u)`` build the permit windows, from the same specs.
+``_build_input`` once per input and passed to each call: no call keeps
+one for the next.  The switch permits and the hold windows after a
+switch constrain x only at its switches, so the default judge reads them
+in one walk over x's breakpoints, probing u there for the permits: no
+window is built over x, and none for a permit.  Only the witness and the
+public ``permits(u)`` build the permit windows, from the same specs.
 
 Consistency predicates (cc_*) are the closed-form parameter
 inequalities equivalent to "a solution exists for every input".  Each is
@@ -932,7 +932,7 @@ def check_constancy(u: StepFunction, x: StepFunction,
 # ---------------------------------------------------------------------------
 
 class _Input(NamedTuple):
-    """``_prepare``'s timebase k, and the model, u, its side and the horizon in ticks."""
+    """``_build_input``'s timebase k, and the model, u, its side and the horizon in ticks."""
 
     k: Optional[int]
     model: DelayModel
@@ -978,9 +978,14 @@ def _prepare(u: Optional[StepFunction], model: DelayModel,
         as_signal(u)
     k = timebase(chain(times, () if u is None else u.bps, model._parameters(),
                        () if h is None else (h,)))
-    ticked = _in_ticks(model, k)
-    u = None if u is None else u._to_ticks(k)
-    return _Input(k, ticked, u, ticked._input_side(u), _to_ticks(h, k))
+    return _build_input(k, _in_ticks(model, k), None if u is None else u._to_ticks(k),
+                        _to_ticks(h, k))
+
+
+def _build_input(k: Optional[int], ticked: DelayModel, u, horizon) -> _Input:
+    """The one builder of ``_Input``: the model, u and the horizon in one
+    unit, and u's side; the check's report is scaled back by k (None: not)."""
+    return _Input(k, ticked, u, ticked._input_side(u), horizon)
 
 
 # ---------------------------------------------------------------------------

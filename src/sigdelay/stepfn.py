@@ -634,9 +634,11 @@ class StepFunction:
                                    self.at, self.right)
 
     def truncate(self, horizon: RationalLike) -> "StepFunction":
-        """Drop behaviour after the horizon; the value at it extends to +oo."""
+        """Drop behaviour after the horizon (none: f itself); the value at it extends to +oo."""
         h = _as_offset(horizon)
         n = bisect.bisect_right(self.bps, h)
+        if n == len(self.bps):
+            return self
         # a prefix of a canonical function is canonical
         return StepFunction._canon(self.leading, self.bps[:n], self.at[:n], self.right[:n])
 

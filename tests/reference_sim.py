@@ -14,9 +14,18 @@ per settled switch and a whole horizon per round: small netlists only.
 The event budget is judged once on the fixpoint: the error names the
 earliest switch over the budget (ties by evaluation order), the switch
 at which an event-driven run must stop.
+
+``reference_conformance`` is the oracle of ``check_trace_conformance``,
+which judges a whole set in one timebase: it judges element by element,
+the gates on the times given and each delay through the public
+``check_membership``, which scales its own check over its own timebase.
+It refuses what the checker refuses, in the same order and words, and
+it is the fixpoint's self-check.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 from sigdelay.circuit import (
     EventBudgetError,
@@ -24,15 +33,20 @@ from sigdelay.circuit import (
     WaveformSet,
     _clamped_gate,
     _eval_order,
+    _gate_diags,
     _gate_value,
-    check_trace_conformance,
     validate,
 )
 from sigdelay.conditions import (
+    CheckReport,
     Dbridc,
     InconsistentModelError,
     SdbridcPrime,
+    _eq,
+    _report,
+    _violation_key,
     cc_bdc,
+    check_membership,
 )
 from sigdelay.stepfn import StepFunction, as_time, format_time
 
@@ -173,7 +187,39 @@ def relax(n, inputs, horizon) -> WaveformSet:
         raise EventBudgetError(net, t)
 
     w = WaveformSet(dict(current), h)
-    report = check_trace_conformance(n, {}, w)
+    report = reference_conformance(n, {}, w)
     if not report.ok:
         raise RuntimeError(f"simulation fixpoint fails self-check: {report}")
     return w
+
+
+def reference_conformance(n, nondet_models, w) -> CheckReport:
+    """The conformance report of w, element by element: each gate equation
+    on the times given, each delay through the public ``check_membership``
+    with its own timebase.  A set in ticks comes with its models in ticks,
+    which the public check judges as they are, so its report is in ticks."""
+    diags = [d for g in n.gates for d in _gate_diags(g)]
+    if diags:
+        raise ValidationError(diags)
+    nets = n.nets()
+    missing = [net for net in nets if net not in w.signals]
+    if missing:
+        raise ValueError("waveform set lacks signals for "
+                         + ", ".join(repr(m) for m in missing))
+    for out in nondet_models:
+        if out not in [d.out for d in n.delays]:
+            raise ValueError(f"nondet model for {out!r}, which is not a delay output")
+    h = w.horizon
+    signals = {net: w.signals[net].truncate(h) for net in nets}
+    reports = []
+    for g in n.gates:
+        out = signals[g.out]
+        expect = _clamped_gate(g.kind, [signals[i] for i in g.ins], out.leading)
+        reports.append((g.out, _report([_eq(out, expect, "gate-equation")], h)))
+    for d in n.delays:
+        model = nondet_models.get(d.out, d.model)
+        reports.append((d.out, check_membership(signals[d.src], signals[d.out], model,
+                                                horizon=h)))
+    violations = [replace(r.first_violation, net=net) for net, r in reports if not r.ok]
+    worst = min(violations, key=_violation_key, default=None)
+    return CheckReport(worst is None, worst)

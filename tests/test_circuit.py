@@ -2,7 +2,6 @@
 
 import random
 from fractions import Fraction as F
-from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,10 +26,9 @@ from sigdelay.cli import main
 from sigdelay.stepfn import StepFunction, chi, window_inf, window_sup
 from sigdelay.stepfn import window_inf_halfopen, window_sup_halfopen
 
-from sigdelay.conditions import _in_ticks, _in_time
-from sigdelay.stepfn import _to_ticks, timebase
+from sigdelay.conditions import _in_ticks
 from conftest import counted_calls, rand_bdc_params, rand_signal
-from reference_sim import reference_initials
+from reference_sim import reference_conformance, reference_initials
 
 
 # ---------------------------------------------------------------------------
@@ -101,15 +99,14 @@ def test_validate_net_listings_do_not_grow_with_outputs_or_inits(monkeypatch):
 
 
 def test_simulate_lists_the_nets_once_per_stage(monkeypatch):
-    # the netlist analysis lists, orders and initialises the nets once; the
-    # self-check judges the set simulate built from that analysis, so it
-    # does not list them again
+    # the netlist analysis and the conformance self-check list the nets once
+    # each, and only the analysis orders them and resolves their initials
     stages = [counted_calls(monkeypatch, owner, name) for owner, name in
               [(Netlist, "nets"), (sd.circuit, "_eval_order"),
                (sd.circuit, "_resolve_initials")]]
     u = StepFunction.from_toggles(0, [1, 3])
     simulate(builtin("c-element"), {"u": u, "v": u}, 12)
-    assert [len(calls) for calls in stages] == [1, 1, 1]
+    assert [len(calls) for calls in stages] == [2, 1, 1]
 
 
 def test_deep_not_ring_is_one_zero_lookback_cycle(tmp_path, capsys):
@@ -446,18 +443,6 @@ def test_conformance_ranks_attained_first_at_equal_times():
     assert (v.net, v.time, v.attained) == ("x", F(3, 2), True)
 
 
-def _conformance_in_ticks(n, nondet, w):
-    """The oracle: conformance judged over one timebase k of all nets,
-    models and horizon, every element in ticks, the report scaled back."""
-    models = {d.out: nondet.get(d.out, d.model) for d in n.delays}
-    k = timebase(chain([w.horizon], *(f.bps for f in w.signals.values()),
-                       *(m._parameters() for m in models.values())))
-    ticked = WaveformSet({net: f._to_ticks(k) for net, f in w.signals.items()},
-                         _to_ticks(w.horizon, k))
-    return _in_time(check_trace_conformance(
-        n, {out: _in_ticks(m, k) for out, m in models.items()}, ticked), k)
-
-
 def _random_builtin_run(rng, denom):
     """A worked circuit with random delays of denominator ``denom``, its
     inputs and a horizon."""
@@ -483,41 +468,134 @@ def _random_builtin_run(rng, denom):
     return n, {"u": u, "v": StepFunction.from_toggles(u.leading, signal().toggles())}
 
 
+def _perturbed(rng, f, step, horizon):
+    """f with one toggle moved by ``step`` or one added on the grid of
+    ``step`` by the horizon, or f itself where that would not be a signal;
+    in the unit of f's times (ticks stay ints)."""
+    ts = list(f.toggles())
+    if ts and rng.randrange(2):
+        i = rng.randrange(len(ts))
+        ts[i] += rng.choice((-1, 1)) * step
+    else:
+        ts.append(rng.randrange(0, horizon // step + 1) * step)
+    if len(set(ts)) < len(ts) or min(ts) < 0:
+        return f
+    return StepFunction._from_toggles(f.leading, sorted(ts))
+
+
+def _with_toggle(f, t):
+    """f with one more toggle at t, if none is there."""
+    return f if t in f.bps else StepFunction._from_toggles(f.leading, sorted([*f.bps, t]))
+
+
+def _assert_matches_reference(n, nondet, w):
+    got = check_trace_conformance(n, nondet, w)
+    want = reference_conformance(n, nondet, w)
+    assert got == want
+    if not got.ok:
+        assert type(got.first_violation.time) is type(want.first_violation.time)
+    return got
+
+
+# denominators whose lcm with 3 and 7 passes the 8,192-bit timebase bound
+# only when both meet in one set, not in any one element of it
+_BIG_A, _BIG_B = F(1, 3 ** 2900), F(1, 2 ** 4500)
+
+
 def test_conformance_in_given_times_matches_one_timebase():
-    """Each element scaling its own check gives the report that one
-    timebase for the whole circuit gave."""
+    """One timebase for the whole set gives the report that each element
+    judged in its own gave: sets in time, perturbed or not, simulated
+    sets in their ticks with their ticked models, nondet overrides, and
+    sets above the timebase bound."""
     rng = random.Random(18)
     seen = set()
-    for _ in range(150):
+    for case in range(240):
         n, inputs = _random_builtin_run(rng, rng.choice((1, 3, 7)))
-        w = simulate(n, inputs, 12)
+        ticks = case % 3 == 0
+        w = simulate(n, inputs, 12, _ticks=ticks)
+        k = w.timebase
         signals = dict(w.signals)
-        net = rng.choice(sorted(signals))
-        ts = list(signals[net].toggles())
-        if ts and rng.randrange(2):  # move one toggle by 1/7
-            i = rng.randrange(len(ts))
-            ts[i] += rng.choice((-1, 1)) * F(1, 7)
-        else:  # or insert one
-            ts.append(F(rng.randrange(0, 12 * 7), 7))
-        if len(set(ts)) == len(ts) and min(ts) >= 0:
-            signals[net] = StepFunction.from_toggles(signals[net].leading, sorted(ts))
-        nondet = {}
+        if rng.randrange(4):
+            net = rng.choice(sorted(signals))
+            step = 1 if ticks else F(1, 7)
+            signals[net] = _perturbed(rng, signals[net], step, w.horizon)
+        if not ticks and case % 5 == 0:  # the set passes the timebase bound
+            net, other = rng.choice(sorted(signals)), rng.choice(sorted(signals))
+            if case % 2:
+                signals[net] = _with_toggle(signals[net], F(1, 10 ** 2500))
+            else:
+                signals[net] = _with_toggle(signals[net], _BIG_A)
+                signals[other] = _with_toggle(signals[other], _BIG_B)
+            seen.add("above")
+        models = {d.out: _in_ticks(d.model, k) for d in n.delays} if ticks else {}
         if rng.randrange(3) == 0:
             d = rng.choice(n.delays)
-            nondet[d.out] = sd.Bdc(rand_bdc_params(rng, denom=rng.choice((1, 3, 7))))
-        w = WaveformSet(signals, w.horizon)
-        got = check_trace_conformance(n, nondet, w)
-        want = _conformance_in_ticks(n, nondet, w)
-        assert got.ok == want.ok
+            den = rng.choice([x for x in (1, 3, 7) if not ticks or k % x == 0])
+            models[d.out] = _in_ticks(sd.Bdc(rand_bdc_params(rng, denom=den)),
+                                      k if ticks else None)
+        got = _assert_matches_reference(n, models, WaveformSet(signals, w.horizon, k))
         if not got.ok:
-            g, x = got.first_violation, want.first_violation
-            assert (g.net, g.clause, g.time, g.attained) == \
-                (x.net, x.clause, x.time, x.attained)
-            assert g.time is None or type(g.time) is F
-            seen.add("gate" if g.clause == "gate-equation" else "delay")
-            if g.net in nondet:
+            v = got.first_violation
+            seen.add("gate" if v.clause == "gate-equation" else "delay")
+            seen.add("ticks" if ticks else "time")
+            if v.net in models and not ticks:
                 seen.add("nondet")
-    assert seen == {"gate", "delay", "nondet"}
+    assert seen == {"gate", "delay", "nondet", "ticks", "time", "above"}
+
+
+def _neg(t):
+    """No signal: a switch at -t, before 0; a third, so that a message
+    quoting it in ticks would read otherwise."""
+    return StepFunction.from_toggles(0, [-t, 2])
+
+
+_LEFT = StepFunction(0, [1], [0], [1])  # not right-continuous
+_AIC = sd.parse_model("aic dr=1 df=1")  # reads no input
+_BAD = sd.Dbridc(sd.BdcParams(0, 1, 0, 3))  # CC_BDC fails
+_FIX = sd.Fixed(F(1, 3))
+
+
+@pytest.mark.parametrize("given, nondet", [
+    ({"x": _neg(F(1, 3))}, {}),  # an output that is no signal
+    ({"x": _LEFT}, {}),
+    ({"u": _neg(F(2, 3))}, {}),  # an input that is no signal
+    ({"u": _neg(F(2, 3))}, {"x": _AIC}),  # aic reads no input: judged, not refused
+    ({}, {"x": _BAD}),  # an inconsistent model, named as given
+    ({"y": None}, {"X": _FIX}),  # a missing net before a misspelt key
+    ({"x": _neg(F(1, 3))}, {"X": _FIX}),  # a misspelt key before the delays
+    ({"x": _neg(F(1, 3))}, {"y": _BAD}),  # the first delay before the second
+    ({"y": _neg(F(4, 3))}, {"x": _BAD}),
+    ({"x": _neg(F(1, 3)), "u": _neg(F(2, 3))}, {}),  # a delay's output before its input
+    ({"x": _neg(F(1, 3))}, {"x": _BAD}),  # and before its model
+    ({"u": _neg(F(2, 3))}, {"x": _BAD}),  # and its input before its model
+])
+def test_conformance_refuses_as_the_reference_does(given, nondet):
+    """Each refusal, and which of two comes first, in the reference's type
+    and words: missing nets, misspelt keys, then per delay in netlist order
+    its output, its input and its model, quoting them as given."""
+    n = parse_netlist("input u\ndelay x u fixed d=1\ndelay y x fixed d=1\n")
+    w = simulate(n, {"u": StepFunction.from_toggles(0, [F(1, 3), 2])}, F(9, 2))
+    signals = {**w.signals, **given}
+    w = WaveformSet({net: f for net, f in signals.items() if f is not None}, w.horizon)
+    try:
+        reference_conformance(n, nondet, w)
+    except ValueError as exc:
+        with pytest.raises(type(exc)) as got:
+            check_trace_conformance(n, nondet, w)
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+    else:
+        _assert_matches_reference(n, nondet, w)
+
+
+def test_conformance_refuses_a_nondet_key_that_names_no_delay():
+    n = builtin("delay-buffer")
+    w = simulate(n, {"u": StepFunction.from_toggles(0, [1])}, 4)
+    loose = sd.Bdc(sd.BdcParams(0, 3, 0, 3))
+    v = check_trace_conformance(n, {"x": loose}, w).first_violation
+    assert (v.net, v.time, v.clause) == ("x", 2, "upper-bound")
+    for key in ("X", "u"):
+        with pytest.raises(ValueError, match=f"^nondet model for '{key}', which is not"):
+            check_trace_conformance(n, {key: loose}, w)
 
 
 def test_conformance_rejects_missing_nets():

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 from typing import get_args
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import sigdelay as sd
 from sigdelay.conditions import MODELS
@@ -658,6 +658,45 @@ def test_dbridc_seven_way_equivalence(rng):
     u, x = rand_signal(rng), rand_signal(rng)
     assert sd.check_membership(u, x, sd.Dbridc(p)).ok \
         == dbridc_form_report(u, x, p, "b").ok
+
+
+# outputs near the dbridc solution on thirds: as solved, one switch moved
+# by 1/6, a pulse added, or one switch dropped
+_thirds = st.integers(0, 18).map(lambda n: F(n, 3))
+
+
+@st.composite
+def _near_dbridc_solution(draw):
+    m_r, m_f, w_r, w_f = (draw(st.integers(0, 6).map(lambda n: F(n, 3))) for _ in range(4))
+    p = sd.BdcParams(m_r, m_r + w_r, m_f, m_f + w_f)
+    assume(sd.cc_bdc(p))
+    u = StepFunction.from_toggles(draw(st.integers(0, 1)),
+                                  sorted(draw(st.sets(_thirds, max_size=4))))
+    ts = list(sd.solve_dbridc(u, p).toggles())
+    how = draw(st.sampled_from(["solved", "moved", "pulse", "dropped"]))
+    if how == "moved" and ts:
+        i = draw(st.integers(0, len(ts) - 1))
+        ts[i] += draw(st.sampled_from((F(-1, 6), F(1, 6))))
+    elif how == "pulse":
+        start = draw(st.integers(0, 48).map(lambda n: F(n, 6)))
+        ts += [start, start + draw(st.integers(1, 6).map(lambda n: F(n, 6)))]
+    elif how == "dropped" and ts:
+        del ts[draw(st.integers(0, len(ts) - 1))]
+    assume(len(set(ts)) == len(ts) and min(ts, default=0) >= 0)
+    return p, u, StepFunction.from_toggles(u.leading, sorted(ts))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_near_dbridc_solution())
+def test_dbridc_is_bridc_with_the_bounded_delays_parameters(case):
+    """Paper §9.5: dbridc with p accepts exactly what bridc with p and the
+    relative inertia (m_r, d_r, m_f, d_f) accepts.  The clauses that fail
+    are named differently, so only the verdicts are compared."""
+    p, u, x = case
+    r = sd.RicParams(p.m_r, p.d_r, p.m_f, p.d_f)
+    assert sd.cc_bridc(p, r)[0]
+    assert sd.check_membership(u, x, sd.Dbridc(p)).ok == \
+        sd.check_membership(u, x, sd.Bridc(p, r)).ok
 
 
 # ---------------------------------------------------------------------------

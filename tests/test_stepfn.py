@@ -432,6 +432,14 @@ def test_truncate(rng):
         assert all(b <= h for b in g.bps)
 
 
+def test_truncate_is_the_function_itself_when_nothing_lies_after_the_horizon(rng):
+    # a step function is immutable, so a truncation that drops nothing is f
+    for _ in range(50):
+        f = rand_stepfn(rng)
+        h = F(rng.randrange(-4, 20), 2)
+        assert (f.truncate(h) is f) == all(b <= h for b in f.bps)
+
+
 # ---------------------------------------------------------------------------
 # Hypothesis: algebra closure on arbitrary inputs
 # ---------------------------------------------------------------------------
